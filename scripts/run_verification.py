@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from carlitzbases import FieldConfig
+from carlitzbases import FieldConfig, cli
 from carlitzbases.identities import (
     BUDGET_EXHAUSTED,
     FALSIFIED,
@@ -44,12 +44,7 @@ def main(argv=None) -> int:
     all_reports = []
     worst = 0
     for q in args.q:
-        if q == 4:
-            cfg = FieldConfig(2, 2)
-        elif q in (8, 9, 16, 25, 27):
-            raise SystemExit(f"use --q with p^e split for q={q} or extend me")
-        else:
-            cfg = FieldConfig(q)
+        cfg = FieldConfig(*cli._factor_prime_power(q))
         for suite in SUITES:
             t0 = time.time()
             reports = run_suite(cfg, suite, n=args.n, budget=args.budget,

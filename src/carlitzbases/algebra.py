@@ -684,17 +684,6 @@ class TruncSeries:
             r.append(cfg.neg(cfg.mul(r0, acc)))
         return TruncSeries(cfg, -v, r, out_prec)
 
-    def divide_poly(self, d: Poly) -> "TruncSeries":
-        """Divide by an exact nonzero polynomial; precision drops by v(d)."""
-        if d.is_zero:
-            raise DomainError("division by the zero polynomial")
-        vd = d.valuation
-        if self.prec == EXACT:
-            raise PrecisionError("exact series division needs Poly.exact_div")
-        work = self.prec + 2 * vd - min(self._eff_v(), 0) + 1
-        inv = d.to_series(work).invert_unit()
-        return (self * inv).truncate(self.prec - vd)
-
     def to_poly(self) -> Poly:
         """Exact Laurent polynomial with v >= 0 as a Poly; errors otherwise."""
         if self.prec != EXACT:
@@ -734,7 +723,7 @@ class TruncSeries:
         terms = []
         for i, c in enumerate(self.coeffs):
             if c:
-                terms.append(_series_term_text(self.cfg, c, self.v + i))
+                terms.append(_term_text(self.cfg, c, self.v + i))
         body = "+".join(terms)
         if self.prec == EXACT:
             return body or "0"
@@ -745,16 +734,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.text()!r})"
-
-
-def _series_term_text(cfg, c, k):
-    ct = cfg.elem_text(c)
-    if cfg.e > 1 and "+" in ct:
-        ct = f"({ct})"
-    if k == 0:
-        return ct
-    base = "T" if k == 1 else f"T^{k}"
-    return base if c == 1 else f"{ct}*{base}"
 
 
 class Norm(NamedTuple):

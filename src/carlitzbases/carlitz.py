@@ -1,8 +1,10 @@
 """The Carlitz tower: brackets, factorials, linear polynomials, digit products.
 
-Everything here is exact on F_q[T] inputs; truncated-series inputs go
-through the same linear-polynomial expansion with precision tracked by
-the series arithmetic.
+Everything here is exact on F_q[T] inputs.  E_n is evaluated on
+polynomials and truncated series alike by the bracket recurrence
+E_k = (E_{k-1}**q - E_{k-1}) / [k]; the linear polynomials e_n and the
+factorials F_n are the paper's objects and the tests' oracle
+E_n = e_n / F_n, not an evaluation path.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from .algebra import (
     BudgetError,
     DomainError,
     FieldConfig,
+    InexactDivisionError,
     Poly,
     PrecisionError,
     TruncSeries,
@@ -127,39 +130,69 @@ def e_poly(cfg: FieldConfig, n: int) -> LinearPolynomial:
     return LinearPolynomial(cfg, tuple(terms))
 
 
-def e_carry_loss(cfg: FieldConfig, n: int) -> int:
-    """v(F_n) = (q**n - 1)/(q - 1), the precision cost of dividing by F_n."""
-    return (cfg.q ** n - 1) // (cfg.q - 1)
-
-
 def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
-    """E_n(x) = e_n(x) / F_n; exact polynomial out for polynomial in."""
+    """E_n(x) = e_n(x) / F_n by the bracket recurrence from E_0(x) = x:
+
+        E_k(x) = (E_{k-1}(x)**q - E_{k-1}(x)) / [k],   k = 1, ..., n,
+
+    which follows from F_k = [k] F_{k-1}**q.  Polynomial and exact-series
+    inputs give exact values; a truncated series of precision N > n gives
+    precision N - n, one digit per step, the same loss as D_n.
+    """
     if n < 0:
         raise DomainError("n must be non-negative")
     if isinstance(x, Poly):
-        result = _eval_E_poly(cfg, n, x)
-    else:
-        if x.coeffs and x.v < 0:
-            raise DomainError("E_n is only evaluated on O (v >= 0)")
-        if n == 0:
-            return x
-        loss = e_carry_loss(cfg, n)
-        if x.prec != EXACT and x.prec <= loss:
-            raise PrecisionError(
-                f"E_{n} needs input precision > {loss}, got {x.prec}")
-        num = e_poly(cfg, n)(x)
-        if num.prec == EXACT:
-            result = num.to_poly().exact_div(carlitz_F(cfg, n)).to_series()
-        else:
-            result = num.divide_poly(carlitz_F(cfg, n))
-    return result
+        return _eval_E_poly(cfg, n, x)
+    if x.coeffs and x.v < 0:
+        raise DomainError("E_n is only evaluated on O (v >= 0)")
+    if n == 0:
+        return x
+    if x.prec == EXACT:
+        return _eval_E_poly(cfg, n, x.to_poly()).to_series()
+    if x.prec <= n:
+        raise PrecisionError(f"E_{n} needs input precision > {n}, got {x.prec}")
+    return _bracket_recurrence(cfg, n, x)
 
 
 @lru_cache(maxsize=None)
 def _eval_E_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
-    if n == 0:
-        return x
-    return e_poly(cfg, n)(x).exact_div(carlitz_F(cfg, n))
+    return _bracket_recurrence(cfg, n, x)
+
+
+def _bracket_recurrence(cfg: FieldConfig, n: int, y: Value) -> Value:
+    if cfg.q ** n > DEGREE_BUDGET:
+        raise BudgetError(f"E_{n} degree budget exceeded")
+    for k in range(1, n + 1):
+        y = _div_bracket(cfg, k, y.frobenius(1) - y)
+    return y
+
+
+def _div_bracket(cfg: FieldConfig, k: int, z: Value) -> Value:
+    """z / [k] for z with v(z) >= 1, as -(z/T) / (1 - T**s), s = q**k - 1.
+
+    The geometric factor is one strided prefix sum.  A Poly quotient must
+    be exact: a nonzero constant term or a nonzero top-s digit of the
+    prefix sum raises InexactDivisionError.  A truncated series loses the
+    one digit that the division by T costs.
+    """
+    s = cfg.q ** k - 1
+    exact = isinstance(z, Poly)
+    if exact:
+        digits, size = z.coeffs, max(z.degree, 0)
+    else:
+        digits, size = (0,) * z.v + z.coeffs, z.prec - 1
+    u = list(digits[1:size + 1])
+    u += [0] * (size - len(u))
+    add = cfg.add_table
+    for i in range(s, size):
+        u[i] = add[u[i]][u[i - s]]
+    neg = cfg.neg_table
+    if not exact:
+        return TruncSeries(cfg, 0, (neg[c] for c in u), size)
+    top = max(size - s, 0)
+    if any(digits[:1]) or any(u[top:]):
+        raise InexactDivisionError(f"division by [{k}] left a remainder")
+    return Poly(cfg, (neg[c] for c in u[:top]))
 
 
 def eval_G(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:

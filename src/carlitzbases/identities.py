@@ -183,7 +183,7 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
             return _verdict("addition_scaling", config, False,
                             witness={"alpha": alpha, "lhs": str(left),
                                      "rhs": str(right)})
-    if _is_power_minus_one(j + 1, cfg.q):
+    if j > 0 and _is_q_power(j + 1, cfg.q):
         signed = convolution(x, u, lambda e: cfg.sign(e))
         if not values_match(lhs, signed):
             return _verdict("addition_sign_form", config, False,
@@ -194,15 +194,6 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
             return _verdict("addition_diff_form", config, False,
                             witness={"lhs": str(diff_lhs), "rhs": str(diff_rhs)})
     return _verdict("addition_law", config, True)
-
-
-def _is_power_minus_one(k: int, q: int) -> bool:
-    # is k a power q**m with m >= 1, i.e. j = q**m - 1
-    if k < q:
-        return False
-    while k % q == 0:
-        k //= q
-    return k == 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +290,7 @@ def basis_distance(cfg: FieldConfig, pair: str, n: int,
                                      "valuation": nm.v})
         max_norm = max(max_norm, nm.value)
         # reduced functions mod T agree
-        if _mod_T(cfg, fv) != _mod_T(cfg, gv):
+        if fv.coeff(0) != gv.coeff(0):
             return _verdict("basis_distance_reduced", config, False,
                             witness={"i": i, "f": str(fv), "g": str(gv)})
         # delta pattern for the basis functions themselves
@@ -312,12 +303,6 @@ def basis_distance(cfg: FieldConfig, pair: str, n: int,
                             witness={"i": i, "f": str(fv), "g": str(gv)})
     notes = [f"sup over tested range is {max_norm} (certified for i <= {i_max} only)"]
     return VerdictReport("basis_distance", config, VERIFIED, notes=notes)
-
-
-def _mod_T(cfg, val) -> int:
-    if isinstance(val, Poly):
-        return val.coeff(0)
-    return val.coeff(0)
 
 
 def _value_zero(val) -> bool:

@@ -1,4 +1,4 @@
-"""Coefficient recovery in the four bases, basis-change matrices, synthesis.
+"""Coefficient recovery in the five bases, basis-change matrices, synthesis.
 
 Functions are represented by evaluators that accept exact polynomials
 (and usually truncated series as well); every coefficient formula from
@@ -27,7 +27,6 @@ from .algebra import (
     poly_enumerate,
     valuation_norm,
 )
-from . import carlitz as _carlitz
 from . import hasse as _hasse
 from .carlitz import bracket, carlitz_L, eval_E, eval_G
 from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
@@ -53,14 +52,12 @@ class Basis(Enum):
 class LinearFunc:
     """A continuous function O -> K given by an evaluator.
 
-    ``loss`` bounds the precision cost: input precision N yields output
-    precision >= N - loss.  ``linear`` asserts F_q-linearity; operations
-    that require it (the difference calculus) refuse nonlinear functions.
+    ``linear`` asserts F_q-linearity; operations that require it (the
+    difference calculus) refuse nonlinear functions.
     """
 
     cfg: FieldConfig
     eval_at: Callable[[Value], Value]
-    loss: int = 0
     linear: bool = True
     name: str = ""
 
@@ -80,18 +77,16 @@ def identity_func(cfg) -> LinearFunc:
 
 
 def E_func(cfg, n: int) -> LinearFunc:
-    return LinearFunc(cfg, lambda x: eval_E(cfg, n, x),
-                      loss=_carlitz.e_carry_loss(cfg, n), name=f"E:{n}")
+    return LinearFunc(cfg, lambda x: eval_E(cfg, n, x), name=f"E:{n}")
 
 
 def D_func(cfg, n: int) -> LinearFunc:
-    return LinearFunc(cfg, lambda x: hasse_derivative(cfg, n, x),
-                      loss=n, name=f"D:{n}")
+    return LinearFunc(cfg, lambda x: hasse_derivative(cfg, n, x), name=f"D:{n}")
 
 
 def powered_D_func(cfg, n: int, m: int) -> LinearFunc:
     return LinearFunc(cfg, lambda x: powered_D(cfg, n, m, x),
-                      loss=n, name=f"Dpow:{n}:{m}")
+                      name=f"Dpow:{n}:{m}")
 
 
 def frobenius_func(cfg, m: int) -> LinearFunc:
@@ -102,8 +97,6 @@ def G_func(cfg, j: int, primed: bool = False) -> LinearFunc:
     linear = _is_q_power(j, cfg.q)
     tag = "Gp" if primed else "G"
     return LinearFunc(cfg, lambda x: eval_G(cfg, j, x, primed),
-                      loss=sum(_carlitz.e_carry_loss(cfg, n) * a for n, a in
-                               enumerate(_carlitz.DigitIndex.of(j, cfg.q).digits)),
                       linear=linear and not primed, name=f"{tag}:{j}")
 
 
@@ -111,8 +104,6 @@ def Dj_func(cfg, j: int, primed: bool = False) -> LinearFunc:
     linear = _is_q_power(j, cfg.q)
     tag = "Djp" if primed else "Dj"
     return LinearFunc(cfg, lambda x: eval_D(cfg, j, x, primed),
-                      loss=sum(n * a for n, a in
-                               enumerate(_carlitz.DigitIndex.of(j, cfg.q).digits)),
                       linear=linear and not primed, name=f"{tag}:{j}")
 
 
@@ -127,12 +118,12 @@ def constant_func(cfg, c: Poly) -> LinearFunc:
 
 
 def scale_func(c: Value, f: LinearFunc) -> LinearFunc:
-    return LinearFunc(f.cfg, lambda x: c * f(x), loss=f.loss, linear=f.linear,
+    return LinearFunc(f.cfg, lambda x: c * f(x), linear=f.linear,
                       name=f"({c})*{f.name}")
 
 
 def add_func(f: LinearFunc, g: LinearFunc) -> LinearFunc:
-    return LinearFunc(f.cfg, lambda x: f(x) + g(x), loss=max(f.loss, g.loss),
+    return LinearFunc(f.cfg, lambda x: f(x) + g(x),
                       linear=f.linear and g.linear, name=f"{f.name}+{g.name}")
 
 
@@ -237,7 +228,7 @@ def delta(f: LinearFunc) -> LinearFunc:
     def ev(x):
         return f(T * x) - T * f(x)
 
-    return LinearFunc(cfg, ev, loss=f.loss, name=f"delta({f.name})")
+    return LinearFunc(cfg, ev, name=f"delta({f.name})")
 
 
 def delta_minus(f: LinearFunc, m: int) -> LinearFunc:
@@ -247,7 +238,7 @@ def delta_minus(f: LinearFunc, m: int) -> LinearFunc:
     if m == 0:
         return g
     br = bracket(cfg, m)
-    return LinearFunc(cfg, lambda x: g(x) - br * f(x), loss=f.loss,
+    return LinearFunc(cfg, lambda x: g(x) - br * f(x),
                       name=f"(delta-[{m}])({f.name})")
 
 
@@ -273,7 +264,7 @@ def _delta_step(f: LinearFunc, mult: Poly) -> LinearFunc:
     def ev(x, f=f, mult=mult):
         return f(T * x) - mult * f(x)
 
-    return LinearFunc(cfg, ev, loss=f.loss, name=f"step({f.name})")
+    return LinearFunc(cfg, ev, name=f"step({f.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +536,7 @@ def matrix_product_block(A: BasisMatrix, B: BasisMatrix, k: int) -> List[List[Va
         row = []
         for j in range(k):
             acc = None
-            for l in range(max(A.size, B.size)):
-                if l >= A.size or l >= B.size:
-                    break
+            for l in range(min(A.size, B.size)):
                 term = A.entry(i, l) * B.entry(l, j)
                 acc = term if acc is None else acc + term
             row.append(acc)
@@ -615,8 +604,7 @@ def synthesize(exp: BasisExpansion, x: Value):
         acc = term if acc is None else acc + term
     if acc is None:
         acc = Poly.zero(cfg) if isinstance(x, Poly) else TruncSeries.zero(cfg)
-    bound = exp.tail_bound if exp.tail_bound is not None else None
-    return acc, bound
+    return acc, exp.tail_bound
 
 
 def expansion_to_json_text(exp: BasisExpansion) -> str:

@@ -111,7 +111,7 @@ def test_criterion_1_orthogonality(report):
 
 def _linear_analyzer(analyze):
     def run(f, N, cfg):
-        return analyze(LinearFunc(cfg, f, loss=16, linear=True), N)
+        return analyze(LinearFunc(cfg, f, linear=True), N)
     return run
 
 
@@ -126,8 +126,7 @@ def _roundtrip_linear(cfg, rng, basis, analyze, basis_fn, m=0):
     for _ in range(20):
         coeffs = [random_poly(cfg, rng, 2) for _ in range(4)]
         orig = BasisExpansion(cfg, basis, coeffs, m=m, tail_bound=Fraction(0))
-        f = LinearFunc(cfg, lambda x: synthesize(orig, x)[0], loss=16,
-                       linear=True)
+        f = LinearFunc(cfg, lambda x: synthesize(orig, x)[0], linear=True)
         got = analyze(f, 4)
         for a, b in zip(got.coeffs, orig.coeffs):
             assert values_match(a, b)

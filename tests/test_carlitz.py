@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlitzbases import (
     DigitIndex,
@@ -19,7 +21,6 @@ from carlitzbases import (
     parse_poly,
 )
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
-from carlitzbases.carlitz import e_carry_loss
 
 
 def brute_force_e(cfg, n, x):
@@ -65,8 +66,8 @@ def test_factorial_products(q, n_max):
             L = L * bracket(cfg, i)
         assert carlitz_F(cfg, n) == F
         assert carlitz_L(cfg, n) == L
-        # v(F_n) = (q^n - 1)/(q - 1), the precision-loss bound for E_n
-        assert F.valuation == e_carry_loss(cfg, n)
+        # v(F_n) = (q^n - 1)/(q - 1)
+        assert F.valuation == (q ** n - 1) // (q - 1)
 
 
 def test_digit_factorial(f2):
@@ -188,10 +189,56 @@ def test_eval_E_series_path(f2, rng):
 
 def test_eval_E_precision_and_domain_errors(f2):
     from carlitzbases import PrecisionError, TruncSeries
+    # E_n loses n digits: precision n + 1 is the least that leaves one.
     with pytest.raises(PrecisionError):
-        eval_E(f2, 3, TruncSeries(f2, 0, (1, 1), 4))  # loss bound is 7
+        eval_E(f2, 3, TruncSeries(f2, 0, (1, 1), 3))
+    assert eval_E(f2, 3, TruncSeries(f2, 0, (1, 1), 4)).prec == 1
     with pytest.raises(DomainError):
         eval_E(f2, 1, TruncSeries(f2, -1, (1,), 8))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_div_bracket_exact_on_polynomials(f3, rng, k):
+    from carlitzbases import InexactDivisionError
+    from carlitzbases.carlitz import _div_bracket
+    for _ in range(10):
+        p = random_poly(f3, rng, 12)
+        assert _div_bracket(f3, k, bracket(f3, k) * p) == p
+    T = Poly.T(f3)
+    for bad in (Poly.one(f3), T, bracket(f3, k) * T + T ** 2):
+        with pytest.raises(InexactDivisionError):
+            _div_bracket(f3, k, bad)
+
+
+# Fields by q as (p, e); the q**n cap keeps the oracle's schoolbook division
+# by F_n, of degree n * q**n, fast.
+ORACLE_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+ORACLE_MAX_QN = 81
+
+
+@given(st.sampled_from(sorted(ORACLE_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_eval_E_matches_textbook_oracle(q, data):
+    # The bracket recurrence against the textbook E_n = e_n / F_n.
+    cfg = FieldConfig(*ORACLE_FIELDS[q])
+    n_max = max(n for n in range(8) if q ** n <= ORACLE_MAX_QN)
+    n = data.draw(st.integers(0, n_max))
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+
+    def oracle(x):
+        return e_poly(cfg, n)(x).exact_div(carlitz_F(cfg, n))
+
+    x = random_poly(cfg, rnd, rnd.randrange(7))
+    expected = oracle(x)
+    assert eval_E(cfg, n, x) == expected
+    assert eval_E(cfg, n, x.to_series()) == expected
+    # Truncated input of precision N, down to the edge N = n + 1: output
+    # precision N - n, digits those of the exact value at the truncation.
+    for N in (n + 1, n + 1 + rnd.randrange(12)):
+        s = random_series(cfg, rnd, N)
+        out = eval_E(cfg, n, s)
+        assert out.prec == N - n
+        assert out.matches(oracle(Poly(cfg, (s.coeff(i) for i in range(N)))))
 
 
 # ---------------------------------------------------------------------------
