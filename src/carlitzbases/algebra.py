@@ -242,6 +242,22 @@ def lucas_binom(a: int, b: int, p: int) -> int:
     return out
 
 
+def _mul(cfg: FieldConfig, a, b, size: int) -> list:
+    """The first ``size`` coefficients of the product of the coefficient
+    sequences ``a`` and ``b``: the one multiplication kernel of Poly and
+    TruncSeries.  Pairs (i, j) with i + j >= size are never visited.
+    """
+    out = [0] * size
+    add, mul = cfg.add_table, cfg.mul_table
+    for i, x in enumerate(a[:size]):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(b[:size - i], i):
+                if y:
+                    out[j] = add[out[j]][row[y]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over F_q
 # ---------------------------------------------------------------------------
@@ -330,15 +346,8 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly.zero(self.cfg)
-        cfg = self.cfg
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                row = cfg.mul_table[a]
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = cfg.add(out[i + j], row[b])
-        return Poly(cfg, out)
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        return Poly(self.cfg, _mul(self.cfg, self.coeffs, other.coeffs, size))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -513,7 +522,7 @@ class TruncSeries:
         if prec != EXACT:
             prec = int(prec)
             if len(coeffs) > prec - v:
-                coeffs = coeffs[:prec - v]
+                coeffs = coeffs[:max(prec - v, 0)]
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
             v += 1
@@ -608,18 +617,10 @@ class TruncSeries:
         if not self.coeffs or not other.coeffs:
             return TruncSeries(cfg, 0, (), prec)
         lo = self.v + other.v
-        if prec == EXACT:
-            hi = lo + len(self.coeffs) + len(other.coeffs) - 1
-        else:
-            hi = min(prec, lo + len(self.coeffs) + len(other.coeffs) - 1)
-        out = [0] * max(hi - lo, 0)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                row = cfg.mul_table[a]
-                for j, b in enumerate(other.coeffs):
-                    if b and i + j < len(out):
-                        out[i + j] = cfg.add(out[i + j], row[b])
-        return TruncSeries(cfg, lo, out, prec)
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        if prec != EXACT:
+            size = max(min(size, prec - lo), 0)
+        return TruncSeries(cfg, lo, _mul(cfg, self.coeffs, other.coeffs, size), prec)
 
     def __rmul__(self, other):
         return self.__mul__(other)

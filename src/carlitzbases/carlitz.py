@@ -136,8 +136,10 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
         E_k(x) = (E_{k-1}(x)**q - E_{k-1}(x)) / [k],   k = 1, ..., n,
 
     which follows from F_k = [k] F_{k-1}**q.  Polynomial and exact-series
-    inputs give exact values; a truncated series of precision N > n gives
-    precision N - n, one digit per step, the same loss as D_n.
+    inputs give exact values, of degree q**n deg(x), and raise BudgetError
+    when q**n exceeds DEGREE_BUDGET; a truncated series of precision N > n
+    gives precision N - n, one digit per step, the same loss as D_n, and
+    has no degree budget because no digit at or past T**N is formed.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -156,12 +158,12 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
 
 @lru_cache(maxsize=None)
 def _eval_E_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
+    if cfg.q ** n > DEGREE_BUDGET:
+        raise BudgetError(f"E_{n} degree budget exceeded")
     return _bracket_recurrence(cfg, n, x)
 
 
 def _bracket_recurrence(cfg: FieldConfig, n: int, y: Value) -> Value:
-    if cfg.q ** n > DEGREE_BUDGET:
-        raise BudgetError(f"E_{n} degree budget exceeded")
     for k in range(1, n + 1):
         y = _div_bracket(cfg, k, y.frobenius(1) - y)
     return y

@@ -1,9 +1,10 @@
 """Coefficient recovery in the five bases, basis-change matrices, synthesis.
 
 Functions are represented by evaluators that accept exact polynomials
-(and usually truncated series as well); every coefficient formula from
-the difference-operator calculus has an independent second computation
-path used by the test suite for cross-validation.
+(and usually truncated series as well).  Each value has one production
+path here; the textbook formulas behind them (triangular solves, literal
+operator iteration, the subset sums of the Voloch matrix) are the test
+suite's oracles, not second paths.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, List, Optional
 
 from .algebra import (
@@ -28,7 +28,7 @@ from .algebra import (
     valuation_norm,
 )
 from . import hasse as _hasse
-from .carlitz import bracket, carlitz_L, eval_E, eval_G
+from .carlitz import bracket, eval_E, eval_G
 from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
 
 DEFAULT_BUDGET = 256
@@ -271,10 +271,16 @@ def _delta_step(f: LinearFunc, mult: Poly) -> LinearFunc:
 # Coefficient recovery
 # ---------------------------------------------------------------------------
 
+def _check_terms(N: int) -> None:
+    if N < 1:
+        raise DomainError(f"an expansion needs at least 1 term, got {N}")
+
+
 def wagner_coeffs(f: LinearFunc, N: int) -> BasisExpansion:
     """Coefficients a_n of f = sum a_n E_n, via a_n = (delta^(n) f)(1)."""
     if not f.linear:
         raise DomainError("E-basis expansion requires an F_q-linear function")
+    _check_terms(N)
     cfg = f.cfg
     one = Poly.one(cfg)
     coeffs = []
@@ -288,21 +294,6 @@ def wagner_coeffs(f: LinearFunc, N: int) -> BasisExpansion:
     return BasisExpansion(cfg, Basis.LINEAR_E, coeffs)
 
 
-def wagner_coeffs_by_solve(f: LinearFunc, N: int) -> BasisExpansion:
-    """Independent oracle: solve the triangular system E_n(T^i) against f(T^i)."""
-    cfg = f.cfg
-    # E_n(T^i) = 0 for i < n and E_i(T^i) = 1, so forward substitution works.
-    evals = [[eval_E(cfg, n, Poly.monomial(cfg, i)) for n in range(N)]
-             for i in range(N)]
-    coeffs: List[Value] = []
-    for i in range(N):
-        acc = f(Poly.monomial(cfg, i))
-        for n in range(i):
-            acc = acc - coeffs[n] * evals[i][n]
-        coeffs.append(acc)  # E_i(T^i) = 1
-    return BasisExpansion(cfg, Basis.LINEAR_E, coeffs)
-
-
 def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
     """Coefficients b_n of f = sum b_n D_n by the closed sum
 
@@ -310,6 +301,7 @@ def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
     """
     if not f.linear:
         raise DomainError("D-basis expansion requires an F_q-linear function")
+    _check_terms(N)
     cfg = f.cfg
     fvals = [f(Poly.monomial(cfg, i)) for i in range(N)]
     coeffs = []
@@ -327,18 +319,6 @@ def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
     return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
 
 
-def digit_coeffs_linear_by_iteration(f: LinearFunc, N: int) -> BasisExpansion:
-    """Independent oracle: literal n-fold delta iteration evaluated at 1."""
-    cfg = f.cfg
-    one = Poly.one(cfg)
-    coeffs = []
-    g = f
-    for _ in range(N):
-        coeffs.append(g(one))
-        g = delta(g)
-    return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
-
-
 def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
     """Coefficients of f in the q**m-power digit basis {D_n**(q**m)}:
 
@@ -349,6 +329,7 @@ def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
         raise DomainError("powered-D expansion requires an F_q-linear function")
     if m < 0:
         raise DomainError("m must be non-negative")
+    _check_terms(N)
     cfg = f.cfg
     br = bracket(cfg, m) if m >= 1 else Poly.zero(cfg)
     fvals = [f(Poly.monomial(cfg, i)) for i in range(N)]
@@ -372,46 +353,6 @@ def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
                 acc = term if acc is None else acc + term
         coeffs.append(acc if acc is not None else Poly.zero(cfg))
     return BasisExpansion(cfg, Basis.POWERED_D, coeffs, m=m)
-
-
-def powered_digit_coeffs_by_iteration(f: LinearFunc, m: int, N: int) -> BasisExpansion:
-    """Independent oracle: literal iteration of (delta - [m] I), evaluated at 1."""
-    cfg = f.cfg
-    one = Poly.one(cfg)
-    coeffs = []
-    g = f
-    for _ in range(N):
-        coeffs.append(g(one))
-        g = delta_minus(g, m)
-    return BasisExpansion(cfg, Basis.POWERED_D, coeffs, m=m)
-
-
-def delta_minus_power_at(f: LinearFunc, m: int, n: int, x: Value) -> Value:
-    """Closed double sum for ((delta - [m] I)**n f)(x):
-
-    sum_{i<=j<=n} (-1)**(n-i) C(n,j) [m]**(n-j) f(T**i x) D_i(T**j).
-    """
-    cfg = f.cfg
-    br = bracket(cfg, m) if m >= 1 else Poly.zero(cfg)
-    acc = None
-    for j in range(n + 1):
-        cnj = lucas_binom(n, j, cfg.p)
-        if cnj == 0:
-            continue
-        if n - j > 0 and br.is_zero:
-            continue
-        brpow = (br ** (n - j)).scalar_mul(cnj)
-        for i in range(j + 1):
-            w = hasse_on_monomial(cfg, i, j)
-            if w.is_zero:
-                continue
-            term = f(Poly.monomial(cfg, i) * x) * w * brpow
-            if (n - i) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-    if acc is None:
-        acc = Poly.zero(cfg) if isinstance(x, Poly) else TruncSeries.zero(cfg)
-    return acc
 
 
 def default_level(cfg: FieldConfig, J: int) -> int:
@@ -441,6 +382,7 @@ def digit_coeffs(f: Callable[[Poly], Value], J: int, cfg: FieldConfig,
 
 
 def _enumeration_coeffs(f, J, cfg, level, budget, basis, primed_eval):
+    _check_terms(J)
     n = default_level(cfg, J) if level is None else level
     if cfg.q ** n < J:
         raise DomainError(f"level n = {n} too small: q**n must cover all j < {J}")
@@ -474,34 +416,49 @@ def recip_bracket(cfg: FieldConfig, i: int, prec: int) -> TruncSeries:
     return TruncSeries(cfg, -1, (coeffs.get(e, 0) for e in range(-1, hi + 1)), prec)
 
 
-def voloch_matrix(cfg: FieldConfig, size: int, prec: int) -> BasisMatrix:
-    """The matrix A with D_m = sum_n A[n][m] E_n:
+def bracket_series(cfg: FieldConfig, i: int, prec: int) -> TruncSeries:
+    """[i] = -T + T**(q**i) to precision prec, never built past T**prec."""
+    coeffs = [cfg.neg_one]
+    if cfg.q ** i < prec:
+        coeffs += [0] * (cfg.q ** i - 2) + [1]
+    return TruncSeries(cfg, 1, coeffs, prec)
 
-    A[n][m] = (-1)**(n+m) L_{n-1} * sum over 0 < i_1 < ... < i_{m-1} < n
-    of 1/([i_1] ... [i_{m-1}]); A[n][n] = 1, A[n][1] = (-1)**(n-1) L_{n-1}.
+
+def voloch_matrix(cfg: FieldConfig, size: int, prec: int) -> BasisMatrix:
+    """The matrix A with D_m = sum_n A[n][m] E_n (Voloch, J. Number Theory 71, 1998):
+
+    A[n][m] = (-1)**(n+m) L_{n-1} e_{m-1}(1/[1], ..., 1/[n-1]) for 0 < m < n,
+    A[n][n] = 1, and A[n][m] = 0 for m = 0 < n and for m > n, where e_k is
+    the k-th elementary symmetric function (e_0 = 1, so column 1 is
+    (-1)**(n-1) L_{n-1}).
+
+    Row by row, L_n = L_{n-1} [n] and, over x_r = 1/[r],
+    e_k(x_1..x_r) = e_k(x_1..x_{r-1}) + x_r e_{k-1}(x_1..x_{r-1}):
+    O(size**2) series products, where the subset sums take 2**(n-1) in
+    row n.  No exact L_n or [n], of degree about q**n, is formed.
+
+    Precision contract: size >= 1 and prec >= 1, and every entry is known
+    exactly below T**prec and reported as O(T**prec).  It suffices to carry
+    [n] and 1/[n] to precision prec: L_{n-1} then has valuation n-1 and
+    precision prec + n - 2, e_{m-1} has valuation >= 1-m and precision
+    >= prec - m + 2, so their product is known to prec + n - m - 1 >= prec.
     """
-    work = prec + size + 2
+    if size < 1 or prec < 1:
+        raise DomainError(f"voloch matrix needs size >= 1 and prec >= 1, "
+                          f"got size {size}, prec {prec}")
     zero = TruncSeries.zero(cfg, prec)
-    entries = [[zero for _ in range(size)] for _ in range(size)]
     one = Poly.one(cfg).to_series(prec)
+    entries = [[zero] * size for _ in range(size)]
+    L = e0 = TruncSeries.monomial(cfg, 0)
+    e = [e0]  # e_0 .. e_{n-1} of x_1 .. x_{n-1}, entering row n >= 1
     for n in range(size):
-        for m in range(n + 1):
-            if m == n:
-                entries[n][m] = one
-            elif m == 0:
-                continue  # D_0 = E_0 exactly; off-diagonal column is zero
-            elif m == 1:
-                Ln1 = carlitz_L(cfg, n - 1).scalar_mul(cfg.sign(n - 1))
-                entries[n][m] = Ln1.to_series(prec)
-            else:
-                acc = TruncSeries.zero(cfg, work)
-                for combo in combinations(range(1, n), m - 1):
-                    prod = TruncSeries.monomial(cfg, 0, 1, work)
-                    for idx in combo:
-                        prod = prod * recip_bracket(cfg, idx, work)
-                    acc = acc + prod
-                entry = (carlitz_L(cfg, n - 1) * acc).scalar_mul(cfg.sign(n + m))
-                entries[n][m] = entry.truncate(prec)
+        entries[n][n] = one
+        for m in range(1, n):
+            entries[n][m] = (L * e[m - 1]).truncate(prec).scalar_mul(cfg.sign(n + m))
+        if 1 <= n < size - 1:
+            x = recip_bracket(cfg, n, prec)
+            L = bracket_series(cfg, n, prec) * L
+            e = [e0] + [e[k] + x * e[k - 1] for k in range(1, n)] + [x * e[n - 1]]
     return BasisMatrix(cfg, "voloch", size, entries, prec=prec)
 
 
@@ -511,6 +468,8 @@ def inverse_matrix(cfg: FieldConfig, size: int) -> BasisMatrix:
     B[m][n] = sum_{i<=m} (-1)**(m-i) D_i(T**m) E_n(T**i); zero for m < n,
     unit diagonal, and T divides every entry below the diagonal.
     """
+    if size < 1:
+        raise DomainError(f"inverse matrix needs size >= 1, got {size}")
     entries = [[Poly.zero(cfg) for _ in range(size)] for _ in range(size)]
     Evals = [[eval_E(cfg, n, Poly.monomial(cfg, i)) for n in range(size)]
              for i in range(size)]

@@ -1,0 +1,168 @@
+"""Textbook formulas kept as test oracles, one per production path.
+
+Each function computes a value the library computes faster another way:
+products by the full schoolbook double loop, the Voloch matrix by its
+defining subset sums, the E- and D-basis coefficients by triangular solve
+and by literal operator iteration, and ((delta - [m] I)**n f)(x) by its
+closed double sum.  The tests compare the production results with these.
+"""
+from itertools import combinations
+from typing import List
+
+from carlitzbases import (
+    Basis,
+    BasisExpansion,
+    BasisMatrix,
+    Poly,
+    TruncSeries,
+    bracket,
+    eval_E,
+    lucas_binom,
+)
+from carlitzbases.algebra import Value, as_series
+from carlitzbases.hasse import hasse_on_monomial
+from carlitzbases.transforms import LinearFunc, delta, delta_minus
+
+
+# The fields of the differential tests, by q, as (p, e).
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def schoolbook_mul(a: Value, b: Value) -> Value:
+    """a * b by every coefficient pair, digits past the precision dropped last.
+
+    A truncated factor's unknown digits start at T**prec, so they reach the
+    product from T**(prec + low) on, where low is the other factor's
+    valuation, or its precision when it is zero to precision.
+    """
+    cfg = a.cfg
+    exact = isinstance(a, Poly) and isinstance(b, Poly)
+    a, b = as_series(a), as_series(b)
+    out = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            k = a.v + b.v + i + j
+            out[k] = cfg.add(out.get(k, 0), cfg.mul(x, y))
+    low_a = a.v if a.coeffs else a.prec
+    low_b = b.v if b.coeffs else b.prec
+    prec = min(a.prec + low_b, b.prec + low_a)
+    known = sorted(k for k in out if k < prec)
+    lo = known[0] if known else 0
+    digits = [out.get(k, 0) for k in range(lo, known[-1] + 1)] if known else []
+    if exact:
+        return Poly(cfg, [0] * lo + digits)
+    return TruncSeries(cfg, lo, digits, prec)
+
+
+def _bracket_mod(cfg, i: int, P: int) -> Poly:
+    """[i] = T**(q**i) - T reduced mod T**P, as an exact polynomial."""
+    coeffs = [0, cfg.neg_one]
+    if cfg.q ** i < P:
+        coeffs += [0] * (cfg.q ** i - 2) + [1]
+    return Poly(cfg, coeffs)
+
+
+def _L_mod(cfg, n: int, P: int) -> TruncSeries:
+    """L_n = [n] ... [1] to precision P, by exact products reduced mod T**P."""
+    out = Poly.one(cfg)
+    for i in range(1, n + 1):
+        out = Poly(cfg, (out * _bracket_mod(cfg, i, P)).coeffs[:P])
+    return out.to_series(P)
+
+
+def voloch_matrix_by_subsets(cfg, size: int, prec: int) -> BasisMatrix:
+    """The Voloch matrix from its definition, one subset sum per entry:
+
+    A[n][m] = (-1)**(n+m) L_{n-1} * sum over 0 < i_1 < ... < i_{m-1} < n
+    of 1/([i_1] ... [i_{m-1}]), with 1/[i] by series inversion.  Costs
+    2**(n-1) subset products in row n.
+    """
+    work = prec + size + 2
+    recip = {i: _bracket_mod(cfg, i, work + 2).to_series(work + 2).invert_unit()
+             for i in range(1, size)}
+    zero = TruncSeries.zero(cfg, prec)
+    entries = [[zero for _ in range(size)] for _ in range(size)]
+    one = Poly.one(cfg).to_series(prec)
+    for n in range(size):
+        for m in range(n + 1):
+            if m == n:
+                entries[n][m] = one
+            elif m == 0:
+                continue  # D_0 = E_0 exactly; off-diagonal column is zero
+            else:
+                acc = TruncSeries.zero(cfg, work)
+                for combo in combinations(range(1, n), m - 1):
+                    prod = TruncSeries.monomial(cfg, 0, 1, work)
+                    for idx in combo:
+                        prod = prod * recip[idx]
+                    acc = acc + prod
+                entry = (_L_mod(cfg, n - 1, work + size) * acc).scalar_mul(cfg.sign(n + m))
+                entries[n][m] = entry.truncate(prec)
+    return BasisMatrix(cfg, "voloch", size, entries, prec=prec)
+
+
+def wagner_coeffs_by_solve(f: LinearFunc, N: int) -> BasisExpansion:
+    """Solve the triangular system E_n(T^i) against f(T^i)."""
+    cfg = f.cfg
+    # E_n(T^i) = 0 for i < n and E_i(T^i) = 1, so forward substitution works.
+    evals = [[eval_E(cfg, n, Poly.monomial(cfg, i)) for n in range(N)]
+             for i in range(N)]
+    coeffs: List[Value] = []
+    for i in range(N):
+        acc = f(Poly.monomial(cfg, i))
+        for n in range(i):
+            acc = acc - coeffs[n] * evals[i][n]
+        coeffs.append(acc)  # E_i(T^i) = 1
+    return BasisExpansion(cfg, Basis.LINEAR_E, coeffs)
+
+
+def digit_coeffs_linear_by_iteration(f: LinearFunc, N: int) -> BasisExpansion:
+    """Literal n-fold delta iteration evaluated at 1."""
+    cfg = f.cfg
+    one = Poly.one(cfg)
+    coeffs = []
+    g = f
+    for _ in range(N):
+        coeffs.append(g(one))
+        g = delta(g)
+    return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
+
+
+def powered_digit_coeffs_by_iteration(f: LinearFunc, m: int, N: int) -> BasisExpansion:
+    """Literal iteration of (delta - [m] I), evaluated at 1."""
+    cfg = f.cfg
+    one = Poly.one(cfg)
+    coeffs = []
+    g = f
+    for _ in range(N):
+        coeffs.append(g(one))
+        g = delta_minus(g, m)
+    return BasisExpansion(cfg, Basis.POWERED_D, coeffs, m=m)
+
+
+def delta_minus_power_at(f: LinearFunc, m: int, n: int, x: Value) -> Value:
+    """Closed double sum for ((delta - [m] I)**n f)(x):
+
+    sum_{i<=j<=n} (-1)**(n-i) C(n,j) [m]**(n-j) f(T**i x) D_i(T**j).
+    """
+    cfg = f.cfg
+    br = bracket(cfg, m) if m >= 1 else Poly.zero(cfg)
+    acc = None
+    for j in range(n + 1):
+        cnj = lucas_binom(n, j, cfg.p)
+        if cnj == 0:
+            continue
+        if n - j > 0 and br.is_zero:
+            continue
+        brpow = (br ** (n - j)).scalar_mul(cnj)
+        for i in range(j + 1):
+            w = hasse_on_monomial(cfg, i, j)
+            if w.is_zero:
+                continue
+            term = f(Poly.monomial(cfg, i) * x) * w * brpow
+            if (n - i) % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+    if acc is None:
+        acc = Poly.zero(cfg) if isinstance(x, Poly) else TruncSeries.zero(cfg)
+    return acc

@@ -51,12 +51,12 @@ from carlitzbases.transforms import (
     E_func,
     add_func,
     delta_minus,
-    delta_minus_power_at,
     default_level,
     matrix_product_block,
     powered_D_func,
     scale_func,
 )
+from oracles import delta_minus_power_at
 
 SEED = 987123
 

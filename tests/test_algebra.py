@@ -20,6 +20,7 @@ from carlitzbases import (
     valuation_norm,
 )
 from carlitzbases.algebra import random_poly, random_series
+from oracles import FIELDS, schoolbook_mul
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +271,51 @@ def test_mixed_poly_series_ops(f2):
     assert (p + s).coeff(1) == 1
     assert (p * s).matches(p)
     assert isinstance(p + s, TruncSeries)
+
+
+def test_series_drops_digits_past_precision(f2):
+    # A window that starts at or past the precision is zero to precision.
+    assert TruncSeries(f2, 3, (1, 1, 1), 1).text() == "O(T^1)"
+    assert TruncSeries(f2, 2, (1, 1, 1, 1), 10).truncate(1).text() == "O(T^1)"
+    assert TruncSeries(f2, 2, (1, 1, 1, 1), 10).truncate(3).text() == "T^2+O(T^3)"
+
+
+def test_mul_truncation_edges(f2):
+    # Zero to precision at its own valuation: the product is zero to
+    # precision v_a + v_b.
+    zero = TruncSeries(f2, -2, (1, 1), -2)
+    cube = TruncSeries.monomial(f2, 3)
+    assert zero * cube == TruncSeries.zero(f2, 1)
+    # One known digit: the product keeps exactly one digit.
+    x = TruncSeries(f2, -1, (1,), 0)
+    assert x * parse_poly(f2, "T^3+T^2") == TruncSeries(f2, 1, (1,), 2)
+    assert parse_poly(f2, "T^3+T^2") * x == TruncSeries(f2, 1, (1,), 2)
+
+
+_MUL_FIELDS = {q: FieldConfig(*pe) for q, pe in FIELDS.items()}
+
+
+def _operand(cfg, data):
+    # A Poly, an exact series, or a truncated series of any valuation down to
+    # zero to precision (prec == v).
+    kind = data.draw(st.sampled_from(("poly", "exact", "trunc")))
+    digits = data.draw(st.lists(st.integers(0, cfg.q - 1), max_size=12))
+    if kind == "poly":
+        return Poly(cfg, digits)
+    v = data.draw(st.integers(-3, 6))
+    if kind == "exact":
+        return TruncSeries(cfg, v, digits, EXACT)
+    return TruncSeries(cfg, v, digits, v + data.draw(st.integers(0, len(digits) + 3)))
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_schoolbook(q, data):
+    # Poly.__mul__ and TruncSeries.__mul__ share one truncating kernel; the
+    # schoolbook oracle forms every coefficient pair and truncates last.
+    cfg = _MUL_FIELDS[q]
+    a, b = _operand(cfg, data), _operand(cfg, data)
+    for x, y in ((a, b), (b, a)):
+        got, expected = x * y, schoolbook_mul(x, y)
+        assert type(got) is type(expected)
+        assert got == expected

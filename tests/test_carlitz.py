@@ -21,6 +21,7 @@ from carlitzbases import (
     parse_poly,
 )
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
+from oracles import FIELDS
 
 
 def brute_force_e(cfg, n, x):
@@ -197,6 +198,18 @@ def test_eval_E_precision_and_domain_errors(f2):
         eval_E(f2, 1, TruncSeries(f2, -1, (1,), 8))
 
 
+def test_eval_E_degree_budget_is_for_exact_values(f2):
+    from carlitzbases import BudgetError, TruncSeries
+    # 2**17 exceeds the degree budget: exact values raise, truncated ones
+    # never form a digit past their precision and are computed.
+    with pytest.raises(BudgetError):
+        eval_E(f2, 17, Poly.T(f2))
+    with pytest.raises(BudgetError):
+        eval_E(f2, 17, Poly.T(f2).to_series())
+    x = TruncSeries.monomial(f2, 17, 1, 40)
+    assert eval_E(f2, 17, x) == TruncSeries.monomial(f2, 0, 1, 23)  # E_n(T^n) = 1
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_div_bracket_exact_on_polynomials(f3, rng, k):
     from carlitzbases import InexactDivisionError
@@ -210,17 +223,16 @@ def test_div_bracket_exact_on_polynomials(f3, rng, k):
             _div_bracket(f3, k, bad)
 
 
-# Fields by q as (p, e); the q**n cap keeps the oracle's schoolbook division
-# by F_n, of degree n * q**n, fast.
-ORACLE_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+# The q**n cap keeps the oracle's schoolbook division by F_n, of degree
+# n * q**n, fast.
 ORACLE_MAX_QN = 81
 
 
-@given(st.sampled_from(sorted(ORACLE_FIELDS)), st.data())
+@given(st.sampled_from(sorted(FIELDS)), st.data())
 @settings(max_examples=60, deadline=None)
 def test_eval_E_matches_textbook_oracle(q, data):
     # The bracket recurrence against the textbook E_n = e_n / F_n.
-    cfg = FieldConfig(*ORACLE_FIELDS[q])
+    cfg = FieldConfig(*FIELDS[q])
     n_max = max(n for n in range(8) if q ** n <= ORACLE_MAX_QN)
     n = data.draw(st.integers(0, n_max))
     rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))

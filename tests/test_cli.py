@@ -119,6 +119,35 @@ def test_matrix_size_one(capsys):
     assert doc["entries"] == [["1+O(T^24)"]]
 
 
+def test_matrix_voloch_size_30(capsys):
+    # Past size 18 an exact L_{n-1} would need [17], over the degree budget.
+    code, out, _ = run_cli(capsys, "--q", "2", "matrix", "--which", "voloch",
+                           "--size", "30", "--prec", "128")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["size"] == 30 and doc["entries"][29][29] == "1+O(T^128)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "--which", "voloch", "--size", "-1"),
+    ("matrix", "--which", "voloch", "--size", "0"),
+    ("matrix", "--which", "inverse", "--size", "0"),
+    ("matrix", "--which", "voloch", "--prec", "0"),
+    ("matrix", "--which", "voloch", "--prec", "-3"),
+    ("--prec", "0", "matrix", "--which", "voloch"),
+    ("expand", "--f", "D:1", "--basis", "E", "--terms", "-3"),
+    ("expand", "--f", "D:1", "--basis", "linear-D", "--terms", "0"),
+    ("expand", "--f", "D:1", "--basis", "powered-D", "--terms", "0"),
+    ("expand", "--f", "G:3", "--basis", "G", "--terms", "0"),
+    ("expand", "--f", "G:3", "--basis", "D", "--terms", "-3"),
+])
+def test_vacuous_requests_exit_two(capsys, argv):
+    # An empty matrix or expansion is an input error, never an empty success.
+    code, out, err = run_cli(capsys, "--q", "2", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_matrix_csv_format(capsys):
     code, out, _ = run_cli(capsys, "--q", "2", "--format", "csv",
                            "matrix", "--which", "inverse", "--size", "3")

@@ -42,14 +42,18 @@ from carlitzbases.transforms import (
     add_func,
     constant_func,
     default_level,
-    delta_minus_power_at,
-    digit_coeffs_linear_by_iteration,
     frobenius_func,
     identity_func,
     matrix_product_block,
     monomial_func,
-    powered_digit_coeffs_by_iteration,
     scale_func,
+)
+from oracles import (
+    FIELDS,
+    delta_minus_power_at,
+    digit_coeffs_linear_by_iteration,
+    powered_digit_coeffs_by_iteration,
+    voloch_matrix_by_subsets,
     wagner_coeffs_by_solve,
 )
 
@@ -313,6 +317,34 @@ def test_voloch_matrix_structure(f2):
     for n in range(1, 5):
         assert values_match(A.entry(n, 1),
                             carlitz_L(f2, n - 1).scalar_mul(f2.sign(n - 1)))
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_voloch_recurrence_matches_subset_sums(q):
+    # The elementary-symmetric recurrence against the defining subset sums,
+    # output for output, down to prec 1 and prec < size.
+    cfg = FieldConfig(*FIELDS[q])
+    for prec in (1, 5, 24):
+        for size in range(1, (13 if q == 2 else 10) + 1):
+            assert (voloch_matrix(cfg, size, prec).to_json()
+                    == voloch_matrix_by_subsets(cfg, size, prec).to_json()), (size, prec)
+
+
+def test_voloch_size_30_change_of_basis(f2):
+    # D_m(x) = sum_n A[n][m] E_n(x) on x = T^k + O(T^P), k < size: E_n(T^k) = 0
+    # for n > k, and the unknown part of x moves both sides by terms of
+    # valuation >= P - m, so the identity holds to precision min(prec, P - m).
+    size, prec, P = 30, 128, 120
+    A = voloch_matrix(f2, size, prec)
+    for k in range(size):
+        x = TruncSeries.monomial(f2, k, 1, P)
+        E = [eval_E(f2, n, x) for n in range(size)]
+        for m in range(size):
+            rhs = TruncSeries.zero(f2)
+            for n in range(size):
+                rhs = rhs + A.entry(n, m) * E[n]
+            assert rhs.prec >= min(prec, P - m)
+            assert values_match(hasse_derivative(f2, m, x), rhs), (m, k)
 
 
 def test_voloch_valuation_bound(f3):
