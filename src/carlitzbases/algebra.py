@@ -8,7 +8,10 @@ built once per FieldConfig, so q is capped at 256.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Union
 
 
@@ -148,6 +151,17 @@ class FieldConfig:
                     row.append(pack(tuple(red) + (0,) * (e - len(red))))
                 self.mul_table.append(row)
         self.neg_table = [pack(tuple((-x) % p for x in digits(a))) for a in range(q)]
+        if e > 1:
+            # For Kronecker packing (``pack``/``unpack`` below): each
+            # element's digits followed by e - 1 empty sub-slots, and for
+            # each base-p code h of the e - 1 high sub-slots of a product,
+            # the code of u**e * (sum h_t u**t) mod the modulus.
+            self.spread_table = [digits(c) + (0,) * (e - 1) for c in range(q)]
+            self.fold_table = []
+            for h in range(p ** (e - 1)):
+                high = [(h // p ** t) % p for t in range(e - 1)]
+                red = _fp_poly_mod([0] * e + high, self.modulus, p)
+                self.fold_table.append(pack(tuple(red) + (0,) * (e - len(red))))
         self.inv_table = [None] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -259,6 +273,77 @@ def _mul(cfg: FieldConfig, a, b, size: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Kronecker packing: sums of products as integer arithmetic
+# ---------------------------------------------------------------------------
+
+# array typecode by item width in bits: slots go to and from a Python int
+# as one bytes copy.
+_SLOT_TYPES = {array(t).itemsize * 8: t for t in "QLIHB"}
+
+
+def slot_width(cfg: FieldConfig, terms: int, length: int) -> int:
+    """Bits per slot for a sum of ``terms`` products of packed values, the
+    shorter factor of each product having at most ``length`` coefficients.
+
+    A slot of such a sum is at most terms * length * e * (p-1)**2 (for
+    e > 1, up to e digit pairs meet in one sub-slot); the width is the
+    least of 8, 16, 32 and 64 bits that holds that bound.
+    """
+    bound = terms * length * cfg.e * (cfg.p - 1) ** 2
+    for width in (8, 16, 32, 64):
+        if bound < 1 << width:
+            return width
+    raise BudgetError(f"packed slot bound {bound} exceeds 64 bits")
+
+
+def pack(cfg: FieldConfig, coeffs, width: int) -> int:
+    """A coefficient sequence as one int, by Kronecker substitution.
+
+    For e = 1 coefficient i is the slot at bit width * i.  For e > 1 its e
+    base-p digits fill the first e of 2e - 1 sub-slots, so the digit
+    products of two coefficients (u-degree up to 2e - 2) stay inside their
+    block.  A product of packed values, or a sum of such products, then
+    holds the integer convolution of the digits slot by slot, with no carry
+    while the bound of ``slot_width`` holds; ``unpack`` reads it back.
+    """
+    if cfg.e > 1:
+        coeffs = chain.from_iterable(map(cfg.spread_table.__getitem__, coeffs))
+    slots = array(_SLOT_TYPES[width], coeffs)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
+    """Coefficient codes of a packed value or sum of packed products.
+
+    Each slot is reduced mod p; for e > 1 each block of 2e - 1 residues,
+    a polynomial in u, is reduced mod the modulus.  The codes come as
+    bytes (q <= 256) without trailing zeros.
+    """
+    item = width // 8
+    nbytes = -(-value.bit_length() // width) * item
+    slots = array(_SLOT_TYPES[width])
+    slots.frombytes(value.to_bytes(nbytes, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    p, e = cfg.p, cfg.e
+    res = [s % p for s in slots]
+    if e > 1:
+        block = 2 * e - 1
+        res += [0] * (-len(res) % block)
+        low, high = res[0::block], res[e::block]
+        for t in range(1, e):
+            w = p ** t
+            low = [x + w * y for x, y in zip(low, res[t::block])]
+            if t < e - 1:
+                high = [x + w * y for x, y in zip(high, res[e + t::block])]
+        add, fold = cfg.add_table, cfg.fold_table
+        res = [add[x][fold[y]] for x, y in zip(low, high)]
+    return bytes(res).rstrip(b"\0")
+
+
+# ---------------------------------------------------------------------------
 # Polynomials over F_q
 # ---------------------------------------------------------------------------
 
@@ -328,16 +413,19 @@ class Poly:
             return self.to_series() + other
         if not isinstance(other, Poly):
             return NotImplemented
-        cfg = self.cfg
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(cfg, (cfg.add(self.coeff(i), other.coeff(i)) for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.cfg.add_table
+        out = [add[x][y] for x, y in zip(a, b)]
+        out += a[len(b):]
+        return Poly(self.cfg, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        cfg = self.cfg
-        return Poly(cfg, (cfg.neg(c) for c in self.coeffs))
+        return Poly(self.cfg, map(self.cfg.neg_table.__getitem__, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
@@ -352,19 +440,13 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative polynomial power")
-        out, base = Poly.one(self.cfg), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else Poly.one(self.cfg)
 
     def scalar_mul(self, c: int):
         cfg = self.cfg
         if c == 0:
             return Poly.zero(cfg)
-        return Poly(cfg, (cfg.mul(c, a) for a in self.coeffs))
+        return Poly(cfg, map(cfg.mul_table[c].__getitem__, self.coeffs))
 
     def divmod(self, other: "Poly"):
         if other.is_zero:
@@ -428,6 +510,20 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.text()!r})"
+
+
+def _power(x, k: int):
+    """x**k for k >= 1 by binary powering: starts from the lowest set bit's
+    power and stops squaring at the top bit, so x**1 takes no product and
+    x**k at most 2 * (k.bit_length() - 1)."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
 
 
 def _term_text(cfg: FieldConfig, c: int, k: int) -> str:
@@ -628,14 +724,7 @@ class TruncSeries:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative series power; use invert_unit")
-        out = TruncSeries.monomial(self.cfg, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else TruncSeries.monomial(self.cfg, 0)
 
     def scalar_mul(self, c: int):
         cfg = self.cfg

@@ -215,13 +215,15 @@ def _eval_G_poly(cfg: FieldConfig, j: int, x: Poly, primed: bool) -> Poly:
 
 
 def _digit_product(cfg, j, x, primed, base_fn):
-    one = Poly.one(cfg)
-    out = one if isinstance(x, Poly) else one.to_series()
+    out = None
     for n, a in enumerate(DigitIndex.of(j, cfg.q).digits):
         if a == 0:
             continue
         factor = base_fn(n, x) ** a
         if primed and a == cfg.q - 1:
-            factor = factor - one
-        out = out * factor
+            factor = factor - Poly.one(cfg)
+        out = factor if out is None else out * factor
+    if out is None:
+        one = Poly.one(cfg)
+        return one if isinstance(x, Poly) else one.to_series()
     return out

@@ -74,6 +74,20 @@ def _factor_prime_power(q: int):
     raise DomainError("q must be a prime power")
 
 
+def _resolve_field(p, e, q):
+    """(p, e) from the --p/--e/--q flags: --q must agree with any --p or
+    --e given beside it; unset flags default to p = 2, e = 1."""
+    if q is None:
+        return (2 if p is None else p), (1 if e is None else e)
+    qp, qe = _factor_prime_power(q)
+    if p not in (None, qp) or e not in (None, qe):
+        flags = " ".join(f"--{name} {v}" for name, v in (("p", p), ("e", e))
+                         if v is not None)
+        raise DomainError(f"--q {q} means p = {qp}, e = {qe}; "
+                          f"it disagrees with {flags}")
+    return qp, qe
+
+
 FUNC_GRAMMAR = """function spec grammar: terms joined by '+', each term
 NAME[:INDEX] optionally prefixed by a polynomial scalar 'POLY*'.
 Names: identity | monomial:k | frobenius:m | E:n | D:n | G:j | Dj:j
@@ -162,6 +176,9 @@ def cmd_matrix(run: RunConfig, args) -> int:
         prec = args.mat_prec if args.mat_prec is not None else run.prec
         mat = transforms.voloch_matrix(cfg, args.size, prec)
     elif args.which == "inverse":
+        if args.mat_prec is not None:
+            raise DomainError("--prec sets the voloch matrix's entry precision; "
+                              "the inverse matrix is exact")
         mat = transforms.inverse_matrix(cfg, args.size)
     else:
         raise DomainError(f"unknown matrix {args.which!r}")
@@ -252,10 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="carlitzbases",
         description="Carlitz-polynomial and digit-derivative bases on F_q[[T]]")
-    ap.add_argument("--p", type=int, default=2, help="field characteristic")
-    ap.add_argument("--e", type=int, default=1, help="extension degree")
+    ap.add_argument("--p", type=int, default=None,
+                    help="field characteristic (default 2)")
+    ap.add_argument("--e", type=int, default=None,
+                    help="extension degree (default 1)")
     ap.add_argument("--q", type=int, default=None,
-                    help="field size shorthand (prime power, overrides --p/--e)")
+                    help="field size shorthand (prime power; must agree with "
+                         "--p/--e when they are given)")
     ap.add_argument("--modulus", default=None,
                     help="irreducible modulus over F_p, e.g. 'u^2+u+1'")
     ap.add_argument("--prec", type=int, default=24, help="series precision")
@@ -306,9 +326,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.q is not None:
-            args.p, args.e = _factor_prime_power(args.q)
-        run = RunConfig(p=args.p, e=args.e, modulus=args.modulus,
+        p, e = _resolve_field(args.p, args.e, args.q)
+        run = RunConfig(p=p, e=e, modulus=args.modulus,
                         prec=args.prec, budget=args.budget, seed=args.seed,
                         format=args.format)
         return args.run(run, args)

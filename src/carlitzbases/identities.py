@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
+from operator import mul
 from typing import List, Optional
 
 from .algebra import (
@@ -18,8 +20,11 @@ from .algebra import (
     Poly,
     TruncSeries,
     lucas_binom,
+    pack,
     poly_enumerate,
     random_poly,
+    slot_width,
+    unpack,
     valuation_norm,
     values_match,
 )
@@ -80,64 +85,84 @@ def check_orthogonality(cfg: FieldConfig, family: str, variant: str,
     deg(m) < n, monic over monic m of degree n (then k < q**n required).
     """
     q = cfg.q
-    config = {"family": family, "variant": variant, "q": q, "n": n, "k": k, "l": l}
     if l < 0 or l >= q ** n:
         raise DomainError("orthogonality requires 0 <= l < q**n")
     if variant == "monic" and not (0 <= k < q ** n):
         raise DomainError("monic variant requires 0 <= k < q**n")
-    if family == "CARLITZ":
-        fk = lambda m: eval_G(cfg, k, m)
-        fl = lambda m: eval_G(cfg, l, m, primed=True)
-    elif family == "DIGIT":
-        fk = lambda m: eval_D(cfg, k, m)
-        fl = lambda m: eval_D(cfg, l, m, primed=True)
-    else:
-        raise DomainError(f"unknown family {family!r}")
-    if variant == "deg_lt":
-        polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
-    elif variant == "monic":
-        polys = poly_enumerate(cfg, n, "monic_deg_eq", budget=budget)
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    total = Poly.zero(cfg)
-    for m in polys:
-        total = total + fk(m) * fl(m)
-    expected = (Poly.constant(cfg, cfg.sign(n))
-                if k + l == q ** n - 1 else Poly.zero(cfg))
-    ok = total == expected
-    return _verdict("orthogonality", config, ok,
-                    witness={"sum": str(total), "expected": str(expected)})
+    entries = _gram_entries(cfg, family, variant, n, (k,), (l,), budget)
+    _, _, total = next(entries)
+    return _orthogonality_verdict(cfg, family, variant, n, k, l, total)
 
 
 def orthogonality_suite(cfg: FieldConfig, n: int,
                         budget: int = DEFAULT_BUDGET) -> List[VerdictReport]:
-    """Exhaustive orthogonality over both families and variants at level n."""
+    """Exhaustive orthogonality over both families and variants at level n:
+    one Gram product per (family, variant), checked entry by entry in
+    row-major (k, l) order up to the first mismatch."""
     reports = []
     q = cfg.q
+    indices = range(q ** n)
     for family in ("CARLITZ", "DIGIT"):
         for variant in ("deg_lt", "monic"):
             config = {"family": family, "variant": variant, "q": q, "n": n}
+            report = VerdictReport("orthogonality", config, VERIFIED)
             try:
-                bad = None
-                for k in range(q ** n):
-                    for l in range(q ** n):
-                        r = check_orthogonality(cfg, family, variant, n, k, l,
-                                                budget=budget)
-                        if not r.ok:
-                            bad = r
-                            break
-                    if bad:
+                for k, l, total in _gram_entries(cfg, family, variant, n,
+                                                 indices, indices, budget):
+                    if total != _orthogonality_expected(cfg, n, k, l):
+                        report = _orthogonality_verdict(cfg, family, variant,
+                                                        n, k, l, total)
                         break
-                if bad:
-                    reports.append(VerdictReport("orthogonality", bad.config,
-                                                 FALSIFIED, witness=bad.witness))
-                else:
-                    reports.append(VerdictReport("orthogonality", config, VERIFIED))
             except BudgetError as exc:
-                reports.append(VerdictReport("orthogonality", config,
-                                             BUDGET_EXHAUSTED,
-                                             notes=[str(exc)]))
+                report = VerdictReport("orthogonality", config,
+                                       BUDGET_EXHAUSTED, notes=[str(exc)])
+            reports.append(report)
     return reports
+
+
+_ENUMERATION = {"deg_lt": "deg_lt", "monic": "monic_deg_eq"}
+
+
+def _gram_entries(cfg, family, variant, n, ks, ls, budget):
+    """Yield (k, l, sum over m of F_k(m) F'_l(m)) for k in ks, l in ls,
+    row-major, as one Gram product over the enumerated m.
+
+    Every F_k(m) and F'_l(m) is evaluated once and packed once
+    (``algebra.pack``); each entry is then one sum of integer products,
+    unpacked once.
+    """
+    if family == "CARLITZ":
+        f = eval_G
+    elif family == "DIGIT":
+        f = eval_D
+    else:
+        raise DomainError(f"unknown family {family!r}")
+    if variant not in _ENUMERATION:
+        raise DomainError(f"unknown variant {variant!r}")
+    polys = poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
+    rows = [[f(cfg, k, m).coeffs for m in polys] for k in ks]
+    cols = [[f(cfg, l, m, primed=True).coeffs for m in polys] for l in ls]
+    length = min(max(map(len, chain.from_iterable(t))) for t in (rows, cols))
+    width = slot_width(cfg, len(polys), length)
+    rows = [[pack(cfg, c, width) for c in row] for row in rows]
+    cols = [[pack(cfg, c, width) for c in col] for col in cols]
+    for k, row in zip(ks, rows):
+        for l, col in zip(ls, cols):
+            yield k, l, Poly(cfg, unpack(cfg, sum(map(mul, row, col)), width))
+
+
+def _orthogonality_expected(cfg, n, k, l):
+    if k + l == cfg.q ** n - 1:
+        return Poly.constant(cfg, cfg.sign(n))
+    return Poly.zero(cfg)
+
+
+def _orthogonality_verdict(cfg, family, variant, n, k, l, total):
+    config = {"family": family, "variant": variant, "q": cfg.q, "n": n,
+              "k": k, "l": l}
+    expected = _orthogonality_expected(cfg, n, k, l)
+    return _verdict("orthogonality", config, total == expected,
+                    witness={"sum": str(total), "expected": str(expected)})
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +398,8 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
               i_max: int = 50) -> List[VerdictReport]:
     from . import transforms as tf
 
+    if n < 0:
+        raise DomainError(f"suite level n must be non-negative, got {n}")
     rng = random.Random(seed)
     reports: List[VerdictReport] = []
     selectors = SUITES if selector == "all" else (selector,)

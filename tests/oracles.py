@@ -3,25 +3,41 @@
 Each function computes a value the library computes faster another way:
 products by the full schoolbook double loop, the Voloch matrix by its
 defining subset sums, the E- and D-basis coefficients by triangular solve
-and by literal operator iteration, and ((delta - [m] I)**n f)(x) by its
-closed double sum.  The tests compare the production results with these.
+and by literal operator iteration, ((delta - [m] I)**n f)(x) by its
+closed double sum, and the orthogonality sums one (k, l) pair at a time.
+The tests compare the production results with these.
 """
-from itertools import combinations
+from itertools import combinations, product
 from typing import List
 
 from carlitzbases import (
     Basis,
     BasisExpansion,
     BasisMatrix,
+    BudgetError,
     Poly,
     TruncSeries,
     bracket,
+    eval_D,
     eval_E,
+    eval_G,
     lucas_binom,
+    poly_enumerate,
 )
 from carlitzbases.algebra import Value, as_series
 from carlitzbases.hasse import hasse_on_monomial
-from carlitzbases.transforms import LinearFunc, delta, delta_minus
+from carlitzbases.identities import (
+    BUDGET_EXHAUSTED,
+    FALSIFIED,
+    VERIFIED,
+    VerdictReport,
+)
+from carlitzbases.transforms import (
+    DEFAULT_BUDGET,
+    LinearFunc,
+    delta,
+    delta_minus,
+)
 
 
 # The fields of the differential tests, by q, as (p, e).
@@ -166,3 +182,43 @@ def delta_minus_power_at(f: LinearFunc, m: int, n: int, x: Value) -> Value:
     if acc is None:
         acc = Poly.zero(cfg) if isinstance(x, Poly) else TruncSeries.zero(cfg)
     return acc
+
+
+def orthogonality_sum_by_pairs(cfg, f, polys, k: int, l: int) -> Poly:
+    """sum over m in polys of f(k, m) f'(l, m), one Poly product and one
+    Poly addition per m; f is eval_G or eval_D."""
+    total = Poly.zero(cfg)
+    for m in polys:
+        total = total + f(cfg, k, m) * f(cfg, l, m, primed=True)
+    return total
+
+
+def orthogonality_suite_by_pairs(cfg, n: int, budget: int = DEFAULT_BUDGET,
+                                 evaluators=None) -> List[VerdictReport]:
+    """orthogonality_suite as q**(2n) separate sums, one per (k, l) in
+    row-major order, each over a fresh enumeration of m.  ``evaluators``
+    maps CARLITZ and DIGIT to the functions to sum (eval_G and eval_D)."""
+    evaluators = evaluators or {"CARLITZ": eval_G, "DIGIT": eval_D}
+    q = cfg.q
+    reports = []
+    for family in ("CARLITZ", "DIGIT"):
+        f = evaluators[family]
+        for variant, kind in (("deg_lt", "deg_lt"), ("monic", "monic_deg_eq")):
+            config = {"family": family, "variant": variant, "q": q, "n": n}
+            report = VerdictReport("orthogonality", config, VERIFIED)
+            try:
+                for k, l in product(range(q ** n), repeat=2):
+                    polys = poly_enumerate(cfg, n, kind, budget=budget)
+                    total = orthogonality_sum_by_pairs(cfg, f, polys, k, l)
+                    expected = (Poly.constant(cfg, cfg.sign(n))
+                                if k + l == q ** n - 1 else Poly.zero(cfg))
+                    if total != expected:
+                        report = VerdictReport(
+                            "orthogonality", dict(config, k=k, l=l), FALSIFIED,
+                            witness={"sum": str(total), "expected": str(expected)})
+                        break
+            except BudgetError as exc:
+                report = VerdictReport("orthogonality", config, BUDGET_EXHAUSTED,
+                                       notes=[str(exc)])
+            reports.append(report)
+    return reports

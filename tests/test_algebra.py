@@ -19,7 +19,8 @@ from carlitzbases import (
     poly_enumerate,
     valuation_norm,
 )
-from carlitzbases.algebra import random_poly, random_series
+from carlitzbases import algebra
+from carlitzbases.algebra import pack, random_poly, random_series, slot_width, unpack
 from oracles import FIELDS, schoolbook_mul
 
 
@@ -319,3 +320,102 @@ def test_mul_matches_schoolbook(q, data):
         got, expected = x * y, schoolbook_mul(x, y)
         assert type(got) is type(expected)
         assert got == expected
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_poly_add_neg_scale_match_digitwise(q, data):
+    # The table-indexed element operations against one field call per digit.
+    cfg = _MUL_FIELDS[q]
+    digits = st.lists(st.integers(0, q - 1), max_size=10)
+    a, b = Poly(cfg, data.draw(digits)), Poly(cfg, data.draw(digits))
+    c = data.draw(st.integers(0, q - 1))
+    n = max(len(a.coeffs), len(b.coeffs))
+    assert a + b == Poly(cfg, [cfg.add(a.coeff(i), b.coeff(i)) for i in range(n)])
+    assert a - b == Poly(cfg, [cfg.sub(a.coeff(i), b.coeff(i)) for i in range(n)])
+    assert -a == Poly(cfg, [cfg.neg(x) for x in a.coeffs])
+    assert a.scalar_mul(c) == Poly(cfg, [cfg.mul(c, x) for x in a.coeffs])
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_sums_match_schoolbook(q, data):
+    # sum a_i * b_i through pack / integer products / unpack, against the
+    # schoolbook products: empty sums, zero and length-1 operands included.
+    cfg = _MUL_FIELDS[q]
+    digits = st.lists(st.integers(0, q - 1), max_size=9)
+    pairs = data.draw(st.lists(st.tuples(digits, digits), max_size=6))
+    pairs = [(Poly(cfg, a), Poly(cfg, b)) for a, b in pairs]
+    length = min(max((len(x.coeffs) for x in side), default=0)
+                 for side in zip(*pairs)) if pairs else 0
+    width = slot_width(cfg, len(pairs), length)
+    packed = sum(pack(cfg, a.coeffs, width) * pack(cfg, b.coeffs, width)
+                 for a, b in pairs)
+    expected = Poly.zero(cfg)
+    for a, b in pairs:
+        expected = expected + schoolbook_mul(a, b)
+    codes = unpack(cfg, packed, width)
+    assert Poly(cfg, codes) == expected and not codes.endswith(b"\0")
+    for a, _ in pairs:
+        assert Poly(cfg, unpack(cfg, pack(cfg, a.coeffs, width), width)) == a
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_packed_sum_at_slot_width_bound(q):
+    # All-(p-1) digits with the slot bound terms * length * e * (p-1)**2 at
+    # its largest value below 2**8: the fullest slot holds exactly that
+    # bound, and one more term moves the width to 16 bits.
+    cfg = _MUL_FIELDS[q]
+    p, e = cfg.p, cfg.e
+    top = q - 1  # every base-p digit is p - 1
+    length = 3
+    terms = 255 // (length * e * (p - 1) ** 2)
+    assert slot_width(cfg, terms, length) == 8
+    assert slot_width(cfg, terms + 1, length) == (
+        8 if (terms + 1) * length * e * (p - 1) ** 2 < 256 else 16)
+    a = Poly(cfg, [top] * length)
+    packed = terms * pack(cfg, a.coeffs, 8) ** 2
+    expected = Poly.zero(cfg)
+    for _ in range(terms):
+        expected = expected + schoolbook_mul(a, a)
+    assert Poly(cfg, unpack(cfg, packed, 8)) == expected
+    middle = packed >> (8 * (2 * e - 1) * (length - 1) + 8 * (e - 1))
+    assert middle & 0xFF == terms * length * e * (p - 1) ** 2
+
+
+def test_slot_width_steps():
+    f2 = _MUL_FIELDS[2]
+    assert [slot_width(f2, 1, n) for n in (0, 255, 256, 2 ** 16, 2 ** 32)] == \
+        [8, 8, 16, 32, 64]
+    with pytest.raises(BudgetError):
+        slot_width(f2, 2 ** 32, 2 ** 32)
+
+
+def _left_fold_power(x, a):
+    out = x
+    for _ in range(a - 1):
+        out = schoolbook_mul(out, x)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_power_products(monkeypatch, q):
+    # x**1 costs no product and x**a at most 2 * bit_length(a) - 2; values
+    # equal the left-fold product x * x * ... * x.
+    cfg = _MUL_FIELDS[q]
+    rng = random.Random(q)
+    calls = []
+    kernel = algebra._mul
+    monkeypatch.setattr(algebra, "_mul",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for x in (random_poly(cfg, rng, 4, nonzero=True),
+              TruncSeries(cfg, 1, [rng.randrange(1, q)] + [rng.randrange(q)
+                                                            for _ in range(7)], 30)):
+        for a in range(1, 20):
+            calls.clear()
+            got = x ** a
+            assert len(calls) <= 2 * a.bit_length() - 2
+            assert got == _left_fold_power(x, a)
+        calls.clear()
+        assert x ** 1 == x and not calls
+        assert x ** 0 == Poly.one(cfg) and not calls

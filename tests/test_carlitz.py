@@ -297,3 +297,39 @@ def test_eval_G_series_matches_exact(f2, rng):
         exact = eval_G(f2, j, x)
         approx = eval_G(f2, j, x.to_series(32))
         assert approx.matches(exact)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_digit_product_products(monkeypatch, q):
+    # G_j multiplies its digit powers from the first factor on: with E_n
+    # itself product-free, G_j costs the binary powers of its digits plus
+    # one product per further nonzero digit, and G_{q^n} = E_n costs none.
+    # Values equal the product from 1 of the oracle's powers.
+    from carlitzbases import algebra
+    from oracles import schoolbook_mul
+
+    cfg = FieldConfig(*FIELDS[q])
+    rng = random.Random(q)
+    x = random_series(cfg, rng, 40)
+    calls = []
+    kernel = algebra._mul
+    monkeypatch.setattr(algebra, "_mul",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for j in range(q ** 3):
+        for primed in (False, True):
+            calls.clear()
+            got = eval_G(cfg, j, x, primed=primed)
+            digits = [a for a in DigitIndex.of(j, q).digits if a]
+            assert len(calls) == sum(a.bit_length() + bin(a).count("1") - 2
+                                     for a in digits) + max(len(digits) - 1, 0)
+            expected = Poly.one(cfg)
+            for n, a in enumerate(DigitIndex.of(j, q).digits):
+                if a:
+                    factor = eval_E(cfg, n, x)
+                    power = factor
+                    for _ in range(a - 1):
+                        power = schoolbook_mul(power, factor)
+                    if primed and a == q - 1:
+                        power = power - Poly.one(cfg)
+                    expected = schoolbook_mul(expected, power)
+            assert got == expected

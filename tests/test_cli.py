@@ -140,12 +140,60 @@ def test_matrix_voloch_size_30(capsys):
     ("expand", "--f", "D:1", "--basis", "powered-D", "--terms", "0"),
     ("expand", "--f", "G:3", "--basis", "G", "--terms", "0"),
     ("expand", "--f", "G:3", "--basis", "D", "--terms", "-3"),
+    ("verify", "--suite", "distance", "--n", "-2"),
+    ("verify", "--suite", "all", "--n", "-1"),
 ])
 def test_vacuous_requests_exit_two(capsys, argv):
-    # An empty matrix or expansion is an input error, never an empty success.
+    # An empty matrix, expansion or sweep is an input error, never an empty
+    # success.
     code, out, err = run_cli(capsys, "--q", "2", *argv)
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+def test_matrix_inverse_rejects_prec(capsys):
+    # The inverse matrix is exact: a --prec for it would be silently ignored.
+    code, out, err = run_cli(capsys, "--q", "2", "matrix", "--which", "inverse",
+                             "--size", "2", "--prec", "5")
+    assert code == 2
+    assert out == "" and "--prec" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "4", "--e", "3"),
+    ("--q", "4", "--e", "1"),
+    ("--q", "4", "--p", "3"),
+    ("--q", "9", "--p", "3", "--e", "1"),
+    ("--q", "2", "--p", "2", "--e", "2"),
+])
+def test_q_disagreeing_with_p_or_e_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "info")
+    assert code == 2
+    assert out == "" and "disagrees" in err
+
+
+@pytest.mark.parametrize("argv,run_config", [
+    ((), '{"budget": 256, "e": 1, "format": "json", "modulus": null, "p": 2, '
+         '"prec": 24, "seed": 0}'),
+    (("--q", "4"), '{"budget": 256, "e": 2, "format": "json", "modulus": null, '
+                   '"p": 2, "prec": 24, "seed": 0}'),
+    (("--q", "4", "--p", "2", "--e", "2"),
+     '{"budget": 256, "e": 2, "format": "json", "modulus": null, "p": 2, '
+     '"prec": 24, "seed": 0}'),
+    (("--q", "9", "--e", "2", "--modulus", "u^2+1"),
+     '{"budget": 256, "e": 2, "format": "json", "modulus": "u^2+1", "p": 3, '
+     '"prec": 24, "seed": 0}'),
+    (("--p", "3", "--seed", "4", "--prec", "7"),
+     '{"budget": 256, "e": 1, "format": "json", "modulus": null, "p": 3, '
+     '"prec": 7, "seed": 4}'),
+    (("--p", "2", "--e", "3"), '{"budget": 256, "e": 3, "format": "json", '
+                               '"modulus": null, "p": 2, "prec": 24, "seed": 0}'),
+])
+def test_field_flags_run_config(capsys, argv, run_config):
+    # Agreeing or absent field flags keep the run_config bytes.
+    code, out, _ = run_cli(capsys, *argv, "info")
+    assert code == 0
+    assert json.loads(out)["run_config"] == run_config
 
 
 def test_matrix_csv_format(capsys):

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlitzbases import (
+    BudgetError,
     DomainError,
     FieldConfig,
     Poly,
@@ -14,7 +17,11 @@ from carlitzbases import (
     check_reduced_basis,
     classify_linearity,
     digit_coeffs,
+    eval_D,
+    eval_G,
+    identities,
     parse_poly,
+    poly_enumerate,
 )
 from carlitzbases.algebra import random_poly
 from carlitzbases.identities import (
@@ -22,6 +29,7 @@ from carlitzbases.identities import (
     FALSIFIED,
     VERIFIED,
     VerdictReport,
+    _gram_entries,
     basis_distance,
     orthogonality_suite,
     reports_to_csv,
@@ -38,6 +46,11 @@ from carlitzbases.transforms import (
     frobenius_func,
     identity_func,
     monomial_func,
+)
+from oracles import (
+    FIELDS,
+    orthogonality_suite_by_pairs,
+    orthogonality_sum_by_pairs,
 )
 
 
@@ -71,15 +84,107 @@ def test_orthogonality_precondition(f2):
 
 def test_orthogonality_suite_budget(f2):
     reports = orthogonality_suite(f2, 9, budget=256)
-    assert all(r.status == BUDGET_EXHAUSTED for r in reports)
+    assert all(r.status == BUDGET_EXHAUSTED and r.notes for r in reports)
+    want = orthogonality_suite_by_pairs(f2, 9, budget=256)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in want]
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (3, 1), (4, 1)])
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 1), (4, 1), (2, 1), (2, 3), (3, 2),
+                                 (4, 2), (5, 1), (8, 1), (9, 1)])
 def test_orthogonality_exhaustive_small(q, n):
-    cfg = FieldConfig(2, 2) if q == 4 else FieldConfig(q)
+    # The Gram-product suite gives the reports of the per-pair oracle.
+    cfg = FieldConfig(*FIELDS[q])
     reports = orthogonality_suite(cfg, n)
     assert len(reports) == 4
     assert all(r.status == VERIFIED for r in reports)
+    want = orthogonality_suite_by_pairs(cfg, n)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in want]
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_gram_entries_match_per_pair_sums(q, data):
+    # Any (k, l) subset, any order, k past q**n on deg_lt: every entry is the
+    # per-pair sum.
+    cfg = FieldConfig(*FIELDS[q])
+    n = data.draw(st.integers(1, 2 if q <= 4 else 1))
+    family = data.draw(st.sampled_from(["CARLITZ", "DIGIT"]))
+    variant = data.draw(st.sampled_from(["deg_lt", "monic"]))
+    top = q ** n if variant == "monic" else q ** (n + 1)
+    ks = data.draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=4))
+    ls = data.draw(st.lists(st.integers(0, q ** n - 1), min_size=1, max_size=4))
+    f = eval_G if family == "CARLITZ" else eval_D
+    kind = "deg_lt" if variant == "deg_lt" else "monic_deg_eq"
+    polys = poly_enumerate(cfg, n, kind)
+    got = list(_gram_entries(cfg, family, variant, n, ks, ls, 256))
+    assert got == [(k, l, orthogonality_sum_by_pairs(cfg, f, polys, k, l))
+                   for k in ks for l in ls]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_gram_entries_at_slot_bound(monkeypatch, q):
+    # Values of all-(p-1) digits, as long as the 8-bit slot can just not
+    # hold: the width must follow the tabulated lengths, or the sums carry
+    # into the next slot.
+    cfg = FieldConfig(*FIELDS[q])
+    n = 1
+    length = 256 // (q ** n * cfg.e * (cfg.p - 1) ** 2) + 1
+    full = Poly(cfg, [q - 1] * length)
+
+    def f(cfg, j, x, primed=False):
+        return full
+    monkeypatch.setattr(identities, "eval_G", f)
+    polys = poly_enumerate(cfg, n, "deg_lt")
+    got = list(_gram_entries(cfg, "CARLITZ", "deg_lt", n, [0, 1], [0], 256))
+    assert got == [(k, 0, orthogonality_sum_by_pairs(cfg, f, polys, k, 0))
+                   for k in (0, 1)]
+
+
+def _patched(f, j, m, delta):
+    """f with f(j, m) (unprimed) moved by delta: a planted fault."""
+    def wrapper(cfg, i, x, primed=False):
+        value = f(cfg, i, x, primed=primed)
+        if i == j and x == m and not primed:
+            value = value + delta
+        return value
+    return wrapper
+
+
+@pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
+                                         ("DIGIT", "eval_D")])
+def test_orthogonality_falsified_report_matches_oracle(monkeypatch, family,
+                                                       name):
+    # Moving F_2(T + 1) by T breaks the deg_lt sums of row k = 2 (T + 1 is
+    # not monic of degree 2); the suite and the oracle must name the same
+    # first (k, l), sum and expected value.
+    cfg = FieldConfig(3)
+    evaluators = {"CARLITZ": eval_G, "DIGIT": eval_D}
+    evaluators[family] = _patched(evaluators[family], 2, Poly(cfg, (1, 1)),
+                                  Poly.T(cfg))
+    monkeypatch.setattr(identities, name, evaluators[family])
+    got = orthogonality_suite(cfg, 2)
+    want = orthogonality_suite_by_pairs(cfg, 2, evaluators=evaluators)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    bad, = [r for r in got if r.status == FALSIFIED]
+    assert (bad.config["family"], bad.config["variant"], bad.config["k"]) == \
+        (family, "deg_lt", 2)
+    assert bad.witness["sum"] != bad.witness["expected"]
+    single = check_orthogonality(cfg, family, "deg_lt", 2, 2, bad.config["l"])
+    assert single.to_json() == bad.to_json()
+
+
+def test_orthogonality_budget_error_while_tabulating(monkeypatch, f2):
+    # A BudgetError raised by an evaluator (as the degree budget of E_n
+    # would) makes only that family's reports budget_exhausted.
+    def over_budget(cfg, j, x, primed=False):
+        raise BudgetError(f"E_{j} degree budget exceeded")
+    monkeypatch.setattr(identities, "eval_D", over_budget)
+    got = orthogonality_suite(f2, 2)
+    want = orthogonality_suite_by_pairs(
+        f2, 2, evaluators={"CARLITZ": eval_G, "DIGIT": over_budget})
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [r.status for r in got] == [VERIFIED, VERIFIED,
+                                       BUDGET_EXHAUSTED, BUDGET_EXHAUSTED]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +307,12 @@ def test_run_suite_all_small(f3):
 def test_run_suite_unknown_selector(f2):
     with pytest.raises(DomainError):
         run_suite(f2, "nonsense")
+
+
+@pytest.mark.parametrize("selector", ["distance", "ortho", "all"])
+def test_run_suite_rejects_negative_level(f2, selector):
+    with pytest.raises(DomainError):
+        run_suite(f2, selector, n=-2)
 
 
 def test_reports_serialization(f2):
