@@ -101,6 +101,8 @@ class FieldConfig:
         self.e = e
         self.q = q
         if e == 1:
+            if modulus is not None:
+                raise DomainError(f"q = {q} is prime: a modulus is only used for e > 1")
             self.modulus = None
         else:
             if modulus is None:
@@ -272,6 +274,25 @@ def _mul(cfg: FieldConfig, a, b, size: int) -> list:
     return out
 
 
+def _add(cfg: FieldConfig, a, b) -> list:
+    """The coefficientwise sum of ``a`` and ``b``, the longer one's tail
+    kept: the one addition kernel of Poly and TruncSeries."""
+    if len(a) < len(b):
+        a, b = b, a
+    add = cfg.add_table
+    out = [add[x][y] for x, y in zip(a, b)]
+    out += a[len(b):]
+    return out
+
+
+def _spread(coeffs, s: int) -> list:
+    """``coeffs`` with coefficient i moved to index i * s: the Frobenius
+    map x -> x**(q**m) on coefficients, for s = q**m."""
+    out = [0] * ((len(coeffs) - 1) * s + 1)
+    out[::s] = coeffs
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Kronecker packing: sums of products as integer arithmetic
 # ---------------------------------------------------------------------------
@@ -413,13 +434,7 @@ class Poly:
             return self.to_series() + other
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.cfg.add_table
-        out = [add[x][y] for x, y in zip(a, b)]
-        out += a[len(b):]
-        return Poly(self.cfg, out)
+        return Poly(self.cfg, _add(self.cfg, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -477,12 +492,7 @@ class Poly:
 
     def frobenius(self, m: int = 1):
         """Raise to the q**m power: exponents scale by q**m, coefficients fixed."""
-        s = self.cfg.q ** m
-        out = [0] * (len(self.coeffs) * s)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * s] = c
-        return Poly(self.cfg, out)
+        return Poly(self.cfg, _spread(self.coeffs, self.cfg.q ** m))
 
     def to_series(self, prec=EXACT) -> "TruncSeries":
         return TruncSeries(self.cfg, 0, self.coeffs, prec)
@@ -678,20 +688,16 @@ class TruncSeries:
         if not other.coeffs:
             return TruncSeries(cfg, self.v, self.coeffs, prec)
         lo = min(self.v, other.v)
-        hi = max(self.v + len(self.coeffs), other.v + len(other.coeffs))
-        out = []
-        for i in range(lo, hi):
-            a = self.coeffs[i - self.v] if self.v <= i < self.v + len(self.coeffs) else 0
-            b = other.coeffs[i - other.v] if other.v <= i < other.v + len(other.coeffs) else 0
-            out.append(cfg.add(a, b))
-        return TruncSeries(cfg, lo, out, prec)
+        a = (0,) * (self.v - lo) + self.coeffs
+        b = (0,) * (other.v - lo) + other.coeffs
+        return TruncSeries(cfg, lo, _add(cfg, a, b), prec)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        cfg = self.cfg
-        return TruncSeries(cfg, self.v, (cfg.neg(c) for c in self.coeffs), self.prec)
+        return TruncSeries(self.cfg, self.v,
+                           map(self.cfg.neg_table.__getitem__, self.coeffs), self.prec)
 
     def __sub__(self, other):
         if isinstance(other, Poly):
@@ -730,19 +736,13 @@ class TruncSeries:
         cfg = self.cfg
         if c == 0:
             return TruncSeries.zero(cfg)
-        return TruncSeries(cfg, self.v, (cfg.mul(c, a) for a in self.coeffs), self.prec)
+        return TruncSeries(cfg, self.v, map(cfg.mul_table[c].__getitem__, self.coeffs),
+                           self.prec)
 
     def frobenius(self, m: int = 1) -> "TruncSeries":
         """Raise to the q**m power: exponent i maps to i*q**m, coefficients fixed."""
         s = self.cfg.q ** m
-        prec = self.prec * s if self.prec != EXACT else EXACT
-        if not self.coeffs:
-            return TruncSeries(self.cfg, 0, (), prec)
-        out = [0] * ((len(self.coeffs) - 1) * s + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * s] = c
-        return TruncSeries(self.cfg, self.v * s, out, prec)
+        return TruncSeries(self.cfg, self.v * s, _spread(self.coeffs, s), self.prec * s)
 
     def invert_unit(self, prec=None) -> "TruncSeries":
         """Multiplicative inverse; output precision is prec(x) - 2*v(x).
@@ -780,10 +780,7 @@ class TruncSeries:
             raise PrecisionError("only exact series convert to Poly")
         if self.coeffs and self.v < 0:
             raise DomainError("negative-valuation value is not in F_q[T]")
-        out = [0] * (self.v + len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[self.v + i] = c
-        return Poly(self.cfg, out)
+        return Poly(self.cfg, (0,) * self.v + self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Poly):

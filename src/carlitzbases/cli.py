@@ -16,7 +16,6 @@ from .algebra import (
     BudgetError,
     DomainError,
     FieldConfig,
-    Poly,
     PrecisionError,
     parse_poly,
 )

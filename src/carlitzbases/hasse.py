@@ -18,7 +18,7 @@ from .algebra import (
     Value,
     lucas_binom,
 )
-from .carlitz import DigitIndex, _digit_product
+from .carlitz import _digit_product
 
 
 def hasse_derivative(cfg: FieldConfig, n: int, x: Value) -> Value:
@@ -32,32 +32,23 @@ def hasse_derivative(cfg: FieldConfig, n: int, x: Value) -> Value:
         return x
     if x.prec != EXACT and x.prec <= n:
         raise PrecisionError(f"D_{n} needs input precision > {n}, got {x.prec}")
-    prec = x.prec - n if x.prec != EXACT else EXACT
-    out = {}
-    for k, a in enumerate(x.coeffs):
-        if a:
-            i = x.v + k
-            b = lucas_binom(i, n, cfg.p)
-            if b:
-                out[i - n] = cfg.mul(b, a)
-    if not out:
-        return TruncSeries(cfg, 0, (), prec)
-    lo = min(out)
-    return TruncSeries(cfg, lo, (out.get(i, 0) for i in range(lo, max(out) + 1)), prec)
+    # Digits below T**n vanish by Lucas; the constructor strips them.
+    return TruncSeries(cfg, x.v - n, _hasse_digits(cfg, n, x.v, x.coeffs), x.prec - n)
 
 
 @lru_cache(maxsize=None)
 def _hasse_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
     if n == 0:
         return x
-    out = [0] * max(len(x.coeffs) - n, 0)
-    for i in range(n, len(x.coeffs)):
-        a = x.coeffs[i]
-        if a:
-            b = lucas_binom(i, n, cfg.p)
-            if b:
-                out[i - n] = cfg.mul(b, a)
-    return Poly(cfg, out)
+    return Poly(cfg, _hasse_digits(cfg, n, n, x.coeffs[n:]))
+
+
+def _hasse_digits(cfg: FieldConfig, n: int, v: int, coeffs) -> list:
+    """D_n on the window sum_k coeffs[k] T**(v+k): the digit C(i, n) a_i of
+    T**(i-n) for each i = v + k, binomials mod p by Lucas."""
+    mul, p = cfg.mul_table, cfg.p
+    return [mul[lucas_binom(i, n, p)][a] if a else 0
+            for i, a in enumerate(coeffs, v)]
 
 
 def eval_D(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:

@@ -18,7 +18,6 @@ from .algebra import (
     DomainError,
     FieldConfig,
     Poly,
-    TruncSeries,
     lucas_binom,
     pack,
     poly_enumerate,
@@ -175,17 +174,11 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
     scaling law over F_q* and, at j = q**m - 1, the signed and x - u forms."""
     config = {"family": family, "q": cfg.q, "j": j, "x": str(x), "u": str(u)}
     primed = family.endswith("p")
-    base = family.rstrip("p")
-    if base == "G":
-        f = lambda y, pr=primed: eval_G(cfg, j, y, primed=pr)
-        fe = lambda e, y: eval_G(cfg, e, y)
-        ff = lambda e, y, pr=primed: eval_G(cfg, e, y, primed=pr)
-    elif base == "D":
-        f = lambda y, pr=primed: eval_D(cfg, j, y, primed=pr)
-        fe = lambda e, y: eval_D(cfg, e, y)
-        ff = lambda e, y, pr=primed: eval_D(cfg, e, y, primed=pr)
-    else:
+    # Looked up per call: the module globals may be rebound (e.g. wrapped).
+    evaluate = {"G": eval_G, "D": eval_D}.get(family.rstrip("p"))
+    if evaluate is None:
         raise DomainError(f"unknown family {family!r}")
+    f = lambda y: evaluate(cfg, j, y, primed=primed)
 
     def convolution(a, b, weight):
         acc = Poly.zero(cfg)
@@ -193,7 +186,8 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
             w = weight(e)
             if w == 0:
                 continue
-            acc = acc + (fe(e, a) * ff(j - e, b)).scalar_mul(w)
+            term = evaluate(cfg, e, a) * evaluate(cfg, j - e, b, primed=primed)
+            acc = acc + term.scalar_mul(w)
         return acc
 
     lhs = f(x + u)
@@ -239,7 +233,7 @@ def classify_linearity(exp: BasisExpansion, evaluator: LinearFunc = None,
     for j, c in enumerate(exp.coeffs):
         if _is_q_power(j, cfg.q):
             continue
-        if not _coeff_is_zero(c):
+        if not _is_zero(c):
             offenders.append(j)
     linear = not offenders
     notes = [f"classified {'linear' if linear else 'nonlinear'} "
@@ -259,10 +253,11 @@ def classify_linearity(exp: BasisExpansion, evaluator: LinearFunc = None,
                          witness={"linear": linear}, notes=notes)
 
 
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, Poly):
-        return c.is_zero
-    return c.is_zero_to_prec
+def _is_zero(val) -> bool:
+    """Zero as a Poly, or zero to precision as a series."""
+    if isinstance(val, Poly):
+        return val.is_zero
+    return val.is_zero_to_prec
 
 
 def _sample_linear(cfg, f, rng, samples, max_deg) -> bool:
@@ -323,17 +318,11 @@ def basis_distance(cfg: FieldConfig, pair: str, n: int,
         if expected is not None and not values_match(gv, expected):
             return _verdict("basis_distance_delta", config, False,
                             witness={"i": i, "value": str(gv)})
-        if i < n and not (_value_zero(fv) and _value_zero(gv)):
+        if i < n and not (_is_zero(fv) and _is_zero(gv)):
             return _verdict("basis_distance_delta", config, False,
                             witness={"i": i, "f": str(fv), "g": str(gv)})
     notes = [f"sup over tested range is {max_norm} (certified for i <= {i_max} only)"]
     return VerdictReport("basis_distance", config, VERIFIED, notes=notes)
-
-
-def _value_zero(val) -> bool:
-    if isinstance(val, Poly):
-        return val.is_zero
-    return val.is_zero_to_prec
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +389,8 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
 
     if n < 0:
         raise DomainError(f"suite level n must be non-negative, got {n}")
+    if budget < 1:
+        raise DomainError(f"a suite budget below 1 checks no case, got {budget}")
     rng = random.Random(seed)
     reports: List[VerdictReport] = []
     selectors = SUITES if selector == "all" else (selector,)

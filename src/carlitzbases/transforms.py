@@ -4,19 +4,22 @@ Functions are represented by evaluators that accept exact polynomials
 (and usually truncated series as well).  Each value has one production
 path here; the textbook formulas behind them (triangular solves, literal
 operator iteration, the subset sums of the Voloch matrix) are the test
-suite's oracles, not second paths.
+suite's oracles, not second paths.  The inverse matrix B and the
+powered-D coefficients are derived from the D-basis coefficients of
+``digit_coeffs_linear`` (B column by column from E_n, the powered ones by
+the binomial transform with the ``convert_powered`` weights), so the
+closed sum b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n) is written once.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, List, Optional
 
 from .algebra import (
-    EXACT,
-    BudgetError,
     DomainError,
     FieldConfig,
     Poly,
@@ -25,9 +28,9 @@ from .algebra import (
     Value,
     lucas_binom,
     poly_enumerate,
+    _spread,
     valuation_norm,
 )
-from . import hasse as _hasse
 from .carlitz import bracket, eval_E, eval_G
 from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
 
@@ -63,13 +66,6 @@ class LinearFunc:
 
     def __call__(self, x: Value) -> Value:
         return self.eval_at(x)
-
-    def norm_on_monomials(self, i_max: int) -> Fraction:
-        """max |f(T**i)| for i <= i_max; equals ||f|| for linear f (ultrametric)."""
-        best = Fraction(0)
-        for i in range(i_max + 1):
-            best = max(best, valuation_norm(self(Poly.monomial(self.cfg, i))).value)
-        return best
 
 
 def identity_func(cfg) -> LinearFunc:
@@ -250,11 +246,18 @@ def delta_upper(n: int, f: LinearFunc) -> LinearFunc:
     """
     if not f.linear:
         raise DomainError("the difference operator requires an F_q-linear function")
+    return next(islice(_delta_uppers(f), n, None))
+
+
+def _delta_uppers(f: LinearFunc):
+    """delta^(0) f, delta^(1) f, ...: each one more step than the last, with
+    the multiplier T**(q**k) of step k + 1."""
     cfg = f.cfg
-    g = f
-    for k in range(1, n + 1):
-        g = _delta_step(g, Poly.monomial(cfg, cfg.q ** (k - 1)))
-    return g
+    g, k = f, 0
+    while True:
+        yield g
+        g = _delta_step(g, Poly.monomial(cfg, cfg.q ** k))
+        k += 1
 
 
 def _delta_step(f: LinearFunc, mult: Poly) -> LinearFunc:
@@ -281,17 +284,14 @@ def wagner_coeffs(f: LinearFunc, N: int) -> BasisExpansion:
     if not f.linear:
         raise DomainError("E-basis expansion requires an F_q-linear function")
     _check_terms(N)
-    cfg = f.cfg
-    one = Poly.one(cfg)
+    one = Poly.one(f.cfg)
     coeffs = []
-    g = f
-    for n in range(N):
+    for n, g in zip(range(N), _delta_uppers(f)):
         try:
             coeffs.append(g(one))
         except PrecisionError as exc:
             raise PrecisionError(f"precision exhausted at level {n}: {exc}") from exc
-        g = _delta_step(g, Poly.monomial(cfg, cfg.q ** n))
-    return BasisExpansion(cfg, Basis.LINEAR_E, coeffs)
+    return BasisExpansion(f.cfg, Basis.LINEAR_E, coeffs)
 
 
 def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
@@ -322,37 +322,24 @@ def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
 def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
     """Coefficients of f in the q**m-power digit basis {D_n**(q**m)}:
 
-    beta_n = sum_{i<=j<=n} (-1)**(n-i) C(n,j) [m]**(n-j) f(T**i) D_i(T**j),
-    with [0] read as the zero polynomial (reducing to the plain D-basis).
+    beta_n = sum_{j<=n} C(n,j) (-[m])**(n-j) b_j from the D-basis
+    coefficients b_j of ``digit_coeffs_linear``; the weights are the
+    ``convert_powered`` to_powered coefficients, and m = 0 gives b itself.
     """
     if not f.linear:
         raise DomainError("powered-D expansion requires an F_q-linear function")
     if m < 0:
         raise DomainError("m must be non-negative")
-    _check_terms(N)
     cfg = f.cfg
-    br = bracket(cfg, m) if m >= 1 else Poly.zero(cfg)
-    fvals = [f(Poly.monomial(cfg, i)) for i in range(N)]
-    coeffs = []
-    for n in range(N):
-        acc = None
-        for j in range(n + 1):
-            cnj = lucas_binom(n, j, cfg.p)
-            if cnj == 0:
-                continue
-            if n - j > 0 and br.is_zero:
-                continue
-            brpow = (br ** (n - j)).scalar_mul(cnj)
-            for i in range(j + 1):
-                w = hasse_on_monomial(cfg, i, j)
-                if w.is_zero:
-                    continue
-                term = fvals[i] * w * brpow
-                if (n - i) % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-        coeffs.append(acc if acc is not None else Poly.zero(cfg))
-    return BasisExpansion(cfg, Basis.POWERED_D, coeffs, m=m)
+    b = digit_coeffs_linear(f, N).coeffs
+    if m == 0:
+        return BasisExpansion(cfg, Basis.POWERED_D, b, m=m)
+    # weights[j][i] = C(i+j, j) (-[m])**i; the j = n weight is 1.
+    weights = [convert_powered(cfg, j, m, N - j, "to_powered") for j in range(N)]
+    beta = [sum((w[n - j] * b[j] for j, w in enumerate(weights[:n])
+                 if not w[n - j].is_zero), b[n])
+            for n in range(N)]
+    return BasisExpansion(cfg, Basis.POWERED_D, beta, m=m)
 
 
 def default_level(cfg: FieldConfig, J: int) -> int:
@@ -405,15 +392,11 @@ def _enumeration_coeffs(f, J, cfg, level, budget, basis, primed_eval):
 # ---------------------------------------------------------------------------
 
 def recip_bracket(cfg: FieldConfig, i: int, prec: int) -> TruncSeries:
-    """1/[i] expanded from [i] = -T (1 - T**(q**i - 1)) as a geometric series."""
+    """1/[i] expanded from [i] = -T (1 - T**(q**i - 1)) as a geometric series:
+    -T**(k s - 1) for every k with k s - 1 < prec, s = q**i - 1."""
     step = cfg.q ** i - 1
-    coeffs = {}
-    k = 0
-    while k * step - 1 < prec:
-        coeffs[k * step - 1] = cfg.neg_one
-        k += 1
-    hi = max(coeffs)
-    return TruncSeries(cfg, -1, (coeffs.get(e, 0) for e in range(-1, hi + 1)), prec)
+    terms = (prec + step) // step
+    return TruncSeries(cfg, -1, _spread([cfg.neg_one] * terms, step), prec)
 
 
 def bracket_series(cfg: FieldConfig, i: int, prec: int) -> TruncSeries:
@@ -463,29 +446,16 @@ def voloch_matrix(cfg: FieldConfig, size: int, prec: int) -> BasisMatrix:
 
 
 def inverse_matrix(cfg: FieldConfig, size: int) -> BasisMatrix:
-    """The exact inverse matrix B with E_n = sum_m B[m][n] D_m:
+    """The exact inverse matrix B with E_n = sum_m B[m][n] D_m: column n is
+    the D-basis expansion of E_n (``digit_coeffs_linear``),
 
     B[m][n] = sum_{i<=m} (-1)**(m-i) D_i(T**m) E_n(T**i); zero for m < n,
     unit diagonal, and T divides every entry below the diagonal.
     """
     if size < 1:
         raise DomainError(f"inverse matrix needs size >= 1, got {size}")
-    entries = [[Poly.zero(cfg) for _ in range(size)] for _ in range(size)]
-    Evals = [[eval_E(cfg, n, Poly.monomial(cfg, i)) for n in range(size)]
-             for i in range(size)]
-    for m in range(size):
-        for n in range(size):
-            acc = Poly.zero(cfg)
-            for i in range(m + 1):
-                w = hasse_on_monomial(cfg, i, m)
-                if w.is_zero:
-                    continue
-                term = w * Evals[i][n]
-                if (m - i) % 2:
-                    term = -term
-                acc = acc + term
-            entries[m][n] = acc
-    return BasisMatrix(cfg, "inverse", size, entries)
+    columns = [digit_coeffs_linear(E_func(cfg, n), size).coeffs for n in range(size)]
+    return BasisMatrix(cfg, "inverse", size, [list(row) for row in zip(*columns)])
 
 
 def matrix_product_block(A: BasisMatrix, B: BasisMatrix, k: int) -> List[List[Value]]:

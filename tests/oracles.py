@@ -1,7 +1,8 @@
 """Textbook formulas kept as test oracles, one per production path.
 
 Each function computes a value the library computes faster another way:
-products by the full schoolbook double loop, the Voloch matrix by its
+products by the full schoolbook double loop, sums, negation, scaling and
+Frobenius one digit at a time, the Voloch matrix by its
 defining subset sums, the E- and D-basis coefficients by triangular solve
 and by literal operator iteration, ((delta - [m] I)**n f)(x) by its
 closed double sum, and the orthogonality sums one (k, l) pair at a time.
@@ -62,12 +63,38 @@ def schoolbook_mul(a: Value, b: Value) -> Value:
     low_a = a.v if a.coeffs else a.prec
     low_b = b.v if b.coeffs else b.prec
     prec = min(a.prec + low_b, b.prec + low_a)
+    return _from_digits(cfg, out, prec, exact)
+
+
+def _from_digits(cfg, out: dict, prec, exact: bool) -> Value:
+    """The value with digit out[k] at T**k for k < prec: a Poly when exact."""
     known = sorted(k for k in out if k < prec)
     lo = known[0] if known else 0
     digits = [out.get(k, 0) for k in range(lo, known[-1] + 1)] if known else []
     if exact:
         return Poly(cfg, [0] * lo + digits)
     return TruncSeries(cfg, lo, digits, prec)
+
+
+def digitwise(op, *values: Value) -> Value:
+    """op applied exponent by exponent: the digit of T**k in the result is
+    op of the digits of T**k in the values, known below their least
+    precision; a Poly when every value is one."""
+    cfg = values[0].cfg
+    exact = all(isinstance(x, Poly) for x in values)
+    series = [as_series(x) for x in values]
+    prec = min(x.prec for x in series)
+    exps = set().union(*(range(x.v, x.v + len(x.coeffs)) for x in series))
+    out = {k: op(*(x.coeff(k) for x in series)) for k in exps if k < prec}
+    return _from_digits(cfg, out, prec, exact)
+
+
+def frobenius_by_digits(x: Value, m: int) -> Value:
+    """x**(q**m) as the digit of T**k moved to T**(k q**m)."""
+    s = x.cfg.q ** m
+    y = as_series(x)
+    out = {(y.v + i) * s: c for i, c in enumerate(y.coeffs)}
+    return _from_digits(x.cfg, out, y.prec * s, isinstance(x, Poly))
 
 
 def _bracket_mod(cfg, i: int, P: int) -> Poly:

@@ -21,7 +21,7 @@ from carlitzbases import (
 )
 from carlitzbases import algebra
 from carlitzbases.algebra import pack, random_poly, random_series, slot_width, unpack
-from oracles import FIELDS, schoolbook_mul
+from oracles import FIELDS, digitwise, frobenius_by_digits, schoolbook_mul
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,13 @@ def test_reducible_modulus_rejected():
     # u^2 + 1 = (u + 1)^2 over F_2.
     with pytest.raises(DomainError):
         FieldConfig(2, 2, modulus=(1, 0, 1))
+
+
+def test_modulus_for_prime_field_rejected():
+    with pytest.raises(DomainError):
+        FieldConfig(2, 1, modulus=(1, 1, 1))
+    with pytest.raises(DomainError):
+        FieldConfig(3, modulus=(1, 1))
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
@@ -296,14 +303,14 @@ def test_mul_truncation_edges(f2):
 _MUL_FIELDS = {q: FieldConfig(*pe) for q, pe in FIELDS.items()}
 
 
-def _operand(cfg, data):
-    # A Poly, an exact series, or a truncated series of any valuation down to
-    # zero to precision (prec == v).
+def _operand(cfg, data, v_min=-3, v_max=6):
+    # A Poly, an exact series, or a truncated series whose window starts at
+    # v_min..v_max, of any precision down to zero to precision (prec == v).
     kind = data.draw(st.sampled_from(("poly", "exact", "trunc")))
     digits = data.draw(st.lists(st.integers(0, cfg.q - 1), max_size=12))
     if kind == "poly":
         return Poly(cfg, digits)
-    v = data.draw(st.integers(-3, 6))
+    v = data.draw(st.integers(v_min, v_max))
     if kind == "exact":
         return TruncSeries(cfg, v, digits, EXACT)
     return TruncSeries(cfg, v, digits, v + data.draw(st.integers(0, len(digits) + 3)))
@@ -335,6 +342,37 @@ def test_poly_add_neg_scale_match_digitwise(q, data):
     assert a - b == Poly(cfg, [cfg.sub(a.coeff(i), b.coeff(i)) for i in range(n)])
     assert -a == Poly(cfg, [cfg.neg(x) for x in a.coeffs])
     assert a.scalar_mul(c) == Poly(cfg, [cfg.mul(c, x) for x in a.coeffs])
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_series_add_neg_scale_frobenius_match_digitwise(q, data):
+    # TruncSeries shares Poly's addition and Frobenius kernels; the oracle
+    # works one exponent at a time.  The second window may start past the
+    # first one's end (disjoint windows) or overlap it.
+    cfg = _MUL_FIELDS[q]
+    a = _operand(cfg, data)
+    if data.draw(st.booleans()):
+        end = len(a.coeffs) + (a.v if isinstance(a, TruncSeries) else 0)
+        b = _operand(cfg, data, end, end + 4)
+    else:
+        b = _operand(cfg, data)
+    c = data.draw(st.integers(0, q - 1))
+    m = data.draw(st.integers(0, 2))
+    for x, y in ((a, b), (b, a)):
+        assert_same(x + y, digitwise(cfg.add, x, y))
+        assert_same(x - y, digitwise(cfg.sub, x, y))
+    assert_same(-a, digitwise(cfg.neg, a))
+    # 0 * a is exactly zero, whatever a's precision.
+    zero = Poly.zero(cfg) if isinstance(a, Poly) else TruncSeries.zero(cfg)
+    scaled = digitwise(lambda d: cfg.mul(c, d), a) if c else zero
+    assert_same(a.scalar_mul(c), scaled)
+    assert_same(a.frobenius(m), frobenius_by_digits(a, m))
+
+
+def assert_same(got, expected):
+    assert type(got) is type(expected)
+    assert got == expected
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())

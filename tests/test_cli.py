@@ -142,6 +142,8 @@ def test_matrix_voloch_size_30(capsys):
     ("expand", "--f", "G:3", "--basis", "D", "--terms", "-3"),
     ("verify", "--suite", "distance", "--n", "-2"),
     ("verify", "--suite", "all", "--n", "-1"),
+    ("--budget", "0", "verify", "--suite", "addition"),
+    ("--budget", "-1", "verify", "--suite", "all"),
 ])
 def test_vacuous_requests_exit_two(capsys, argv):
     # An empty matrix, expansion or sweep is an input error, never an empty
@@ -157,6 +159,19 @@ def test_matrix_inverse_rejects_prec(capsys):
                              "--size", "2", "--prec", "5")
     assert code == 2
     assert out == "" and "--prec" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "2", "--modulus", "u^2+u+1"),
+    ("--p", "3", "--modulus", "u^2+1"),
+    ("--modulus", "u+1"),
+])
+def test_modulus_for_prime_field_exits_two(capsys, argv):
+    # A prime field has no modulus; one given beside it is an error, not
+    # silently dropped.
+    code, out, err = run_cli(capsys, *argv, "info")
+    assert code == 2
+    assert out == "" and "modulus" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,9 @@ from carlitzbases import (
     powered_D,
 )
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
+from carlitzbases.algebra import EXACT
 from carlitzbases.hasse import hasse_on_monomial
+from oracles import FIELDS
 
 
 def test_hasse_examples(f2):
@@ -101,6 +103,25 @@ def test_hasse_series_precision_contract(f2):
     x = TruncSeries(f2, 0, (1, 1, 1, 1, 1, 1, 1, 1), 8)
     y = hasse_derivative(f2, 3, x)
     assert y.prec == 5
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_hasse_series_window_below_n(q, rng):
+    # A window starting at 0 < v < n, whose digits below T^n vanish, and
+    # the precision edge prec = n + 1 (one known digit out): D_n(x) equals
+    # the sum of a_i D_n(T^i) to precision prec - n.
+    cfg = FieldConfig(*FIELDS[q])
+    for n in range(2, 7):
+        for v in range(1, n):
+            for prec in (n + 1, n + 2, 2 * n + 3, EXACT):
+                top = 2 * n + 3 if prec == EXACT else prec
+                digits = [rng.randrange(1, q)] + [rng.randrange(q)
+                                                  for _ in range(v + 1, top)]
+                x = TruncSeries(cfg, v, digits, prec)
+                expected = Poly.zero(cfg)
+                for i, a in enumerate(digits, v):
+                    expected = expected + hasse_on_monomial(cfg, n, i).scalar_mul(a)
+                assert hasse_derivative(cfg, n, x) == expected.to_series(prec - n)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,13 @@ def test_run_suite_rejects_negative_level(f2, selector):
         run_suite(f2, selector, n=-2)
 
 
+@pytest.mark.parametrize("budget", [0, -4])
+def test_run_suite_rejects_budget_below_one(f2, budget):
+    # A budget of 0 ran no addition case and still reported "verified".
+    with pytest.raises(DomainError):
+        run_suite(f2, "addition", budget=budget)
+
+
 def test_reports_serialization(f2):
     reports = run_suite(f2, "reduced")
     text = reports_to_json_text(reports)

@@ -278,14 +278,27 @@ def test_powered_coeffs_identity_function(f2, m):
         assert values_match(c, (-br) ** i)
 
 
-@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 1), (2, 0), (3, 0), (3, 2),
+                                 (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2)])
 def test_powered_coeffs_closed_sum_vs_iteration(q, m):
-    cfg = FieldConfig(q)
-    for f in (identity_func(cfg), D_func(cfg, 1), frobenius_func(cfg, 1)):
+    # beta from the D-basis coefficients by the to_powered weights, against
+    # literal iteration of (delta - [m] I); f scaled by a series of
+    # valuation -2 gives series coefficients.  The closed form never knows
+    # fewer digits than the iteration (an exact zero f(T^i) stays exact).
+    cfg = FieldConfig(*FIELDS[q])
+    s = TruncSeries(cfg, -2, [1] + [i % q for i in range(11)], 10)
+    funcs = (identity_func(cfg), D_func(cfg, 1), D_func(cfg, 2), E_func(cfg, 1),
+             frobenius_func(cfg, 1), scale_func(s, D_func(cfg, 1)),
+             add_func(scale_func(s, E_func(cfg, 1)), frobenius_func(cfg, 1)))
+    for f in funcs:
         a = powered_digit_coeffs(f, m, 6)
         b = powered_digit_coeffs_by_iteration(f, m, 6)
+        assert a.m == m and a.basis is Basis.POWERED_D
         for x, y in zip(a.coeffs, b.coeffs):
+            assert type(x) is type(y)
             assert values_match(x, y)
+            if isinstance(x, TruncSeries):
+                assert x.prec >= y.prec
 
 
 def test_delta_minus_power_at_general_x(f2, rng):
@@ -380,16 +393,19 @@ def test_inverse_matrix_hand_entry(f2):
     assert inverse_matrix(f2, 3).entry(2, 1) == expected
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", sorted(FIELDS))
 def test_matrix_product_is_identity(q):
-    cfg = FieldConfig(q)
-    A = voloch_matrix(cfg, 5, 16)
+    # A (truncated series) and B (exact) are inverse to all 24 digits of A:
+    # every entry of A*B and B*A is known to T^24 and matches I there.
+    cfg = FieldConfig(*FIELDS[q])
+    A = voloch_matrix(cfg, 5, 24)
     B = inverse_matrix(cfg, 5)
     for left, right in ((A, B), (B, A)):
         block = matrix_product_block(left, right, 5)
         for i in range(5):
             for j in range(5):
                 expected = Poly.one(cfg) if i == j else Poly.zero(cfg)
+                assert block[i][j].prec >= 24, (i, j, block[i][j].prec)
                 assert values_match(block[i][j], expected)
 
 
