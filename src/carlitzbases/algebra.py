@@ -86,6 +86,27 @@ def _fp_poly_mod(a: list, m: tuple, p: int) -> list:
     return a
 
 
+def _monic(code: int, d: int, p: int) -> tuple:
+    """The monic polynomial of degree d over F_p whose lower coefficients
+    are the base-p digits of ``code``, constant term first."""
+    return tuple((code // p ** i) % p for i in range(d)) + (1,)
+
+
+def _is_irreducible(m: tuple, p: int) -> bool:
+    """Whether ``m`` (degree e >= 1) has no monic factor of degree 1..e//2
+    over F_p, by trial division."""
+    e = len(m) - 1
+    return all(_fp_poly_mod(list(m), _monic(code, d, p), p)
+               for d in range(1, e // 2 + 1) for code in range(p ** d))
+
+
+def _first_irreducible(p: int, e: int) -> tuple:
+    """The first irreducible monic polynomial of degree e over F_p, in the
+    order of ``_monic`` codes: the modulus of a q with none shipped."""
+    return next(m for m in (_monic(code, e, p) for code in range(p ** e))
+                if _is_irreducible(m, p))
+
+
 class FieldConfig:
     """The coefficient field F_q with q = p**e, backed by full lookup tables."""
 
@@ -106,25 +127,16 @@ class FieldConfig:
             self.modulus = None
         else:
             if modulus is None:
-                modulus = DEFAULT_MODULI.get(q)
-                if modulus is None:
-                    raise DomainError(f"no default modulus shipped for q = {q}")
+                modulus = DEFAULT_MODULI.get(q) or _first_irreducible(p, e)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] == 0:
                 raise DomainError("modulus must have degree e")
+            if not _is_irreducible(modulus, p):
+                raise DomainError("modulus is reducible over F_p")
             self.modulus = modulus
-            self._check_irreducible()
+        # Every lru_cache lookup keyed on a config hashes it: hash once.
+        self._hash = hash((p, e, self.modulus))
         self._build_tables()
-
-    def _check_irreducible(self):
-        # Trial division by every monic polynomial of degree 1..e//2 over F_p.
-        p, e, m = self.p, self.e, self.modulus
-        for d in range(1, e // 2 + 1):
-            for code in range(p ** d):
-                cand = [(code // p ** i) % p for i in range(d)] + [1]
-                rem = _fp_poly_mod(list(m), tuple(cand), p)
-                if not rem:
-                    raise DomainError("modulus is reducible over F_p")
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
@@ -228,11 +240,12 @@ class FieldConfig:
         return "+".join(terms) if terms else "0"
 
     def __eq__(self, other):
-        return (isinstance(other, FieldConfig)
-                and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
+        return self is other or (
+            isinstance(other, FieldConfig)
+            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.e == 1:
@@ -255,22 +268,6 @@ def lucas_binom(a: int, b: int, p: int) -> int:
         out = (out * math.comb(da, db)) % p
         a //= p
         b //= p
-    return out
-
-
-def _mul(cfg: FieldConfig, a, b, size: int) -> list:
-    """The first ``size`` coefficients of the product of the coefficient
-    sequences ``a`` and ``b``: the one multiplication kernel of Poly and
-    TruncSeries.  Pairs (i, j) with i + j >= size are never visited.
-    """
-    out = [0] * size
-    add, mul = cfg.add_table, cfg.mul_table
-    for i, x in enumerate(a[:size]):
-        if x:
-            row = mul[x]
-            for j, y in enumerate(b[:size - i], i):
-                if y:
-                    out[j] = add[out[j]][row[y]]
     return out
 
 
@@ -362,6 +359,58 @@ def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
         add, fold = cfg.add_table, cfg.fold_table
         res = [add[x][fold[y]] for x, y in zip(low, high)]
     return bytes(res).rstrip(b"\0")
+
+
+# A product goes through pack/unpack when its schoolbook work, the nonzero
+# coefficients of the shorter factor times the longer factor's length
+# (the schoolbook loop skips zero rows), exceeds this constant times the
+# packed slot count (2e - 1) * (len a + len b): the constant for e = 1 and
+# for e > 1, as measured by ``scripts/mul_crossover.py --grid full``.
+KRONECKER_CROSSOVER = (2.92, 4.24)
+
+
+def _mul(cfg: FieldConfig, a, b, size: int) -> list:
+    """The first ``size`` coefficients of the product of the coefficient
+    sequences ``a`` and ``b``: the one multiplication kernel of Poly and
+    TruncSeries.  Dense long products take the Kronecker path, the rest
+    the schoolbook loop (see KRONECKER_CROSSOVER).
+    """
+    a, b = a[:size], b[:size]
+    if len(a) > len(b):
+        a, b = b, a
+    slots = (2 * cfg.e - 1) * (len(a) + len(b))
+    if (len(a) - a.count(0)) * len(b) > KRONECKER_CROSSOVER[cfg.e > 1] * slots:
+        return _mul_kronecker(cfg, a, b, size)
+    return _mul_schoolbook(cfg, a, b, size)
+
+
+def _mul_schoolbook(cfg: FieldConfig, a, b, size: int) -> list:
+    """``_mul`` by the double loop over the nonzero coefficients of ``a``;
+    pairs (i, j) with i + j >= size are never visited.  As in
+    ``_mul_kronecker``, ``a`` is the shorter factor and neither factor is
+    longer than ``size``: ``_mul`` cuts and orders them."""
+    out = [0] * size
+    add, mul = cfg.add_table, cfg.mul_table
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(b[:size - i], i):
+                if y:
+                    out[j] = add[out[j]][row[y]]
+    return out
+
+
+def _mul_kronecker(cfg: FieldConfig, a, b, size: int) -> list:
+    """``_mul`` as one integer product of the packed factors, cut to its
+    first ``size`` coefficient slots before unpacking, so the digits past
+    a truncation are never read back.  The slot width follows ``a``, the
+    shorter factor (``_mul`` cuts and orders the factors)."""
+    width = slot_width(cfg, 1, len(a))
+    product = pack(cfg, a, width) * pack(cfg, b, width)
+    product &= (1 << width * (2 * cfg.e - 1) * size) - 1
+    out = list(unpack(cfg, product, width))
+    out += [0] * (size - len(out))
+    return out
 
 
 # ---------------------------------------------------------------------------

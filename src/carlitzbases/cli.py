@@ -88,19 +88,40 @@ def _resolve_field(p, e, q):
 
 
 FUNC_GRAMMAR = """function spec grammar: terms joined by '+', each term
-NAME[:INDEX] optionally prefixed by a polynomial scalar 'POLY*'.
+NAME[:INDEX] optionally prefixed by a polynomial scalar 'POLY*' or '(POLY)*'.
 Names: identity | monomial:k | frobenius:m | E:n | D:n | G:j | Dj:j
 (D is the hyper-derivative, Dj the digit derivative).
-Examples: 'D:1', 'frobenius:1', 'T*E:1+D:2', 'G:3'."""
+Examples: 'D:1', 'frobenius:1', 'T*E:1+D:2', '(T+1)*E:1', 'G:3'."""
+
+
+def _split_terms(spec: str) -> list:
+    """``spec`` split on the '+' signs outside parentheses."""
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(spec):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == "+" and depth == 0:
+            terms.append(spec[start:i])
+            start = i + 1
+    if depth:
+        raise DomainError(f"unbalanced parentheses in function spec {spec!r}")
+    return terms + [spec[start:]]
 
 
 def parse_func(cfg: FieldConfig, spec: str) -> LinearFunc:
     terms = []
-    for raw in spec.split("+"):
+    for raw in _split_terms(spec):
         raw = raw.strip()
         scalar = None
         if "*" in raw:
             head, _, raw = raw.rpartition("*")
+            head = head.strip()
+            if head.startswith("(") and head.endswith(")"):
+                head = head[1:-1]
             scalar = parse_poly(cfg, head)
         name, _, idx = raw.partition(":")
         builders = {

@@ -55,6 +55,47 @@ def test_modulus_for_prime_field_rejected():
         FieldConfig(3, modulus=(1, 1))
 
 
+def test_equal_configs_hash_once_and_share_caches():
+    # Configs built separately but equal are one lru_cache key; another
+    # irreducible modulus for the same q is another field and another key.
+    from carlitzbases import bracket
+    a, b = FieldConfig(2, 3, (1, 1, 0, 1)), FieldConfig(2, 3)
+    other = FieldConfig(2, 3, (1, 0, 1, 1))
+    assert a is not b and a == b and hash(a) == hash(b) and a == a
+    assert other != a and a != other
+    value = bracket(a, 1)
+    hits = bracket.cache_info().hits
+    assert bracket(b, 1) is value
+    assert bracket.cache_info().hits == hits + 1
+    assert bracket(other, 1) is not value
+    assert Poly(a, (1, 2)) == Poly(b, (1, 2)) != Poly(other, (1, 2))
+    assert len({Poly(a, (1, 2)), Poly(b, (1, 2))}) == 1
+
+
+@pytest.mark.parametrize("q,p,e,modulus", [(32, 2, 5, (1, 0, 1, 0, 0, 1)),
+                                           (49, 7, 2, (1, 0, 1))])
+def test_default_modulus_searched_when_none_shipped(q, p, e, modulus):
+    # The first irreducible monic modulus in code order (constant term
+    # fastest): every earlier code is reducible, and the field built on it
+    # inverts every nonzero element.
+    assert q not in algebra.DEFAULT_MODULI
+    cfg = FieldConfig(p, e)
+    assert cfg.q == q and cfg.modulus == modulus
+    assert algebra._is_irreducible(modulus, p)
+    code = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
+    assert not any(algebra._is_irreducible(algebra._monic(k, e, p), p)
+                   for k in range(code))
+    assert all(cfg.mul(a, cfg.inv(a)) == 1 for a in range(1, q))
+
+
+def test_shipped_moduli_kept():
+    # The search is only for a q with none shipped: for q = 25 it would pick
+    # u^2 + 2, not the shipped u^2 + u + 1, and change every q = 25 output.
+    for q, modulus in algebra.DEFAULT_MODULI.items():
+        p = min(d for d in range(2, q + 1) if q % d == 0)
+        assert FieldConfig(p, len(modulus) - 1).modulus == modulus
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
 def test_field_axioms_exhaustive(p, e):
     cfg = FieldConfig(p, e)
@@ -303,11 +344,17 @@ def test_mul_truncation_edges(f2):
 _MUL_FIELDS = {q: FieldConfig(*pe) for q, pe in FIELDS.items()}
 
 
-def _operand(cfg, data, v_min=-3, v_max=6):
+def _operand(cfg, data, v_min=-3, v_max=6, long=False):
     # A Poly, an exact series, or a truncated series whose window starts at
     # v_min..v_max, of any precision down to zero to precision (prec == v).
+    # Long operands have 16-300 coefficients, sparse or dense.
     kind = data.draw(st.sampled_from(("poly", "exact", "trunc")))
-    digits = data.draw(st.lists(st.integers(0, cfg.q - 1), max_size=12))
+    if long:
+        digits = _long_digits(cfg, data.draw(st.integers(16, 300)),
+                              data.draw(st.sampled_from((0.1, 0.3, 0.7, 1.0))),
+                              data.draw(st.integers(0, 2 ** 32)))
+    else:
+        digits = data.draw(st.lists(st.integers(0, cfg.q - 1), max_size=12))
     if kind == "poly":
         return Poly(cfg, digits)
     v = data.draw(st.integers(v_min, v_max))
@@ -327,6 +374,81 @@ def test_mul_matches_schoolbook(q, data):
         got, expected = x * y, schoolbook_mul(x, y)
         assert type(got) is type(expected)
         assert got == expected
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mul_long_operands_match_schoolbook(q, data):
+    # As above with one or both operands long, reaching both sides of the
+    # Kronecker crossover; the kernel itself must return exactly the first
+    # ``size`` coefficients.
+    long_a = data.draw(st.booleans())
+    cfg = _MUL_FIELDS[q]
+    a = _operand(cfg, data, long=long_a)
+    b = _operand(cfg, data, long=not long_a or data.draw(st.booleans()))
+    for x, y in ((a, b), (b, a)):
+        got, expected = x * y, schoolbook_mul(x, y)
+        assert type(got) is type(expected)
+        assert got == expected
+    full = schoolbook_mul(Poly(cfg, a.coeffs), Poly(cfg, b.coeffs))
+    size = data.draw(st.integers(0, len(a.coeffs) + len(b.coeffs)))
+    assert algebra._mul(cfg, a.coeffs, b.coeffs, size) == \
+        [full.coeff(i) for i in range(size)]
+
+
+def _long_digits(cfg, length, density, seed):
+    # ``length`` coefficients, each nonzero with probability ``density``.
+    rng = random.Random(seed)
+    return [rng.randrange(1, cfg.q) if rng.random() < density else 0
+            for _ in range(length)]
+
+
+def _kernel_widths(monkeypatch):
+    # The slot width of every pack call the kernel makes.
+    widths = []
+    packer = algebra.pack
+    monkeypatch.setattr(algebra, "pack",
+                        lambda cfg, coeffs, width: widths.append(width)
+                        or packer(cfg, coeffs, width))
+    return widths
+
+
+@pytest.mark.parametrize("q,shorter,longer,width", [
+    # q = 2: slot bound = shorter length, 8 -> 16 bits from 256 on.
+    (2, 255, 255, 8), (2, 256, 256, 16), (2, 255, 600, 8),
+    # q = 9: slot bound = shorter length * e * (p - 1)**2 = 8 * length.
+    (9, 31, 300, 8), (9, 32, 300, 16),
+    # q = 8: slot bound = shorter length * e * (p - 1)**2 = 3 * length.
+    (8, 85, 300, 8), (8, 86, 300, 16),
+])
+def test_kronecker_mul_at_slot_width_steps(monkeypatch, q, shorter, longer, width):
+    # All-(q-1) factors fill the middle slots to exactly the slot bound; the
+    # width follows the shorter factor, and the product, full or truncated
+    # inside the shorter factor or past it, equals schoolbook's.
+    cfg = _MUL_FIELDS[q]
+    widths = _kernel_widths(monkeypatch)
+    a = Poly(cfg, [q - 1] * shorter)
+    b = Poly(cfg, [q - 1] * longer)
+    expected = schoolbook_mul(a, b)
+    assert a * b == expected and b * a == expected
+    assert widths == [width] * 4
+    for prec in (shorter // 2, shorter + longer // 2):
+        got = a.to_series(prec) * b.to_series()
+        assert got == schoolbook_mul(a.to_series(prec), b.to_series())
+        assert algebra._mul(cfg, a.coeffs, b.coeffs, prec) == \
+            [expected.coeff(i) for i in range(prec)]
+
+
+def test_mul_dispatch_takes_each_path(monkeypatch):
+    # Dense long products are packed; sparse ones of the same lengths, as in
+    # the q = 8 addition suite, stay schoolbook.
+    widths = _kernel_widths(monkeypatch)
+    f2, f8 = _MUL_FIELDS[2], _MUL_FIELDS[8]
+    a, b = (Poly(f2, _long_digits(f2, 128, 1.0, seed)) for seed in (1, 2))
+    assert a * b == schoolbook_mul(a, b) and widths
+    widths.clear()
+    a, b = (Poly(f8, _long_digits(f8, 128, 0.15, seed)) for seed in (3, 4))
+    assert a * b == schoolbook_mul(a, b) and not widths
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())

@@ -47,6 +47,35 @@ def test_parse_func_unknown_name(f2):
         parse_func(f2, "mystery:3")
 
 
+@pytest.mark.parametrize("spec,same_as", [
+    ("(T+1)*E:1", "T*E:1+E:1"),
+    ("(T)*E:1+D:2", "T*E:1+D:2"),
+    ("D:2+(T^2+1)*E:1", "D:2+T^2*E:1+E:1"),
+])
+def test_expand_parenthesised_scalar(capsys, spec, same_as):
+    # '+' inside parentheses belongs to the scalar, not the term list.
+    runs = []
+    for f in (spec, same_as):
+        code, out, err = run_cli(capsys, "--q", "2", "expand", "--f", f,
+                                 "--basis", "E", "--terms", "3")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc.pop("function") == f
+        runs.append(doc)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("spec", ["(T+1*E:1", "T+1)*E:1", "(T+1))*E:1", "((T)*E:1"])
+def test_expand_unbalanced_parentheses_exit_two(capsys, spec):
+    code, out, err = run_cli(capsys, "--q", "2", "expand", "--f", spec,
+                             "--basis", "E", "--terms", "3")
+    assert code == 2
+    assert out == "" and "unbalanced parentheses" in err
+    from carlitzbases import DomainError
+    with pytest.raises(DomainError):
+        parse_func(FieldConfig(2), spec)
+
+
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------
@@ -260,6 +289,18 @@ def test_info(capsys):
     doc = json.loads(out)
     assert doc["q"] == 4 and doc["p"] == 2 and doc["e"] == 2
     assert doc["modulus"] is not None
+
+
+@pytest.mark.parametrize("q,p,e", [(32, 2, 5), (49, 7, 2)])
+def test_info_without_shipped_modulus(capsys, q, p, e):
+    # No modulus ships for these q: the first irreducible one is found.
+    from carlitzbases.algebra import _is_irreducible
+    code, out, err = run_cli(capsys, "--q", str(q), "info")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["q"], doc["p"], doc["e"]) == (q, p, e)
+    assert len(doc["modulus"]) == e + 1 and doc["modulus"][-1] == 1
+    assert _is_irreducible(tuple(doc["modulus"]), p)
 
 
 def test_q_shorthand_rejects_non_prime_power(capsys):
