@@ -12,6 +12,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, NamedTuple, Union
 
 
@@ -361,6 +362,26 @@ def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
     return bytes(res).rstrip(b"\0")
 
 
+def packed_sums(cfg: FieldConfig, rows, cols):
+    """For each row in ``rows`` and col in ``cols``, row-major, the
+    coefficient codes (``unpack``) of sum_m row[m] * col[m], where every
+    row[m] and col[m] is a coefficient sequence.
+
+    Every sequence is packed once, at the width ``slot_width`` gives for
+    len(row) terms whose shorter factor is at most the lesser of the
+    longest row entry and the longest col entry; each sum is then a sum
+    of integer products, unpacked once.  Sums are formed as they are
+    read.
+    """
+    length = min(max(map(len, chain.from_iterable(t))) for t in (rows, cols))
+    width = slot_width(cfg, len(rows[0]), length)
+    rows = [[pack(cfg, c, width) for c in row] for row in rows]
+    cols = [[pack(cfg, c, width) for c in col] for col in cols]
+    for row in rows:
+        for col in cols:
+            yield unpack(cfg, sum(map(mul, row, col)), width)
+
+
 # A product goes through pack/unpack when its schoolbook work, the nonzero
 # coefficients of the shorter factor times the longer factor's length
 # (the schoolbook loop skips zero rows), exceeds this constant times the
@@ -426,11 +447,14 @@ class Poly:
     __slots__ = ("cfg", "coeffs")
 
     def __init__(self, cfg: FieldConfig, coeffs: Iterable[int] = ()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = tuple(coeffs)
+        if coeffs and not coeffs[-1]:
+            end = len(coeffs) - 1
+            while end and not coeffs[end - 1]:
+                end -= 1
+            coeffs = coeffs[:end]
         self.cfg = cfg
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @classmethod
     def zero(cls, cfg):
@@ -673,19 +697,23 @@ class TruncSeries:
     __slots__ = ("cfg", "v", "coeffs", "prec")
 
     def __init__(self, cfg: FieldConfig, v: int, coeffs: Iterable[int], prec):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if prec != EXACT:
             prec = int(prec)
             if len(coeffs) > prec - v:
                 coeffs = coeffs[:max(prec - v, 0)]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            v += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        if coeffs and not (coeffs[0] and coeffs[-1]):
+            # The nonzero window coeffs[start:end].
+            start, end = 0, len(coeffs)
+            while start < end and not coeffs[start]:
+                start += 1
+            while end > start and not coeffs[end - 1]:
+                end -= 1
+            v += start
+            coeffs = coeffs[start:end]
         self.cfg = cfg
         self.v = v if coeffs else 0
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
         self.prec = prec
 
     @classmethod

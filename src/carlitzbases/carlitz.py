@@ -206,24 +206,40 @@ def eval_G(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
     """
     if isinstance(x, Poly):
         return _eval_G_poly(cfg, j, x, primed)
-    return _digit_product(cfg, j, x, primed, lambda n, y: eval_E(cfg, n, y))
+    return _digit_product(cfg, j, x, primed, eval_E)
 
 
 @lru_cache(maxsize=None)
 def _eval_G_poly(cfg: FieldConfig, j: int, x: Poly, primed: bool) -> Poly:
-    return _digit_product(cfg, j, x, primed, lambda n, y: eval_E(cfg, n, y))
+    return _digit_product(cfg, j, x, primed, eval_E, _eval_G_poly)
 
 
-def _digit_product(cfg, j, x, primed, base_fn):
-    out = None
-    for n, a in enumerate(DigitIndex.of(j, cfg.q).digits):
-        if a == 0:
-            continue
-        factor = base_fn(n, x) ** a
-        if primed and a == cfg.q - 1:
-            factor = factor - Poly.one(cfg)
-        out = factor if out is None else out * factor
-    if out is None:
+def _digit_product(cfg, j, x, primed, base, cached=None):
+    """prod base(cfg, n, x)**a_n over the base-q digits a_n of j, primed as
+    in ``eval_G``, in prefix form F_j = F_{j - a q**t} * F_{a q**t}: a is
+    the top digit of j, at position t, and the one-digit value F_{a q**t}
+    is the digit power base(cfg, t, x)**a, less 1 for a primed maximal
+    digit.  The factors multiply from the lowest digit up,
+    ((F_{a_0} * F_{a_1 q}) * F_{a_2 q**2}) ..., one product per digit past
+    the first.
+
+    ``cached`` (the evaluator's cache, for a Poly x) supplies both factors,
+    so each index costs one product and each digit power is formed once
+    per point; without it (a series x) both are formed again.
+    """
+    if j == 0:
         one = Poly.one(cfg)
         return one if isinstance(x, Poly) else one.to_series()
-    return out
+    if cached is None:
+        def cached(cfg, k, x, primed):
+            return _digit_product(cfg, k, x, primed, base)
+    q, t, unit = cfg.q, 0, 1
+    while unit * q <= j:
+        t, unit = t + 1, unit * q
+    a, rest = divmod(j, unit)
+    if rest:
+        return cached(cfg, rest, x, primed) * cached(cfg, j - rest, x, primed)
+    if not primed:
+        return base(cfg, t, x) ** a
+    power = cached(cfg, j, x, False)
+    return power - Poly.one(cfg) if a == q - 1 else power

@@ -114,15 +114,19 @@ def _split_terms(spec: str) -> list:
 
 def parse_func(cfg: FieldConfig, spec: str) -> LinearFunc:
     terms = []
-    for raw in _split_terms(spec):
-        raw = raw.strip()
+    for term in _split_terms(spec):
+        raw = term.strip()
         scalar = None
         if "*" in raw:
             head, _, raw = raw.rpartition("*")
             head = head.strip()
             if head.startswith("(") and head.endswith(")"):
                 head = head[1:-1]
-            scalar = parse_poly(cfg, head)
+            try:
+                scalar = parse_poly(cfg, head)
+            except ValueError:
+                raise DomainError(f"cannot read the scalar of term {term!r}; "
+                                  f"{FUNC_GRAMMAR}") from None
         name, _, idx = raw.partition(":")
         builders = {
             "identity": lambda i: identity_func(cfg),
@@ -135,7 +139,12 @@ def parse_func(cfg: FieldConfig, spec: str) -> LinearFunc:
         }
         if name not in builders:
             raise DomainError(f"unknown function name {name!r}; {FUNC_GRAMMAR}")
-        f = builders[name](int(idx) if idx else 0)
+        try:
+            index = int(idx) if idx else 0
+        except ValueError:
+            raise DomainError(f"cannot read the index of term {term!r}; "
+                              f"{FUNC_GRAMMAR}") from None
+        f = builders[name](index)
         if scalar is not None:
             f = scale_func(scalar, f)
         terms.append(f)

@@ -58,14 +58,12 @@ def eval_D(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
     """
     if isinstance(x, Poly):
         return _eval_D_poly(cfg, j, x, primed)
-    return _digit_product(cfg, j, x, primed,
-                          lambda n, y: hasse_derivative(cfg, n, y))
+    return _digit_product(cfg, j, x, primed, hasse_derivative)
 
 
 @lru_cache(maxsize=None)
 def _eval_D_poly(cfg: FieldConfig, j: int, x: Poly, primed: bool) -> Poly:
-    return _digit_product(cfg, j, x, primed,
-                          lambda n, y: hasse_derivative(cfg, n, y))
+    return _digit_product(cfg, j, x, primed, hasse_derivative, _eval_D_poly)
 
 
 def powered_D(cfg: FieldConfig, n: int, m: int, x: Value) -> Value:

@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
-from operator import mul
+from itertools import product
 from typing import List, Optional
 
 from .algebra import (
@@ -19,11 +18,9 @@ from .algebra import (
     FieldConfig,
     Poly,
     lucas_binom,
-    pack,
+    packed_sums,
     poly_enumerate,
     random_poly,
-    slot_width,
-    unpack,
     valuation_norm,
     values_match,
 )
@@ -127,8 +124,8 @@ def _gram_entries(cfg, family, variant, n, ks, ls, budget):
     row-major, as one Gram product over the enumerated m.
 
     Every F_k(m) and F'_l(m) is evaluated once and packed once
-    (``algebra.pack``); each entry is then one sum of integer products,
-    unpacked once.
+    (``algebra.packed_sums``); each entry is then one sum of integer
+    products, unpacked once.
     """
     if family == "CARLITZ":
         f = eval_G
@@ -141,13 +138,8 @@ def _gram_entries(cfg, family, variant, n, ks, ls, budget):
     polys = poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
     rows = [[f(cfg, k, m).coeffs for m in polys] for k in ks]
     cols = [[f(cfg, l, m, primed=True).coeffs for m in polys] for l in ls]
-    length = min(max(map(len, chain.from_iterable(t))) for t in (rows, cols))
-    width = slot_width(cfg, len(polys), length)
-    rows = [[pack(cfg, c, width) for c in row] for row in rows]
-    cols = [[pack(cfg, c, width) for c in col] for col in cols]
-    for k, row in zip(ks, rows):
-        for l, col in zip(ls, cols):
-            yield k, l, Poly(cfg, unpack(cfg, sum(map(mul, row, col)), width))
+    for (k, l), codes in zip(product(ks, ls), packed_sums(cfg, rows, cols)):
+        yield k, l, Poly(cfg, codes)
 
 
 def _orthogonality_expected(cfg, n, k, l):

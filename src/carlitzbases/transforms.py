@@ -3,8 +3,8 @@
 Functions are represented by evaluators that accept exact polynomials
 (and usually truncated series as well).  Each value has one production
 path here; the textbook formulas behind them (triangular solves, literal
-operator iteration, the subset sums of the Voloch matrix) are the test
-suite's oracles, not second paths.  The inverse matrix B and the
+operator iteration, the subset sums of the Voloch matrix, the per-pair
+enumeration sums) are the test suite's oracles, not second paths.  The inverse matrix B and the
 powered-D coefficients are derived from the D-basis coefficients of
 ``digit_coeffs_linear`` (B column by column from E_n, the powered ones by
 the binomial transform with the ``convert_powered`` weights), so the
@@ -20,6 +20,7 @@ from itertools import islice
 from typing import Callable, List, Optional
 
 from .algebra import (
+    EXACT,
     DomainError,
     FieldConfig,
     Poly,
@@ -27,6 +28,7 @@ from .algebra import (
     TruncSeries,
     Value,
     lucas_binom,
+    packed_sums,
     poly_enumerate,
     _spread,
     valuation_norm,
@@ -369,6 +371,16 @@ def digit_coeffs(f: Callable[[Poly], Value], J: int, cfg: FieldConfig,
 
 
 def _enumeration_coeffs(f, J, cfg, level, budget, basis, primed_eval):
+    """coeff_j = (-1)**n * sum over deg(m) < n of w_j(m) f(m), where
+    w_j = primed_eval(q**n - 1 - j, .), as one packed sum per index.
+
+    Every f(m) and every w_j(m) is packed once (``algebra.packed_sums``);
+    each coefficient is one sum of integer products, unpacked once.  Series
+    values are packed from a common valuation v, and a coefficient is a
+    series when any f(m) is one, with the precision of the per-pair sum:
+    the least prec(f(m)) + v(w_j(m)) over the truncated f(m) and nonzero
+    w_j(m).
+    """
     _check_terms(J)
     n = default_level(cfg, J) if level is None else level
     if cfg.q ** n < J:
@@ -376,14 +388,24 @@ def _enumeration_coeffs(f, J, cfg, level, budget, basis, primed_eval):
     polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
     sign = cfg.sign(n)
     fvals = [f(mp) for mp in polys]
+    series = any(isinstance(x, TruncSeries) for x in fvals)
+    starts = [x.v if isinstance(x, TruncSeries) else 0 for x in fvals]
+    v = min((s for s, x in zip(starts, fvals) if x.coeffs), default=0)
+    fcoeffs = [(0,) * (s - v) + x.coeffs if x.coeffs else ()
+               for s, x in zip(starts, fvals)]
+    wvals = [[primed_eval(cfg.q ** n - 1 - j, mp) for mp in polys]
+             for j in range(J)]
+    sums = packed_sums(cfg, [[w.coeffs for w in row] for row in wvals], [fcoeffs])
     coeffs = []
-    for j in range(J):
-        acc = None
-        for mp, fm in zip(polys, fvals):
-            w = primed_eval(cfg.q ** n - 1 - j, mp)
-            term = w * fm
-            acc = term if acc is None else acc + term
-        coeffs.append(acc.scalar_mul(sign))
+    for row, digits in zip(wvals, sums):
+        if series:
+            prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
+                        if isinstance(x, TruncSeries) and not w.is_zero),
+                       default=EXACT)
+            value = TruncSeries(cfg, v, digits, prec)
+        else:
+            value = Poly(cfg, digits)
+        coeffs.append(value.scalar_mul(sign))
     return BasisExpansion(cfg, basis, coeffs)
 
 

@@ -5,7 +5,9 @@ products by the full schoolbook double loop, sums, negation, scaling and
 Frobenius one digit at a time, the Voloch matrix by its
 defining subset sums, the E- and D-basis coefficients by triangular solve
 and by literal operator iteration, ((delta - [m] I)**n f)(x) by its
-closed double sum, and the orthogonality sums one (k, l) pair at a time.
+closed double sum, the orthogonality sums one (k, l) pair at a time, the
+digit products G_j and D_j one digit at a time, and the G- and D-basis
+enumeration coefficients one (j, m) pair at a time.
 The tests compare the production results with these.
 """
 from itertools import combinations, product
@@ -13,6 +15,7 @@ from typing import List
 
 from carlitzbases import (
     Basis,
+    DigitIndex,
     BasisExpansion,
     BasisMatrix,
     BudgetError,
@@ -36,6 +39,7 @@ from carlitzbases.identities import (
 from carlitzbases.transforms import (
     DEFAULT_BUDGET,
     LinearFunc,
+    default_level,
     delta,
     delta_minus,
 )
@@ -249,3 +253,45 @@ def orthogonality_suite_by_pairs(cfg, n: int, budget: int = DEFAULT_BUDGET,
                                        notes=[str(exc)])
             reports.append(report)
     return reports
+
+
+def digit_product_by_digits(cfg, j: int, x: Value, primed: bool, base) -> Value:
+    """prod base(cfg, n, x)**a_n over the base-q digits a_n of j, one digit
+    at a time from the lowest, each power formed afresh; a primed maximal
+    digit contributes base(cfg, n, x)**a_n - 1.  base is eval_E (G_j) or
+    hasse_derivative (D_j)."""
+    out = None
+    for n, a in enumerate(DigitIndex.of(j, cfg.q).digits):
+        if a == 0:
+            continue
+        factor = base(cfg, n, x) ** a
+        if primed and a == cfg.q - 1:
+            factor = factor - Poly.one(cfg)
+        out = factor if out is None else out * factor
+    if out is None:
+        one = Poly.one(cfg)
+        return one if isinstance(x, Poly) else one.to_series()
+    return out
+
+
+def enumeration_coeffs_by_pairs(f, J: int, cfg, basis: Basis, level=None,
+                                evaluate=None) -> BasisExpansion:
+    """carlitz_coeffs (basis G) or digit_coeffs (basis D) as one value
+    product and one addition per (j, m):
+
+    coeff_j = (-1)**n * sum over deg(m) < n of F'_{q**n - 1 - j}(m) f(m),
+    F = G or D; ``evaluate`` replaces eval_G or eval_D.
+    """
+    if evaluate is None:
+        evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
+    n = default_level(cfg, J) if level is None else level
+    polys = poly_enumerate(cfg, n, "deg_lt")
+    fvals = [f(m) for m in polys]
+    coeffs = []
+    for j in range(J):
+        acc = None
+        for m, fm in zip(polys, fvals):
+            term = evaluate(cfg, cfg.q ** n - 1 - j, m, primed=True) * fm
+            acc = term if acc is None else acc + term
+        coeffs.append(acc.scalar_mul(cfg.sign(n)))
+    return BasisExpansion(cfg, basis, coeffs)

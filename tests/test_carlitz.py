@@ -1,4 +1,5 @@
-"""Carlitz tower: brackets, factorials, e_n, E_n, and the digit products G_j."""
+"""Carlitz tower: brackets, factorials, e_n, E_n, and the digit products G_j
+(and D_j, which shares their prefix-form evaluation)."""
 
 import random
 
@@ -21,7 +22,8 @@ from carlitzbases import (
     parse_poly,
 )
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
-from oracles import FIELDS
+from carlitzbases.hasse import eval_D, hasse_derivative
+from oracles import FIELDS, digit_product_by_digits
 
 
 def brute_force_e(cfg, n, x):
@@ -333,3 +335,76 @@ def test_digit_product_products(monkeypatch, q):
                         power = power - Poly.one(cfg)
                     expected = schoolbook_mul(expected, power)
             assert got == expected
+
+
+def _digit_product_input(cfg, kind, rnd):
+    # A Poly, an exact series, or a truncated series of precision 3..24 (E_n
+    # and D_n for n <= 2 need precision > n).
+    if kind == "poly":
+        return random_poly(cfg, rnd, rnd.randrange(5))
+    if kind == "exact":
+        return random_poly(cfg, rnd, rnd.randrange(5)).to_series()
+    return random_series(cfg, rnd, rnd.randrange(3, 25))
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_digit_products_match_digit_oracle(q, data):
+    # The prefix form (cached on Poly, recursive on series) against the
+    # product taken one digit at a time: G_j, G'_j, D_j and D'_j for every
+    # j < q**3 (q**2 for q >= 8), values and precisions equal.
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    kind = data.draw(st.sampled_from(("poly", "exact", "trunc")))
+    x = _digit_product_input(cfg, kind, rnd)
+    evaluate, base = data.draw(st.sampled_from(((eval_G, eval_E),
+                                                (eval_D, hasse_derivative))))
+    primed = data.draw(st.booleans())
+    for j in range(q ** (2 if q >= 8 else 3)):
+        got = evaluate(cfg, j, x, primed=primed)
+        want = digit_product_by_digits(cfg, j, x, primed, base)
+        assert type(got) is type(want)
+        assert got == want
+
+
+def _clear_evaluator_caches():
+    from carlitzbases import carlitz, hasse
+    for cached in (carlitz._eval_E_poly, carlitz._eval_G_poly,
+                   hasse._hasse_poly, hasse._eval_D_poly):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
+@pytest.mark.parametrize("family", ["G", "D"])
+@pytest.mark.parametrize("order", [(False, True), (True, False)])
+def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order):
+    # From cold caches, F_k(x) and F'_k(x) for every k < q**n, in either
+    # order, cost one product per index with two or more nonzero digits,
+    # plus the binary powers base_t(x)**a of each one-digit index a q**t,
+    # formed once per point for both.  Every E_t(x) and D_t(x), t < n, is
+    # nonconstant, so no product meets a zero: E_t(x) has degree
+    # q**t (deg x - t) for deg x = n, and D_t(x) the top term
+    # C(q**n - 1, t) T**(q**n - 1 - t), nonzero by Lucas, for deg x = q**n - 1.
+    from carlitzbases import algebra
+
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(q * n)
+    degree = n if family == "G" else q ** n - 1
+    x = random_poly(cfg, rnd, degree - 1) + Poly.monomial(cfg, degree)
+    evaluate = eval_G if family == "G" else eval_D
+    _clear_evaluator_caches()
+    calls = []
+    kernel = algebra._mul
+    monkeypatch.setattr(algebra, "_mul",
+                        lambda *args: calls.append(1) or kernel(*args))
+    values = {primed: [evaluate(cfg, k, x, primed=primed) for k in range(q ** n)]
+              for primed in order}
+    prefixed = sum(1 for k in range(q ** n)
+                   if sum(map(bool, DigitIndex.of(k, q).digits)) >= 2)
+    powers = n * sum(a.bit_length() + bin(a).count("1") - 2 for a in range(1, q))
+    assert len(calls) == 2 * prefixed + powers
+    monkeypatch.undo()
+    base = eval_E if family == "G" else hasse_derivative
+    for primed in order:
+        assert values[primed] == [digit_product_by_digits(cfg, k, x, primed, base)
+                                  for k in range(q ** n)]

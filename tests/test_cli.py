@@ -6,7 +6,7 @@ import pytest
 
 from carlitzbases import FieldConfig, Poly, bracket, parse_poly
 from carlitzbases.algebra import random_poly, values_match
-from carlitzbases.cli import RunConfig, main, parse_func
+from carlitzbases.cli import FUNC_GRAMMAR, RunConfig, main, parse_func
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +74,24 @@ def test_expand_unbalanced_parentheses_exit_two(capsys, spec):
     from carlitzbases import DomainError
     with pytest.raises(DomainError):
         parse_func(FieldConfig(2), spec)
+
+
+@pytest.mark.parametrize("spec,term", [
+    ("2*(T+1)*E:1", "2*(T+1)*E:1"),
+    ("(T+1)*(T)*E:1", "(T+1)*(T)*E:1"),
+    ("E:abc", "E:abc"),
+])
+def test_expand_unreadable_term_exit_two(capsys, spec, term):
+    # A scalar or index the grammar cannot read is named with the grammar,
+    # not with Python's int() message.
+    code, out, err = run_cli(capsys, "--q", "3", "expand", "--f", spec,
+                             "--basis", "E", "--terms", "2")
+    assert code == 2 and out == ""
+    assert repr(term) in err and FUNC_GRAMMAR in err
+    assert "int()" not in err
+    from carlitzbases import DomainError
+    with pytest.raises(DomainError):
+        parse_func(FieldConfig(3), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,9 @@ def test_hasse_series_precision_contract(f2):
 def test_hasse_series_window_below_n(q, rng):
     # A window starting at 0 < v < n, whose digits below T^n vanish, and
     # the precision edge prec = n + 1 (one known digit out): D_n(x) equals
-    # the sum of a_i D_n(T^i) to precision prec - n.
+    # the sum of a_i D_n(T^i) to precision prec - n.  The same window given
+    # with leading zeros and with digits past prec (trailing zeros when
+    # exact) is the same series.
     cfg = FieldConfig(*FIELDS[q])
     for n in range(2, 7):
         for v in range(1, n):
@@ -118,10 +120,14 @@ def test_hasse_series_window_below_n(q, rng):
                 digits = [rng.randrange(1, q)] + [rng.randrange(q)
                                                   for _ in range(v + 1, top)]
                 x = TruncSeries(cfg, v, digits, prec)
+                tail = [0, 0] if prec == EXACT else [rng.randrange(1, q), 0]
+                padded = TruncSeries(cfg, v - 2, [0, 0] + digits + tail, prec)
+                assert padded == x and padded.v == v
                 expected = Poly.zero(cfg)
                 for i, a in enumerate(digits, v):
                     expected = expected + hasse_on_monomial(cfg, n, i).scalar_mul(a)
-                assert hasse_derivative(cfg, n, x) == expected.to_series(prec - n)
+                for y in (x, padded):
+                    assert hasse_derivative(cfg, n, y) == expected.to_series(prec - n)
 
 
 # ---------------------------------------------------------------------------

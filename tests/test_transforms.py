@@ -1,9 +1,12 @@
 """Difference calculus, coefficient recovery, basis matrices, synthesis."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlitzbases import (
     Basis,
@@ -33,7 +36,8 @@ from carlitzbases import (
     voloch_matrix,
     wagner_coeffs,
 )
-from carlitzbases.algebra import poly_enumerate, random_poly, values_match
+from carlitzbases import algebra, transforms
+from carlitzbases.algebra import EXACT, poly_enumerate, random_poly, values_match
 from carlitzbases.transforms import (
     D_func,
     Dj_func,
@@ -52,6 +56,7 @@ from oracles import (
     FIELDS,
     delta_minus_power_at,
     digit_coeffs_linear_by_iteration,
+    enumeration_coeffs_by_pairs,
     powered_digit_coeffs_by_iteration,
     voloch_matrix_by_subsets,
     wagner_coeffs_by_solve,
@@ -241,6 +246,93 @@ def test_level_independence(q):
 def test_level_too_small_is_domain_error(f2):
     with pytest.raises(DomainError):
         carlitz_coeffs(G_func(f2, 1), 5, f2, level=2)
+
+
+def _enumeration_value(cfg, kind, rnd):
+    # One f(m): a Poly (zero included), an exact series, or a truncated
+    # series of valuation -3..3 and any precision down to zero to precision.
+    digits = [rnd.randrange(cfg.q) for _ in range(rnd.randrange(8))]
+    if kind == "poly":
+        return Poly(cfg, digits)
+    if kind == "zero":
+        return Poly.zero(cfg)
+    v = rnd.randrange(-3, 4)
+    if kind == "exact":
+        return TruncSeries(cfg, v, digits, EXACT)
+    return TruncSeries(cfg, v, digits, v + rnd.randrange(len(digits) + 4))
+
+
+def _assert_same_expansion(got, want):
+    assert got.to_json() == want.to_json()
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert ([getattr(c, "prec", None) for c in got.coeffs]
+            == [getattr(c, "prec", None) for c in want.coeffs])
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_enumeration_coeffs_match_per_pair_sums(q, data):
+    # The packed sum per index against one product and one addition per
+    # (j, m): Poly, series (negative valuations, mixed and exact
+    # precisions) and zero values; J = 1, J = q**n, and levels above the
+    # default.
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    n = data.draw(st.integers(0, max(k for k in range(6) if q ** k <= 32)))
+    J = data.draw(st.sampled_from((1, q ** n, rnd.randrange(1, q ** n + 1))))
+    level = data.draw(st.sampled_from(
+        (None, n, n + 1) if q ** (n + 1) <= 81 else (None, n)))
+    kinds = data.draw(st.sampled_from((("poly",), ("poly", "zero"),
+                                       ("trunc", "exact", "zero"),
+                                       ("poly", "trunc", "exact", "zero"))))
+    table = {}
+
+    def f(m):
+        return table.setdefault(m.coeffs, _enumeration_value(
+            cfg, rnd.choice(kinds), rnd))
+    basis = data.draw(st.sampled_from((Basis.CARLITZ_G, Basis.DIGIT_D)))
+    analyze = carlitz_coeffs if basis is Basis.CARLITZ_G else digit_coeffs
+    got = analyze(f, J, cfg, level=level)
+    _assert_same_expansion(got, enumeration_coeffs_by_pairs(f, J, cfg, basis, level))
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@pytest.mark.parametrize("shorter", ["f", "w"])
+def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
+    # All-(q-1) values, the shorter side as long as the 8-bit slot can just
+    # hold (the longer side past that) and then one longer: the width must
+    # follow the shorter side, 8 and then 16 bits, or a slot carries.  The
+    # longer side is one digit short at m = 0, so the sums are not zero,
+    # and w's length depends on its index q - 1 - j.
+    cfg = FieldConfig(*FIELDS[q])
+    per_digit = q * cfg.e * (cfg.p - 1) ** 2  # slot bound per unit length, n = 1
+    for width, low in ((8, 255 // per_digit), (16, 255 // per_digit + 1)):
+        lengths = {shorter: low, "w" if shorter == "f" else "f": low + 9}
+
+        def full(length):
+            return Poly(cfg, [q - 1] * length)
+
+        def cut(side, m):
+            return int(side != shorter and m.is_zero)
+
+        def w(cfg, idx, m, primed=False):
+            return full(lengths["w"] - (idx != q - 1) - cut("w", m))
+
+        def f(m):
+            return full(lengths["f"] - cut("f", m))
+        widths = []
+        packer = algebra.pack
+        monkeypatch.setattr(transforms, "eval_G", w)
+        monkeypatch.setattr(algebra, "pack",
+                            lambda cfg, coeffs, width: widths.append(width)
+                            or packer(cfg, coeffs, width))
+        got = carlitz_coeffs(f, 2, cfg, level=1)
+        assert set(widths) == {width}
+        monkeypatch.undo()
+        want = enumeration_coeffs_by_pairs(f, 2, cfg, Basis.CARLITZ_G, 1,
+                                           evaluate=w)
+        _assert_same_expansion(got, want)
+        assert not any(c.is_zero for c in want.coeffs)
 
 
 # ---------------------------------------------------------------------------
