@@ -59,34 +59,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _fp_poly_mul(a: tuple, b: tuple, p: int) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fp_poly_mod(a: list, m: tuple, p: int) -> list:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def _monic(code: int, d: int, p: int) -> tuple:
     """The monic polynomial of degree d over F_p whose lower coefficients
     are the base-p digits of ``code``, constant term first."""
@@ -95,10 +67,11 @@ def _monic(code: int, d: int, p: int) -> tuple:
 
 def _is_irreducible(m: tuple, p: int) -> bool:
     """Whether ``m`` (degree e >= 1) has no monic factor of degree 1..e//2
-    over F_p, by trial division."""
-    e = len(m) - 1
-    return all(_fp_poly_mod(list(m), _monic(code, d, p), p)
-               for d in range(1, e // 2 + 1) for code in range(p ** d))
+    over F_p, by trial division in F_p[u]."""
+    fp = FieldConfig(p)
+    m = Poly(fp, m)
+    return all(m.divmod(Poly(fp, _monic(code, d, p)))[1].coeffs
+               for d in range(1, m.degree // 2 + 1) for code in range(p ** d))
 
 
 def _first_irreducible(p: int, e: int) -> tuple:
@@ -154,35 +127,27 @@ class FieldConfig:
              for b in range(q)]
             for a in range(q)
         ]
+        self.neg_table = [pack(tuple((-x) % p for x in digits(a))) for a in range(q)]
         if e == 1:
             self.mul_table = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            self.mul_table = []
-            for a in range(q):
-                row = []
-                for b in range(q):
-                    prod = _fp_poly_mul(digits(a), digits(b), p)
-                    red = _fp_poly_mod(prod, self.modulus, p)
-                    row.append(pack(tuple(red) + (0,) * (e - len(red))))
-                self.mul_table.append(row)
-        self.neg_table = [pack(tuple((-x) % p for x in digits(a))) for a in range(q)]
-        if e > 1:
+            # Products and reductions in F_p[u], by Poly over the prime field.
+            fp = FieldConfig(p)
+            modulus = Poly(fp, self.modulus)
+
+            def reduced(poly):
+                return pack(poly.divmod(modulus)[1].coeffs)
+
+            elems = [Poly(fp, ds) for ds in self._digits]
+            self.mul_table = [[reduced(a * b) for b in elems] for a in elems]
             # For Kronecker packing (``pack``/``unpack`` below): each
             # element's digits followed by e - 1 empty sub-slots, and for
             # each base-p code h of the e - 1 high sub-slots of a product,
             # the code of u**e * (sum h_t u**t) mod the modulus.
             self.spread_table = [digits(c) + (0,) * (e - 1) for c in range(q)]
-            self.fold_table = []
-            for h in range(p ** (e - 1)):
-                high = [(h // p ** t) % p for t in range(e - 1)]
-                red = _fp_poly_mod([0] * e + high, self.modulus, p)
-                self.fold_table.append(pack(tuple(red) + (0,) * (e - len(red))))
-        self.inv_table = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    self.inv_table[a] = b
-                    break
+            self.fold_table = [reduced(Poly(fp, (0,) * e + digits(h)))
+                               for h in range(p ** (e - 1))]
+        self.inv_table = [None] + [row.index(1) for row in self.mul_table[1:]]
 
     # -- element arithmetic (int codes) ------------------------------------
 
@@ -221,9 +186,6 @@ class FieldConfig:
     def sign(self, n: int) -> int:
         """(-1)**n as a field element."""
         return 1 if n % 2 == 0 else self.neg_one
-
-    def elem_digits(self, a: int) -> tuple:
-        return self._digits[a]
 
     def elem_text(self, a: int) -> str:
         if self.e == 1:
@@ -289,6 +251,13 @@ def _spread(coeffs, s: int) -> list:
     out = [0] * ((len(coeffs) - 1) * s + 1)
     out[::s] = coeffs
     return out
+
+
+def _frobenius_stride(cfg: FieldConfig, m: int) -> int:
+    """q**m, the ``_spread`` stride of x -> x**(q**m), for m >= 0."""
+    if m < 0:
+        raise DomainError(f"Frobenius power must be non-negative, got {m}")
+    return cfg.q ** m
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +515,15 @@ class Poly:
             return Poly.zero(cfg), self
         quot = [0] * (dq + 1)
         inv_lead = cfg.inv(other.coeffs[-1])
+        add, mul = cfg.add_table, cfg.mul_table
+        neg_other = [cfg.neg_table[b] for b in other.coeffs]
         for shift in range(dq, -1, -1):
             lead = rem[shift + other.degree]
-            if lead == 0:
-                continue
-            factor = cfg.mul(lead, inv_lead)
-            quot[shift] = factor
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = cfg.sub(rem[shift + i], cfg.mul(factor, b))
+            if lead:
+                factor = quot[shift] = mul[lead][inv_lead]
+                row = mul[factor]
+                for i, b in enumerate(neg_other, shift):
+                    rem[i] = add[rem[i]][row[b]]
         return Poly(cfg, quot), Poly(cfg, rem)
 
     def exact_div(self, other: "Poly"):
@@ -565,7 +535,7 @@ class Poly:
 
     def frobenius(self, m: int = 1):
         """Raise to the q**m power: exponents scale by q**m, coefficients fixed."""
-        return Poly(self.cfg, _spread(self.coeffs, self.cfg.q ** m))
+        return Poly(self.cfg, _spread(self.coeffs, _frobenius_stride(self.cfg, m)))
 
     def to_series(self, prec=EXACT) -> "TruncSeries":
         return TruncSeries(self.cfg, 0, self.coeffs, prec)
@@ -725,10 +695,6 @@ class TruncSeries:
         return cls(cfg, k, (c,), prec)
 
     @property
-    def is_exact(self) -> bool:
-        return self.prec == EXACT
-
-    @property
     def is_zero_to_prec(self) -> bool:
         return not self.coeffs
 
@@ -769,9 +735,6 @@ class TruncSeries:
         b = (0,) * (other.v - lo) + other.coeffs
         return TruncSeries(cfg, lo, _add(cfg, a, b), prec)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return TruncSeries(self.cfg, self.v,
                            map(self.cfg.neg_table.__getitem__, self.coeffs), self.prec)
@@ -780,11 +743,6 @@ class TruncSeries:
         if isinstance(other, Poly):
             other = other.to_series()
         return self + (-other)
-
-    def __rsub__(self, other):
-        if isinstance(other, Poly):
-            return other.to_series() - self
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -801,9 +759,6 @@ class TruncSeries:
             size = max(min(size, prec - lo), 0)
         return TruncSeries(cfg, lo, _mul(cfg, self.coeffs, other.coeffs, size), prec)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative series power; use invert_unit")
@@ -818,7 +773,7 @@ class TruncSeries:
 
     def frobenius(self, m: int = 1) -> "TruncSeries":
         """Raise to the q**m power: exponent i maps to i*q**m, coefficients fixed."""
-        s = self.cfg.q ** m
+        s = _frobenius_stride(self.cfg, m)
         return TruncSeries(self.cfg, self.v * s, _spread(self.coeffs, s), self.prec * s)
 
     def invert_unit(self, prec=None) -> "TruncSeries":

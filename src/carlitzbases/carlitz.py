@@ -227,6 +227,8 @@ def _digit_product(cfg, j, x, primed, base, cached=None):
     so each index costs one product and each digit power is formed once
     per point; without it (a series x) both are formed again.
     """
+    if j < 0:
+        raise DomainError("digit index must be non-negative")
     if j == 0:
         one = Poly.one(cfg)
         return one if isinstance(x, Poly) else one.to_series()

@@ -360,7 +360,7 @@ def main(argv=None) -> int:
                         prec=args.prec, budget=args.budget, seed=args.seed,
                         format=args.format)
         return args.run(run, args)
-    except (DomainError, BudgetError, PrecisionError, ValueError) as exc:
+    except (DomainError, BudgetError, PrecisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

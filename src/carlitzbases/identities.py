@@ -171,19 +171,21 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
     if evaluate is None:
         raise DomainError(f"unknown family {family!r}")
     f = lambda y: evaluate(cfg, j, y, primed=primed)
+    # F_e(x) F'_{j-e}(u) for every e with a nonzero binomial weight; at
+    # j = q**m - 1 that is every e <= j, as the signed and x - u forms need.
+    products = {e: evaluate(cfg, e, x) * evaluate(cfg, j - e, u, primed=primed)
+                for e in range(j + 1) if lucas_binom(j, e, cfg.p)}
 
-    def convolution(a, b, weight):
+    def convolution(weight):
         acc = Poly.zero(cfg)
-        for e in range(j + 1):
+        for e, term in products.items():
             w = weight(e)
-            if w == 0:
-                continue
-            term = evaluate(cfg, e, a) * evaluate(cfg, j - e, b, primed=primed)
-            acc = acc + term.scalar_mul(w)
+            if w:
+                acc = acc + term.scalar_mul(w)
         return acc
 
     lhs = f(x + u)
-    rhs = convolution(x, u, lambda e: lucas_binom(j, e, cfg.p))
+    rhs = convolution(lambda e: lucas_binom(j, e, cfg.p))
     if not values_match(lhs, rhs):
         return _verdict("addition_law", config, False,
                         witness={"lhs": str(lhs), "rhs": str(rhs)})
@@ -195,12 +197,12 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
                             witness={"alpha": alpha, "lhs": str(left),
                                      "rhs": str(right)})
     if j > 0 and _is_q_power(j + 1, cfg.q):
-        signed = convolution(x, u, lambda e: cfg.sign(e))
+        signed = convolution(cfg.sign)
         if not values_match(lhs, signed):
             return _verdict("addition_sign_form", config, False,
                             witness={"lhs": str(lhs), "rhs": str(signed)})
         diff_lhs = f(x - u)
-        diff_rhs = convolution(x, u, lambda e: 1)
+        diff_rhs = convolution(lambda e: 1)
         if not values_match(diff_lhs, diff_rhs):
             return _verdict("addition_diff_form", config, False,
                             witness={"lhs": str(diff_lhs), "rhs": str(diff_rhs)})

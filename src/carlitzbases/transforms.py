@@ -12,7 +12,6 @@ closed sum b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n) is written once.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -217,16 +216,9 @@ class BasisMatrix:
 # ---------------------------------------------------------------------------
 
 def delta(f: LinearFunc) -> LinearFunc:
-    """The Carlitz difference operator: (delta f)(x) = f(Tx) - T f(x)."""
-    if not f.linear:
-        raise DomainError("the difference operator requires an F_q-linear function")
-    cfg = f.cfg
-    T = Poly.T(cfg)
-
-    def ev(x):
-        return f(T * x) - T * f(x)
-
-    return LinearFunc(cfg, ev, name=f"delta({f.name})")
+    """The Carlitz difference operator (delta f)(x) = f(Tx) - T f(x): the
+    first step of ``delta_upper``."""
+    return delta_upper(1, f)
 
 
 def delta_minus(f: LinearFunc, m: int) -> LinearFunc:
@@ -522,18 +514,17 @@ def convert_powered(cfg: FieldConfig, n: int, m: int, count: int,
 # Synthesis
 # ---------------------------------------------------------------------------
 
-def basis_function(cfg: FieldConfig, basis: Basis, j: int, m: int = 0):
-    if basis is Basis.CARLITZ_G:
-        return lambda x: eval_G(cfg, j, x)
-    if basis is Basis.LINEAR_E:
-        return lambda x: eval_E(cfg, j, x)
-    if basis is Basis.DIGIT_D:
-        return lambda x: eval_D(cfg, j, x)
-    if basis is Basis.LINEAR_D:
-        return lambda x: hasse_derivative(cfg, j, x)
-    if basis is Basis.POWERED_D:
-        return lambda x: powered_D(cfg, j, m, x)
-    raise DomainError(f"unknown basis {basis!r}")
+_BASIS_FUNCS = {Basis.CARLITZ_G: G_func, Basis.LINEAR_E: E_func,
+                Basis.DIGIT_D: Dj_func, Basis.LINEAR_D: D_func,
+                Basis.POWERED_D: powered_D_func}
+
+
+def basis_function(cfg: FieldConfig, basis: Basis, j: int, m: int = 0) -> LinearFunc:
+    """The j-th function of ``basis``; D_j**(q**m) for the powered-D basis."""
+    make = _BASIS_FUNCS.get(basis)
+    if make is None:
+        raise DomainError(f"unknown basis {basis!r}")
+    return make(cfg, j, m) if basis is Basis.POWERED_D else make(cfg, j)
 
 
 def synthesize(exp: BasisExpansion, x: Value):
@@ -556,7 +547,3 @@ def synthesize(exp: BasisExpansion, x: Value):
     if acc is None:
         acc = Poly.zero(cfg) if isinstance(x, Poly) else TruncSeries.zero(cfg)
     return acc, exp.tail_bound
-
-
-def expansion_to_json_text(exp: BasisExpansion) -> str:
-    return json.dumps(exp.to_json(), sort_keys=True, indent=2)

@@ -7,7 +7,8 @@ defining subset sums, the E- and D-basis coefficients by triangular solve
 and by literal operator iteration, ((delta - [m] I)**n f)(x) by its
 closed double sum, the orthogonality sums one (k, l) pair at a time, the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
-enumeration coefficients one (j, m) pair at a time.
+enumeration coefficients one (j, m) pair at a time, and the F_q tables
+and the modulus search by F_p digit-list arithmetic.
 The tests compare the production results with these.
 """
 from itertools import combinations, product
@@ -295,3 +296,77 @@ def enumeration_coeffs_by_pairs(f, J: int, cfg, basis: Basis, level=None,
             acc = term if acc is None else acc + term
         coeffs.append(acc.scalar_mul(cfg.sign(n)))
     return BasisExpansion(cfg, basis, coeffs)
+
+
+def _fp_poly_mul(a, b, p: int) -> list:
+    """The product of two F_p digit lists (constant term first), trimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _fp_poly_mod(a, m, p: int) -> list:
+    """The F_p digit list ``a`` reduced mod ``m``, trimmed."""
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    while len(a) - 1 >= dm and a:
+        if a[-1] == 0:
+            a.pop()
+            continue
+        factor = (a[-1] * inv_lead) % p
+        shift = len(a) - 1 - dm
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - factor * mi) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _monic_by_digits(code: int, d: int, p: int) -> tuple:
+    return tuple((code // p ** i) % p for i in range(d)) + (1,)
+
+
+def first_irreducible_by_digits(p: int, e: int) -> tuple:
+    """The first monic degree-e polynomial over F_p, lower coefficients
+    the base-p digits of 0, 1, 2, ..., with no monic factor of degree
+    1..e//2, by trial division on digit lists."""
+    for code in range(p ** e):
+        m = _monic_by_digits(code, e, p)
+        if all(_fp_poly_mod(m, _monic_by_digits(c, d, p), p)
+               for d in range(1, e // 2 + 1) for c in range(p ** d)):
+            return m
+    raise ValueError(f"no irreducible polynomial of degree {e} over F_{p}")
+
+
+def field_tables_by_digits(p: int, e: int, modulus) -> dict:
+    """FieldConfig's tables for F_{p**e} on ``modulus`` (e > 1), each entry
+    formed one digit list at a time: "add", "neg", "mul", "inv" by element
+    code, "spread" (digits and e - 1 empty sub-slots) and "fold" (the code
+    of u**e * h(u) mod the modulus, h the e - 1 digits of its index)."""
+    q = p ** e
+
+    def digits(c):
+        return [(c // p ** i) % p for i in range(e)]
+
+    def code(ds):
+        return sum(d * p ** i for i, d in enumerate(ds))
+
+    mul = [[code(_fp_poly_mod(_fp_poly_mul(digits(a), digits(b), p), modulus, p))
+            for b in range(q)] for a in range(q)]
+    return {
+        "add": [[code([(x + y) % p for x, y in zip(digits(a), digits(b))])
+                 for b in range(q)] for a in range(q)],
+        "neg": [code([-x % p for x in digits(a)]) for a in range(q)],
+        "mul": mul,
+        "inv": [None] + [next(b for b in range(1, q) if mul[a][b] == 1)
+                         for a in range(1, q)],
+        "spread": [tuple(digits(c)) + (0,) * (e - 1) for c in range(q)],
+        "fold": [code(_fp_poly_mod([0] * e + digits(h)[:e - 1], modulus, p))
+                 for h in range(p ** (e - 1))],
+    }

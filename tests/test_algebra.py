@@ -21,7 +21,14 @@ from carlitzbases import (
 )
 from carlitzbases import algebra
 from carlitzbases.algebra import pack, random_poly, random_series, slot_width, unpack
-from oracles import FIELDS, digitwise, frobenius_by_digits, schoolbook_mul
+from oracles import (
+    FIELDS,
+    digitwise,
+    field_tables_by_digits,
+    first_irreducible_by_digits,
+    frobenius_by_digits,
+    schoolbook_mul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +101,38 @@ def test_shipped_moduli_kept():
     for q, modulus in algebra.DEFAULT_MODULI.items():
         p = min(d for d in range(2, q + 1) if q % d == 0)
         assert FieldConfig(p, len(modulus) - 1).modulus == modulus
+
+
+def _table_fields():
+    """(p, e, modulus) of every shipped modulus and of the searched moduli
+    of q = 32 and 49."""
+    for q, modulus in algebra.DEFAULT_MODULI.items():
+        p = min(d for d in range(2, q + 1) if q % d == 0)
+        yield p, len(modulus) - 1, modulus
+    yield 2, 5, (1, 0, 1, 0, 0, 1)
+    yield 7, 2, (1, 0, 1)
+
+
+@pytest.mark.parametrize("p,e,modulus", list(_table_fields()))
+def test_field_tables_match_digit_oracle(p, e, modulus):
+    # The tables built with Poly over F_p equal the digit-list reference on
+    # every pair, and so do the Kronecker spread and fold tables.
+    cfg = FieldConfig(p, e)
+    assert cfg.modulus == modulus
+    ref = field_tables_by_digits(p, e, modulus)
+    assert cfg.add_table == ref["add"]
+    assert cfg.neg_table == ref["neg"]
+    assert cfg.mul_table == ref["mul"]
+    assert cfg.inv_table == ref["inv"]
+    assert cfg.spread_table == ref["spread"]
+    assert cfg.fold_table == ref["fold"]
+
+
+@pytest.mark.parametrize("p,e", [(2, 5), (7, 2), (2, 6), (3, 4)])
+def test_first_irreducible_matches_digit_oracle(p, e):
+    # q = 32, 49, 64, 81: the Poly trial division picks the same modulus
+    # as the digit-list search.
+    assert algebra._first_irreducible(p, e) == first_irreducible_by_digits(p, e)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
@@ -190,6 +229,14 @@ def test_poly_divmod_and_exact_div(f2):
 def test_poly_frobenius(f2):
     p = parse_poly(f2, "T^2+T")
     assert p.frobenius(1) == parse_poly(f2, "T^4+T^2")
+
+
+@pytest.mark.parametrize("m", [-1, -3])
+def test_negative_frobenius_power_is_domain_error(f2, m):
+    x = parse_poly(f2, "T^2+T")
+    for value in (x, x.to_series(8)):
+        with pytest.raises(DomainError, match="Frobenius power"):
+            value.frobenius(m)
 
 
 @given(st.integers(0, 1), st.data())

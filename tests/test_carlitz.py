@@ -301,6 +301,24 @@ def test_eval_G_series_matches_exact(f2, rng):
         assert approx.matches(exact)
 
 
+@pytest.mark.parametrize("evaluate", [eval_G, eval_D])
+def test_negative_digit_index_is_domain_error(monkeypatch, f3, evaluate):
+    # Polynomial and series inputs, primed or not: the index is refused
+    # before any product is formed.
+    from carlitzbases import algebra
+
+    calls = []
+    kernel = algebra._mul
+    monkeypatch.setattr(algebra, "_mul",
+                        lambda *args: calls.append(1) or kernel(*args))
+    x = parse_poly(f3, "T^2+2*T+1")
+    for value in (x, x.to_series(), x.to_series(12)):
+        for primed in (False, True):
+            with pytest.raises(DomainError, match="digit index must be non-negative"):
+                evaluate(f3, -1, value, primed=primed)
+    assert calls == []
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_digit_product_products(monkeypatch, q):
     # G_j multiplies its digit powers from the first factor on: with E_n

@@ -342,3 +342,27 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["kind"] == "matrix-inverse"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "--q", "2", "--out", str(target), "info")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("spec,basis,message", [
+    ("frobenius:-1", "D", "Frobenius power must be non-negative"),
+    ("frobenius:-1", "E", "Frobenius power must be non-negative"),
+    ("G:-1", "G", "digit index must be non-negative"),
+    ("Dj:-2", "D", "digit index must be non-negative"),
+])
+def test_negative_index_exits_two(capsys, spec, basis, message):
+    # Exit 2 (configuration error), not 1 (falsified), with one error line.
+    code, out, err = run_cli(capsys, "--q", "2", "expand", "--f", spec,
+                             "--basis", basis, "--terms", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

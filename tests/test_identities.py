@@ -224,6 +224,27 @@ def test_addition_law_top_digit_index(f3, rng):
         assert r.status == VERIFIED, r.witness
 
 
+@pytest.mark.parametrize("family", ["Gp", "Dp"])
+def test_addition_law_forms_each_product_once(monkeypatch, f3, family):
+    # Every F_e(x) F'_{j-e}(u) is formed once per check, also when the
+    # signed and x - u forms of j = q^m - 1 reuse it; the verdicts agree.
+    x, u = parse_poly(f3, "T^2+1"), parse_poly(f3, "2*T+2")
+    evaluate = eval_G if family == "Gp" else eval_D
+    calls = []
+
+    def counting(cfg, k, y, primed=False):
+        calls.append((k, y, primed))
+        return evaluate(cfg, k, y, primed=primed)
+
+    monkeypatch.setattr(identities, "eval_" + family[0], counting)
+    for j in (2, 5, 8):
+        calls.clear()
+        assert check_addition_law(f3, family, j, x, u).status == VERIFIED
+        weighted = [e for e in range(j + 1) if identities.lucas_binom(j, e, 3)]
+        assert [k for k, y, primed in calls if y == x and not primed] == weighted
+        assert [j - k for k, y, primed in calls if y == u] == weighted
+
+
 # ---------------------------------------------------------------------------
 # Linearity classification
 # ---------------------------------------------------------------------------

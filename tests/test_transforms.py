@@ -98,7 +98,8 @@ def test_delta_upper_examples(f2, rng):
     assert delta_upper(0, f)(Poly.T(f2)) == f(Poly.T(f2))
     # delta^(1) = delta (the twist multiplier at level 1 is T itself)
     x = random_poly(f2, rng, 5)
-    assert delta_upper(1, f)(x) == delta(f)(x)
+    T = Poly.T(f2)
+    assert delta_upper(1, f)(x) == delta(f)(x) == f(T * x) - T * f(x)
     # (delta^(n) E_n)(1) = 1
     one = Poly.one(f2)
     for n in range(4):
@@ -559,6 +560,25 @@ def test_synthesize_basis_element(f2, rng):
         val, bound = synthesize(exp, x)
         assert values_match(val, eval_D(f2, k, x))
         assert bound == Fraction(0)
+
+
+def test_basis_function_per_basis(f3, rng):
+    # Each basis names its evaluator; a series input goes through as well.
+    j, m = 5, 1
+    expected = {
+        Basis.CARLITZ_G: lambda x: eval_G(f3, j, x),
+        Basis.LINEAR_E: lambda x: eval_E(f3, j, x),
+        Basis.DIGIT_D: lambda x: eval_D(f3, j, x),
+        Basis.LINEAR_D: lambda x: hasse_derivative(f3, j, x),
+        Basis.POWERED_D: lambda x: powered_D(f3, j, m, x),
+    }
+    x = random_poly(f3, rng, 4)
+    for basis, f in expected.items():
+        g = transforms.basis_function(f3, basis, j, m)
+        assert g(x) == f(x)
+        assert g(x.to_series(40)).matches(f(x))
+    with pytest.raises(DomainError, match="unknown basis"):
+        transforms.basis_function(f3, "G", j)
 
 
 def test_synthesize_roundtrip_G3(f2):
