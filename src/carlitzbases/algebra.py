@@ -114,40 +114,48 @@ class FieldConfig:
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
-
-        def digits(c):
-            return tuple((c // p ** i) % p for i in range(e))
-
-        def pack(ds):
-            return sum(d * p ** i for i, d in enumerate(ds))
-
-        self._digits = [digits(c) for c in range(q)]
-        self.add_table = [
-            [pack(tuple((x + y) % p for x, y in zip(digits(a), digits(b))))
-             for b in range(q)]
-            for a in range(q)
-        ]
-        self.neg_table = [pack(tuple((-x) % p for x in digits(a))) for a in range(q)]
+        self._digits = [tuple((c // p ** i) % p for i in range(e)) for c in range(q)]
+        # Addition is digitwise mod p: the table over e digits from the one
+        # over k < e digits, digit k the slowest-varying.
+        add = [[0]]
+        for k in range(e):
+            s = p ** k
+            add = [[lo + (ah + bh) % p * s for bh in range(p) for lo in add[al]]
+                   for ah in range(p) for al in range(s)]
+        self.add_table = add
+        self.neg_table = [row.index(0) for row in add]
         if e == 1:
             self.mul_table = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            # Products and reductions in F_p[u], by Poly over the prime field.
-            fp = FieldConfig(p)
-            modulus = Poly(fp, self.modulus)
+            # Each row is F_p-linear in the column: with g = a u**i, the
+            # columns b + k p**i (b < p**i, 0 < k < p) hold row[b] + k g.
+            # g u shifts g's digits up one place and folds the top digit t
+            # back in as t (u**e mod the modulus), the code u_e below.
+            top = q // p
+            u_e = sum((-c) % p * p ** i for i, c in enumerate(self.modulus[:e]))
+            folds = [0]
+            for _ in range(p - 1):
+                folds.append(add[folds[-1]][u_e])
 
-            def reduced(poly):
-                return pack(poly.divmod(modulus)[1].coeffs)
+            def mul_row(a):
+                row, g = [0], a
+                for _ in range(e):
+                    block, multiple = list(row), 0
+                    for _ in range(p - 1):
+                        multiple = add[multiple][g]
+                        plus = add[multiple]
+                        row += [plus[x] for x in block]
+                    g = add[g % top * p][folds[g // top]]
+                return row
 
-            elems = [Poly(fp, ds) for ds in self._digits]
-            self.mul_table = [[reduced(a * b) for b in elems] for a in elems]
-            # For Kronecker packing (``pack``/``unpack`` below): each
-            # element's digits followed by e - 1 empty sub-slots, and for
-            # each base-p code h of the e - 1 high sub-slots of a product,
-            # the code of u**e * (sum h_t u**t) mod the modulus.
-            self.spread_table = [digits(c) + (0,) * (e - 1) for c in range(q)]
-            self.fold_table = [reduced(Poly(fp, (0,) * e + digits(h)))
-                               for h in range(p ** (e - 1))]
+            self.mul_table = [mul_row(a) for a in range(q)]
+            # For Kronecker unpacking (``unpack`` below): for each base-p
+            # code h of the e - 1 high sub-slots of a product, the code of
+            # u**e * (sum h_t u**t) mod the modulus.
+            self.fold_table = [self.mul_table[h][u_e] for h in range(p ** (e - 1))]
         self.inv_table = [None] + [row.index(1) for row in self.mul_table[1:]]
+        # Byte tables of pack and unpack, built by the first call at a width.
+        self._slot_tables = {}
 
     # -- element arithmetic (int codes) ------------------------------------
 
@@ -284,6 +292,39 @@ def slot_width(cfg: FieldConfig, terms: int, length: int) -> int:
     raise BudgetError(f"packed slot bound {bound} exceeds 64 bits")
 
 
+class _SlotTables(NamedTuple):
+    """The byte tables of ``pack`` and ``unpack`` for one field and width."""
+
+    digits: list  # per digit t < e: x -> digit t of the code x
+    planes: list  # (b, x -> x 256**b mod p) for each slot byte b of nonzero weight
+    lane: int     # residues mod p one byte can sum without overflow
+    mod_p: bytes  # x -> x mod p
+    folds: list   # per digit s < e: (t, c) for the c != 0 of digit s of
+                  # u**(e + t) mod the modulus, t < e - 1
+    places: list  # per digit s < e: x -> (x mod p) p**s
+
+
+def _slot_tables(cfg: FieldConfig, width: int) -> _SlotTables:
+    """The byte tables of ``cfg`` at ``width``, built by the first call."""
+    tables = cfg._slot_tables.get(width)
+    if tables is None:
+        p, e, item = cfg.p, cfg.e, width // 8
+
+        def times(c):
+            return bytes(x * c % p for x in range(256))
+
+        fold_digits = [cfg._digits[cfg.fold_table[p ** t]] for t in range(e - 1)]
+        tables = cfg._slot_tables[width] = _SlotTables(
+            digits=[bytes(x // p ** t % p for x in range(256)) for t in range(e)],
+            planes=[(b, times(pow(256, b, p))) for b in range(item) if pow(256, b, p)],
+            lane=255 // (p - 1),
+            mod_p=times(1),
+            folds=[[(t, ds[s]) for t, ds in enumerate(fold_digits) if ds[s]]
+                   for s in range(e)],
+            places=[bytes(x % p * p ** s for x in range(256)) for s in range(e)])
+    return tables
+
+
 def pack(cfg: FieldConfig, coeffs, width: int) -> int:
     """A coefficient sequence as one int, by Kronecker substitution.
 
@@ -292,14 +333,21 @@ def pack(cfg: FieldConfig, coeffs, width: int) -> int:
     products of two coefficients (u-degree up to 2e - 2) stay inside their
     block.  A product of packed values, or a sum of such products, then
     holds the integer convolution of the digits slot by slot, with no carry
-    while the bound of ``slot_width`` holds; ``unpack`` reads it back.
+    while the bound of ``slot_width`` holds; ``unpack`` reads it back.  The
+    int is read from a zeroed buffer into which the codes (e = 1), or each
+    base-p digit of them (``bytes.translate``), are written as one strided
+    slice.
     """
-    if cfg.e > 1:
-        coeffs = chain.from_iterable(map(cfg.spread_table.__getitem__, coeffs))
-    slots = array(_SLOT_TYPES[width], coeffs)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return int.from_bytes(slots, "little")
+    codes = bytes(coeffs)
+    item = width // 8
+    step = (2 * cfg.e - 1) * item
+    buf = bytearray(len(codes) * step)
+    if cfg.e == 1:
+        buf[::step] = codes
+    else:
+        for t, digit in enumerate(_slot_tables(cfg, width).digits):
+            buf[t * item::step] = codes.translate(digit)
+    return int.from_bytes(buf, "little")
 
 
 def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
@@ -308,27 +356,56 @@ def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
     Each slot is reduced mod p; for e > 1 each block of 2e - 1 residues,
     a polynomial in u, is reduced mod the modulus.  The codes come as
     bytes (q <= 256) without trailing zeros.
+
+    Every step works on whole byte strings: a slot of w / 8 bytes is
+    reduced as the sum of its byte planes (every w / 8-th byte), each
+    mapped by ``bytes.translate`` to its residue times 256**b mod p and
+    added to the others as one int, with one byte per slot; for e > 1
+    digit s of a block is its sub-slot s plus the high sub-slots times
+    digit s of u**(e + t), summed the same way, and the code is the sum of
+    the digits mapped to their place values.  Each byte lane must hold the
+    sum of two residues, so for p > 128 (e = 1) the slots are reduced one
+    by one.
     """
-    item = width // 8
-    nbytes = -(-value.bit_length() // width) * item
-    slots = array(_SLOT_TYPES[width])
-    slots.frombytes(value.to_bytes(nbytes, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
-    p, e = cfg.p, cfg.e
-    res = [s % p for s in slots]
-    if e > 1:
-        block = 2 * e - 1
-        res += [0] * (-len(res) % block)
-        low, high = res[0::block], res[e::block]
-        for t in range(1, e):
-            w = p ** t
-            low = [x + w * y for x, y in zip(low, res[t::block])]
-            if t < e - 1:
-                high = [x + w * y for x, y in zip(high, res[e + t::block])]
-        add, fold = cfg.add_table, cfg.fold_table
-        res = [add[x][fold[y]] for x, y in zip(low, high)]
-    return bytes(res).rstrip(b"\0")
+    p, e, item = cfg.p, cfg.e, width // 8
+    block = 2 * e - 1
+    count = -(-value.bit_length() // (width * block))  # blocks
+    slots = count * block
+    data = value.to_bytes(slots * item, "little")
+    if p > 128:
+        wide = array(_SLOT_TYPES[width])
+        wide.frombytes(data)
+        if sys.byteorder == "big":
+            wide.byteswap()
+        return bytes([s % p for s in wide]).rstrip(b"\0")
+    tables = _slot_tables(cfg, width)
+    mod_p = tables.mod_p
+    if item == 1:
+        res = data.translate(mod_p)
+    else:
+        acc = held = 0
+        for b, times in tables.planes:
+            if held == tables.lane:
+                acc = int.from_bytes(acc.to_bytes(slots, "little").translate(mod_p),
+                                     "little")
+                held = 1
+            acc += int.from_bytes(data[b::item].translate(times), "little")
+            held += 1
+        res = acc.to_bytes(slots, "little").translate(mod_p)
+    if e == 1:
+        return res.rstrip(b"\0")
+    # Digit s is a residue plus at most e - 1 residues times c < p, at most
+    # (p - 1) + (e - 1) (p - 1)**2 <= 156 (q = 169), and the place values
+    # of a code sum to at most q - 1: neither leaves its byte.
+    highs = [int.from_bytes(res[e + t::block], "little") for t in range(e - 1)]
+    code = 0
+    for s in range(e):
+        digit = int.from_bytes(res[s::block], "little")
+        for t, c in tables.folds[s]:
+            digit += highs[t] * c
+        code += int.from_bytes(
+            digit.to_bytes(count, "little").translate(tables.places[s]), "little")
+    return code.to_bytes(count, "little").rstrip(b"\0")
 
 
 def packed_sums(cfg: FieldConfig, rows, cols):
@@ -356,7 +433,7 @@ def packed_sums(cfg: FieldConfig, rows, cols):
 # (the schoolbook loop skips zero rows), exceeds this constant times the
 # packed slot count (2e - 1) * (len a + len b): the constant for e = 1 and
 # for e > 1, as measured by ``scripts/mul_crossover.py --grid full``.
-KRONECKER_CROSSOVER = (2.92, 4.24)
+KRONECKER_CROSSOVER = (2.05, 1.20)
 
 
 def _mul(cfg: FieldConfig, a, b, size: int) -> list:

@@ -10,6 +10,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import mul
 from typing import List, Optional
 
 from .algebra import (
@@ -18,9 +19,12 @@ from .algebra import (
     FieldConfig,
     Poly,
     lucas_binom,
+    pack,
     packed_sums,
     poly_enumerate,
     random_poly,
+    slot_width,
+    unpack,
     valuation_norm,
     values_match,
 )
@@ -173,19 +177,11 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
     f = lambda y: evaluate(cfg, j, y, primed=primed)
     # F_e(x) F'_{j-e}(u) for every e with a nonzero binomial weight; at
     # j = q**m - 1 that is every e <= j, as the signed and x - u forms need.
-    products = {e: evaluate(cfg, e, x) * evaluate(cfg, j - e, u, primed=primed)
-                for e in range(j + 1) if lucas_binom(j, e, cfg.p)}
-
-    def convolution(weight):
-        acc = Poly.zero(cfg)
-        for e, term in products.items():
-            w = weight(e)
-            if w:
-                acc = acc + term.scalar_mul(w)
-        return acc
-
+    binomials = [lucas_binom(j, e, cfg.p) for e in range(j + 1)]
+    support = [e for e, c in enumerate(binomials) if c]
+    convolution = _addition_convolution(cfg, evaluate, primed, j, x, u, support)
     lhs = f(x + u)
-    rhs = convolution(lambda e: lucas_binom(j, e, cfg.p))
+    rhs = convolution([binomials[e] for e in support])
     if not values_match(lhs, rhs):
         return _verdict("addition_law", config, False,
                         witness={"lhs": str(lhs), "rhs": str(rhs)})
@@ -197,16 +193,39 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
                             witness={"alpha": alpha, "lhs": str(left),
                                      "rhs": str(right)})
     if j > 0 and _is_q_power(j + 1, cfg.q):
-        signed = convolution(cfg.sign)
+        signed = convolution([cfg.sign(e) for e in support])
         if not values_match(lhs, signed):
             return _verdict("addition_sign_form", config, False,
                             witness={"lhs": str(lhs), "rhs": str(signed)})
         diff_lhs = f(x - u)
-        diff_rhs = convolution(lambda e: 1)
+        diff_rhs = convolution([1] * len(support))
         if not values_match(diff_lhs, diff_rhs):
             return _verdict("addition_diff_form", config, False,
                             witness={"lhs": str(diff_lhs), "rhs": str(diff_rhs)})
     return _verdict("addition_law", config, True)
+
+
+def _addition_convolution(cfg, evaluate, primed, j, x, u, support):
+    """The map from weights w (one integer in [0, p) per e in ``support``,
+    read as an element of F_p) to sum over e of w_e F_e(x) F'_{j-e}(u), a
+    Poly; F is ``evaluate`` (eval_G or eval_D), primed on u as asked.
+
+    Each product F_e(x) F'_{j-e}(u) is formed once, as the integer product
+    of the packed factors, and each sum as the integer-weighted sum of
+    those products, unpacked once.  A weight multiplies every slot by at
+    most p - 1, so the slot bound counts len(support) * (p - 1) terms.
+    """
+    left = [evaluate(cfg, e, x).coeffs for e in support]
+    right = [evaluate(cfg, j - e, u, primed=primed).coeffs for e in support]
+    length = max(map(min, map(len, left), map(len, right)), default=0)
+    width = slot_width(cfg, len(support) * (cfg.p - 1), length)
+    products = [pack(cfg, a, width) * pack(cfg, b, width)
+                for a, b in zip(left, right)]
+
+    def convolution(weights):
+        return Poly(cfg, unpack(cfg, sum(map(mul, weights, products)), width))
+
+    return convolution
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +428,13 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
                     "addition_law", {"family": family, "q": cfg.q,
                                      "j_max": j_max, "seed": seed}, VERIFIED))
         elif sel == "linearity":
+            # The whole corpus is expanded at once, sharing the weights.
             J = min(cfg.q ** 3, 32)
-            for func, expected in _linearity_corpus(cfg):
-                exp = tf.digit_coeffs(func, J, cfg, budget=max(budget, cfg.q ** 4))
+            corpus = _linearity_corpus(cfg)
+            expansions = tf._enumeration_coeffs(
+                [func for func, _ in corpus], J, cfg, None,
+                max(budget, cfg.q ** 4), Basis.DIGIT_D)
+            for (func, expected), exp in zip(corpus, expansions):
                 r = classify_linearity(exp, evaluator=func, rng=rng)
                 if r.ok and r.witness and r.witness.get("linear") != expected:
                     r = VerdictReport("linearity", r.config, FALSIFIED,

@@ -351,27 +351,28 @@ def carlitz_coeffs(f: Callable[[Poly], Value], J: int, cfg: FieldConfig,
     A_j = (-1)**n * sum over deg(m) < n of G'_{q**n - 1 - j}(m) f(m),
     valid for any level n with q**n > j for every recovered index.
     """
-    return _enumeration_coeffs(f, J, cfg, level, budget, Basis.CARLITZ_G,
-                               lambda idx, mpoly: eval_G(cfg, idx, mpoly, primed=True))
+    return _enumeration_coeffs([f], J, cfg, level, budget, Basis.CARLITZ_G)[0]
 
 
 def digit_coeffs(f: Callable[[Poly], Value], J: int, cfg: FieldConfig,
                  level: int = None, budget: int = DEFAULT_BUDGET) -> BasisExpansion:
     """Coefficients B_j of f = sum B_j D_j, by the same enumeration with D'."""
-    return _enumeration_coeffs(f, J, cfg, level, budget, Basis.DIGIT_D,
-                               lambda idx, mpoly: eval_D(cfg, idx, mpoly, primed=True))
+    return _enumeration_coeffs([f], J, cfg, level, budget, Basis.DIGIT_D)[0]
 
 
-def _enumeration_coeffs(f, J, cfg, level, budget, basis, primed_eval):
-    """coeff_j = (-1)**n * sum over deg(m) < n of w_j(m) f(m), where
-    w_j = primed_eval(q**n - 1 - j, .), as one packed sum per index.
+def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion]:
+    """The expansion of each f in ``fs`` in ``basis`` (G or D):
 
-    Every f(m) and every w_j(m) is packed once (``algebra.packed_sums``);
-    each coefficient is one sum of integer products, unpacked once.  Series
-    values are packed from a common valuation v, and a coefficient is a
-    series when any f(m) is one, with the precision of the per-pair sum:
-    the least prec(f(m)) + v(w_j(m)) over the truncated f(m) and nonzero
-    w_j(m).
+    coeff_j = (-1)**n * sum over deg(m) < n of w_j(m) f(m), where
+    w_j = F'_{q**n - 1 - j} with F = G or D, as one packed sum per
+    (index, function).  The weights w_j(m) are evaluated once for all the
+    functions; every f(m) and every w_j(m) is packed once
+    (``algebra.packed_sums``, one column per function) and each
+    coefficient is one sum of integer products, unpacked once.  Series
+    values of a function are packed from their common valuation v, and
+    its coefficients are series when any of its f(m) is one, with the
+    precision of the per-pair sum: the least prec(f(m)) + v(w_j(m)) over
+    the truncated f(m) and nonzero w_j(m).
     """
     _check_terms(J)
     n = default_level(cfg, J) if level is None else level
@@ -379,26 +380,32 @@ def _enumeration_coeffs(f, J, cfg, level, budget, basis, primed_eval):
         raise DomainError(f"level n = {n} too small: q**n must cover all j < {J}")
     polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
     sign = cfg.sign(n)
-    fvals = [f(mp) for mp in polys]
-    series = any(isinstance(x, TruncSeries) for x in fvals)
-    starts = [x.v if isinstance(x, TruncSeries) else 0 for x in fvals]
-    v = min((s for s, x in zip(starts, fvals) if x.coeffs), default=0)
-    fcoeffs = [(0,) * (s - v) + x.coeffs if x.coeffs else ()
-               for s, x in zip(starts, fvals)]
-    wvals = [[primed_eval(cfg.q ** n - 1 - j, mp) for mp in polys]
+    values = []  # per function: f(m) for every m, and the valuation v
+    columns = []
+    for f in fs:
+        fvals = [f(mp) for mp in polys]
+        starts = [x.v if isinstance(x, TruncSeries) else 0 for x in fvals]
+        v = min((s for s, x in zip(starts, fvals) if x.coeffs), default=0)
+        values.append((fvals, v))
+        columns.append([(0,) * (s - v) + x.coeffs if x.coeffs else ()
+                        for s, x in zip(starts, fvals)])
+    evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
+    wvals = [[evaluate(cfg, cfg.q ** n - 1 - j, mp, primed=True) for mp in polys]
              for j in range(J)]
-    sums = packed_sums(cfg, [[w.coeffs for w in row] for row in wvals], [fcoeffs])
-    coeffs = []
-    for row, digits in zip(wvals, sums):
-        if series:
-            prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
-                        if isinstance(x, TruncSeries) and not w.is_zero),
-                       default=EXACT)
-            value = TruncSeries(cfg, v, digits, prec)
-        else:
-            value = Poly(cfg, digits)
-        coeffs.append(value.scalar_mul(sign))
-    return BasisExpansion(cfg, basis, coeffs)
+    sums = packed_sums(cfg, [[w.coeffs for w in row] for row in wvals], columns)
+    series = [any(isinstance(x, TruncSeries) for x in fvals) for fvals, _ in values]
+    coeffs = [[] for _ in fs]
+    for row in wvals:
+        for out, (fvals, v), is_series, digits in zip(coeffs, values, series, sums):
+            if is_series:
+                prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
+                            if isinstance(x, TruncSeries) and not w.is_zero),
+                           default=EXACT)
+                value = TruncSeries(cfg, v, digits, prec)
+            else:
+                value = Poly(cfg, digits)
+            out.append(value.scalar_mul(sign))
+    return [BasisExpansion(cfg, basis, out) for out in coeffs]
 
 
 # ---------------------------------------------------------------------------

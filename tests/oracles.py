@@ -7,10 +7,14 @@ defining subset sums, the E- and D-basis coefficients by triangular solve
 and by literal operator iteration, ((delta - [m] I)**n f)(x) by its
 closed double sum, the orthogonality sums one (k, l) pair at a time, the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
-enumeration coefficients one (j, m) pair at a time, and the F_q tables
-and the modulus search by F_p digit-list arithmetic.
+enumeration coefficients one (j, m) pair at a time, the addition law's
+convolutions one product at a time, Kronecker packing one slot at a
+time, and the F_q tables and the modulus search by F_p digit-list
+arithmetic and by Poly products over F_p.
 The tests compare the production results with these.
 """
+import sys
+from array import array
 from itertools import combinations, product
 from typing import List
 
@@ -20,6 +24,7 @@ from carlitzbases import (
     BasisExpansion,
     BasisMatrix,
     BudgetError,
+    FieldConfig,
     Poly,
     TruncSeries,
     bracket,
@@ -347,8 +352,8 @@ def first_irreducible_by_digits(p: int, e: int) -> tuple:
 def field_tables_by_digits(p: int, e: int, modulus) -> dict:
     """FieldConfig's tables for F_{p**e} on ``modulus`` (e > 1), each entry
     formed one digit list at a time: "add", "neg", "mul", "inv" by element
-    code, "spread" (digits and e - 1 empty sub-slots) and "fold" (the code
-    of u**e * h(u) mod the modulus, h the e - 1 digits of its index)."""
+    code, and "fold" (the code of u**e * h(u) mod the modulus, h the
+    e - 1 digits of its index)."""
     q = p ** e
 
     def digits(c):
@@ -366,7 +371,78 @@ def field_tables_by_digits(p: int, e: int, modulus) -> dict:
         "mul": mul,
         "inv": [None] + [next(b for b in range(1, q) if mul[a][b] == 1)
                          for a in range(1, q)],
-        "spread": [tuple(digits(c)) + (0,) * (e - 1) for c in range(q)],
         "fold": [code(_fp_poly_mod([0] * e + digits(h)[:e - 1], modulus, p))
                  for h in range(p ** (e - 1))],
     }
+
+
+def field_tables_by_poly(p: int, e: int, modulus) -> dict:
+    """FieldConfig's "add" and "mul" tables for F_{p**e}: every sum digit by
+    digit, every product as a Poly over F_p reduced by Poly.divmod mod
+    ``modulus`` (for e = 1 pass (0, 1), so the reduction keeps the
+    constant term)."""
+    q = p ** e
+    fp = FieldConfig(p)
+    m = Poly(fp, modulus)
+    elems = [Poly(fp, [(c // p ** i) % p for i in range(e)]) for c in range(q)]
+
+    def code(poly):
+        return sum(d * p ** i for i, d in enumerate(poly.coeffs))
+
+    return {
+        "add": [[sum((a // p ** i + b // p ** i) % p * p ** i for i in range(e))
+                 for b in range(q)] for a in range(q)],
+        "mul": [[code((a * b).divmod(m)[1]) for b in elems] for a in elems],
+    }
+
+
+# array typecode by item width in bits.
+_SLOT_TYPES = {array(t).itemsize * 8: t for t in "QLIHB"}
+
+
+def pack_by_slots(cfg, coeffs, width: int) -> int:
+    """Kronecker packing by its definition: base-p digit t of coefficient
+    i is added at bit width * ((2e - 1) i + t)."""
+    block = 2 * cfg.e - 1
+    return sum((c // cfg.p ** t % cfg.p) << width * (block * i + t)
+               for i, c in enumerate(coeffs) for t in range(cfg.e))
+
+
+def unpack_by_slots(cfg, value: int, width: int) -> bytes:
+    """algebra.unpack one slot at a time: each slot of ``value`` read as an
+    array item and reduced mod p, then for e > 1 each block of 2e - 1
+    residues folded into a code through the fold and addition tables."""
+    item = width // 8
+    nbytes = -(-value.bit_length() // width) * item
+    slots = array(_SLOT_TYPES[width])
+    slots.frombytes(value.to_bytes(nbytes, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    p, e = cfg.p, cfg.e
+    res = [s % p for s in slots]
+    if e > 1:
+        block = 2 * e - 1
+        res += [0] * (-len(res) % block)
+        low, high = res[0::block], res[e::block]
+        for t in range(1, e):
+            w = p ** t
+            low = [x + w * y for x, y in zip(low, res[t::block])]
+            if t < e - 1:
+                high = [x + w * y for x, y in zip(high, res[e + t::block])]
+        add, fold = cfg.add_table, cfg.fold_table
+        res = [add[x][fold[y]] for x, y in zip(low, high)]
+    return bytes(res).rstrip(b"\0")
+
+
+def addition_convolution(cfg, evaluate, primed: bool, j: int, x: Poly, u: Poly,
+                         weight) -> Poly:
+    """sum over e <= j of weight(e) F_e(x) F'_{j-e}(u), one Poly product,
+    scalar multiple and addition per e of nonzero weight; F is
+    ``evaluate`` (eval_G or eval_D), primed on u when asked."""
+    acc = Poly.zero(cfg)
+    for e in range(j + 1):
+        w = weight(e)
+        if w:
+            term = evaluate(cfg, e, x) * evaluate(cfg, j - e, u, primed=primed)
+            acc = acc + term.scalar_mul(w)
+    return acc

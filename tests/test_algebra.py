@@ -25,9 +25,12 @@ from oracles import (
     FIELDS,
     digitwise,
     field_tables_by_digits,
+    field_tables_by_poly,
     first_irreducible_by_digits,
     frobenius_by_digits,
+    pack_by_slots,
     schoolbook_mul,
+    unpack_by_slots,
 )
 
 
@@ -115,8 +118,8 @@ def _table_fields():
 
 @pytest.mark.parametrize("p,e,modulus", list(_table_fields()))
 def test_field_tables_match_digit_oracle(p, e, modulus):
-    # The tables built with Poly over F_p equal the digit-list reference on
-    # every pair, and so do the Kronecker spread and fold tables.
+    # The tables built by F_p-linearity equal the digit-list reference on
+    # every pair, and so does the Kronecker fold table.
     cfg = FieldConfig(p, e)
     assert cfg.modulus == modulus
     ref = field_tables_by_digits(p, e, modulus)
@@ -124,8 +127,21 @@ def test_field_tables_match_digit_oracle(p, e, modulus):
     assert cfg.neg_table == ref["neg"]
     assert cfg.mul_table == ref["mul"]
     assert cfg.inv_table == ref["inv"]
-    assert cfg.spread_table == ref["spread"]
     assert cfg.fold_table == ref["fold"]
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS) + [16, 27, 256])
+def test_field_tables_match_poly_products(q):
+    # The addition and multiplication tables, built by F_p-linearity, equal
+    # every digitwise sum and every Poly product over F_p reduced mod the
+    # modulus; q = 256 is the largest table.
+    p, e = {**FIELDS, 16: (2, 4), 27: (3, 3), 256: (2, 8)}[q]
+    cfg = FieldConfig(p, e)
+    ref = field_tables_by_poly(p, e, cfg.modulus or (0, 1))
+    assert cfg.add_table == ref["add"]
+    assert cfg.mul_table == ref["mul"]
+    assert all(cfg.add_table[a][cfg.neg_table[a]] == 0 for a in range(q))
+    assert all(cfg.mul_table[a][cfg.inv_table[a]] == 1 for a in range(1, q))
 
 
 @pytest.mark.parametrize("p,e", [(2, 5), (7, 2), (2, 6), (3, 4)])
@@ -487,15 +503,29 @@ def test_kronecker_mul_at_slot_width_steps(monkeypatch, q, shorter, longer, widt
 
 
 def test_mul_dispatch_takes_each_path(monkeypatch):
-    # Dense long products are packed; sparse ones of the same lengths, as in
-    # the q = 8 addition suite, stay schoolbook.
+    # A product is packed when the schoolbook work, the nonzero coefficients
+    # of the shorter factor times the longer factor's length, exceeds
+    # KRONECKER_CROSSOVER times the slot count (2e - 1)(len a + len b): a
+    # dense one and one with a single nonzero over the constant are packed,
+    # one at the constant stays schoolbook, in either operand order, for
+    # e = 1 (q = 2) and e > 1 (q = 8).
     widths = _kernel_widths(monkeypatch)
-    f2, f8 = _MUL_FIELDS[2], _MUL_FIELDS[8]
-    a, b = (Poly(f2, _long_digits(f2, 128, 1.0, seed)) for seed in (1, 2))
-    assert a * b == schoolbook_mul(a, b) and widths
-    widths.clear()
-    a, b = (Poly(f8, _long_digits(f8, 128, 0.15, seed)) for seed in (3, 4))
-    assert a * b == schoolbook_mul(a, b) and not widths
+    shorter, longer = 48, 64
+    for q in (2, 8):
+        cfg = _MUL_FIELDS[q]
+        slots = (2 * cfg.e - 1) * (shorter + longer)
+        most = int(algebra.KRONECKER_CROSSOVER[cfg.e > 1] * slots / longer)
+        b = Poly(cfg, _long_digits(cfg, longer, 1.0, 5))
+        for nonzero, packed in ((shorter, True), (most + 1, True), (most, False)):
+            digits = [0] * shorter
+            for i in random.Random(nonzero).sample(range(shorter - 1), nonzero - 1):
+                digits[i] = q - 1
+            digits[-1] = 1
+            a = Poly(cfg, digits)
+            for x, y in ((a, b), (b, a)):
+                widths.clear()
+                assert x * y == schoolbook_mul(x, y)
+                assert bool(widths) is packed
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())
@@ -596,6 +626,47 @@ def test_slot_width_steps():
         [8, 8, 16, 32, 64]
     with pytest.raises(BudgetError):
         slot_width(f2, 2 ** 32, 2 ** 32)
+
+
+# The fields of the packing tests: those of the differential tests, the
+# largest of each characteristic up to q = 256, p = 127, whose byte lanes
+# must be reduced after every two wide-slot byte planes, and p = 251 > 128,
+# whose residues a byte lane cannot sum.
+_KERNEL_FIELDS = {q: FieldConfig(p, e) for q, (p, e) in
+                  {**FIELDS, 16: (2, 4), 32: (2, 5), 49: (7, 2), 243: (3, 5),
+                   256: (2, 8), 127: (127, 1), 251: (251, 1)}.items()}
+
+
+@given(st.sampled_from(sorted(_KERNEL_FIELDS)), st.sampled_from((8, 16, 32, 64)),
+       st.data())
+@settings(max_examples=400, deadline=None)
+def test_pack_unpack_match_slot_oracles(q, width, data):
+    # pack against the slot-by-slot definition, and unpack against the
+    # per-slot loop on values whose slots reach 2**width - 1, the most
+    # that slot_width admits at that width; empty and all-zero sequences
+    # and slots included.
+    cfg = _KERNEL_FIELDS[q]
+    codes = data.draw(st.lists(st.integers(0, q - 1), max_size=30))
+    packed = pack(cfg, codes, width)
+    assert packed == pack_by_slots(cfg, codes, width)
+    assert unpack(cfg, packed, width) == bytes(codes).rstrip(b"\0")
+    top = (1 << width) - 1
+    slot = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    slots = data.draw(st.lists(slot, max_size=30 * (2 * cfg.e - 1)))
+    value = sum(s << width * i for i, s in enumerate(slots))
+    assert unpack(cfg, value, width) == unpack_by_slots(cfg, value, width)
+
+
+@pytest.mark.parametrize("q", sorted(_KERNEL_FIELDS))
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_pack_unpack_empty_and_zero(q, width):
+    cfg = _KERNEL_FIELDS[q]
+    for codes in ([], [0], [0] * 7):
+        assert pack(cfg, codes, width) == 0
+    assert unpack(cfg, 0, width) == b""
+    full = [q - 1] * 5
+    assert unpack(cfg, pack(cfg, [0, 0] + full + [0], width), width) == \
+        bytes([0, 0] + full)
 
 
 def _left_fold_power(x, a):

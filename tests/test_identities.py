@@ -49,6 +49,7 @@ from carlitzbases.transforms import (
 )
 from oracles import (
     FIELDS,
+    addition_convolution,
     orthogonality_suite_by_pairs,
     orthogonality_sum_by_pairs,
 )
@@ -243,6 +244,53 @@ def test_addition_law_forms_each_product_once(monkeypatch, f3, family):
         weighted = [e for e in range(j + 1) if identities.lucas_binom(j, e, 3)]
         assert [k for k, y, primed in calls if y == x and not primed] == weighted
         assert [j - k for k, y, primed in calls if y == u] == weighted
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from(["G", "Gp", "D", "Dp"]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_addition_convolutions_match_per_product_sums(q, family, data):
+    # The packed convolutions of the addition law against one product,
+    # scalar multiple and addition per e: binomial, signed, unit and
+    # all-(p - 1) weights, the last at the slot bound's weight factor, for
+    # j up to q**2 - 1 and every j = q**m - 1 among them.
+    cfg = FieldConfig(*FIELDS[q])
+    p = cfg.p
+    j = data.draw(st.one_of(st.sampled_from((q - 1, q * q - 1)),
+                            st.integers(0, q * q - 1)))
+    x = Poly(cfg, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
+    u = Poly(cfg, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
+    evaluate = eval_G if family[0] == "G" else eval_D
+    primed = family.endswith("p")
+    support = [e for e in range(j + 1) if identities.lucas_binom(j, e, p)]
+    convolution = identities._addition_convolution(cfg, evaluate, primed, j, x, u,
+                                                   support)
+    for weight in (lambda e: identities.lucas_binom(j, e, p), cfg.sign,
+                   lambda e: 1, lambda e: p - 1):
+        want = addition_convolution(cfg, evaluate, primed, j, x, u,
+                                    lambda e: weight(e) if e in support else 0)
+        assert convolution([weight(e) for e in support]) == want
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_addition_convolution_at_slot_bound(q):
+    # All-(q-1) factors of length 3 and all-(p-1) weights fill the middle
+    # slot to terms * (p-1) * 3 * e * (p-1)**2, the slot bound: with the
+    # most terms that 8 bits hold and then one more, the sums must equal
+    # the per-product ones, or a slot has carried.
+    cfg = FieldConfig(*FIELDS[q])
+    p, e = cfg.p, cfg.e
+
+    def evaluate(cfg, k, y, primed=False):
+        return Poly(cfg, [q - 1] * 3)
+    per_term = (p - 1) * 3 * e * (p - 1) ** 2
+    for terms in (255 // per_term, 255 // per_term + 1):
+        support = list(range(terms))
+        x = u = Poly.one(cfg)
+        got = identities._addition_convolution(cfg, evaluate, False, terms - 1,
+                                               x, u, support)([p - 1] * terms)
+        assert got == addition_convolution(cfg, evaluate, False, terms - 1, x, u,
+                                           lambda e: p - 1)
 
 
 # ---------------------------------------------------------------------------

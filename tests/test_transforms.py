@@ -297,6 +297,37 @@ def test_enumeration_coeffs_match_per_pair_sums(q, data):
     _assert_same_expansion(got, enumeration_coeffs_by_pairs(f, J, cfg, basis, level))
 
 
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_coeffs_of_a_list_match_one_function_at_a_time(q, data):
+    # One weight table and one packed sum per (index, function) for a list
+    # of functions, against one expansion per function: Poly-valued,
+    # series-valued (each function its own valuations and precisions),
+    # mixed and zero functions side by side.
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    n = data.draw(st.integers(0, max(k for k in range(4) if q ** k <= 16)))
+    J = data.draw(st.integers(1, q ** n))
+    kinds = data.draw(st.lists(st.sampled_from(("poly", "trunc", "exact", "zero",
+                                                "mixed")), min_size=1, max_size=5))
+
+    def function(kind):
+        table = {}
+
+        def f(m):
+            pick = rnd.choice(("poly", "trunc", "exact")) if kind == "mixed" else kind
+            return table.setdefault(m.coeffs, _enumeration_value(cfg, pick, rnd))
+        return f
+    fs = [function(kind) for kind in kinds]
+    basis = data.draw(st.sampled_from((Basis.CARLITZ_G, Basis.DIGIT_D)))
+    analyze = carlitz_coeffs if basis is Basis.CARLITZ_G else digit_coeffs
+    got = transforms._enumeration_coeffs(fs, J, cfg, None, transforms.DEFAULT_BUDGET,
+                                         basis)
+    assert len(got) == len(fs)
+    for f, expansion in zip(fs, got):
+        _assert_same_expansion(expansion, analyze(f, J, cfg))
+
+
 @pytest.mark.parametrize("q", sorted(FIELDS))
 @pytest.mark.parametrize("shorter", ["f", "w"])
 def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
