@@ -3,7 +3,9 @@
 
 Prints one status line per (q, suite) pair and a final summary; optionally
 writes the full reports as JSON or CSV.  Exit status follows the library
-contract: 0 all verified, 1 any falsified, 2 any budget exhaustion.
+contract: 0 all verified, 1 any falsified, 2 any budget exhaustion.  A
+suite that raises BudgetError or DomainError prints a FAILED line naming
+the error, counts as budget exhaustion, and the next suite runs.
 
 Example:
     python scripts/run_verification.py --q 2 3 4 --n 2 --out reports.json
@@ -16,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from carlitzbases import FieldConfig, cli
+from carlitzbases import BudgetError, DomainError, FieldConfig, cli
 from carlitzbases.identities import (
     BUDGET_EXHAUSTED,
     FALSIFIED,
@@ -47,13 +49,20 @@ def main(argv=None) -> int:
         cfg = FieldConfig(*cli._factor_prime_power(q))
         for suite in SUITES:
             t0 = time.time()
-            reports = run_suite(cfg, suite, n=args.n, budget=args.budget,
-                                seed=args.seed, i_max=args.i_max)
+            error = None
+            try:
+                reports = run_suite(cfg, suite, n=args.n, budget=args.budget,
+                                    seed=args.seed, i_max=args.i_max)
+            except (BudgetError, DomainError) as exc:
+                reports, error = [], f"{type(exc).__name__}: {exc}"
+                worst = 2
             dt = time.time() - t0
             bad = [r for r in reports if r.status != "verified"]
-            tag = "ok" if not bad else "FAILED"
+            tag = "ok" if not (bad or error) else "FAILED"
             print(f"q={q:<3} suite={suite:<9} checks={len(reports):<4} "
                   f"{dt:6.2f}s  {tag}")
+            if error:
+                print(f"    {error}")
             for r in bad:
                 print(f"    {r.status}: {r.identity} {r.config} "
                       f"witness={r.witness}")

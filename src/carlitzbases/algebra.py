@@ -296,6 +296,7 @@ class _SlotTables(NamedTuple):
     """The byte tables of ``pack`` and ``unpack`` for one field and width."""
 
     digits: list  # per digit t < e: x -> digit t of the code x
+    negs: list    # per digit t < e: x -> digit t of the code of -x
     planes: list  # (b, x -> x 256**b mod p) for each slot byte b of nonzero weight
     lane: int     # residues mod p one byte can sum without overflow
     mod_p: bytes  # x -> x mod p
@@ -316,6 +317,7 @@ def _slot_tables(cfg: FieldConfig, width: int) -> _SlotTables:
         fold_digits = [cfg._digits[cfg.fold_table[p ** t]] for t in range(e - 1)]
         tables = cfg._slot_tables[width] = _SlotTables(
             digits=[bytes(x // p ** t % p for x in range(256)) for t in range(e)],
+            negs=[bytes(-(x // p ** t) % p for x in range(256)) for t in range(e)],
             planes=[(b, times(pow(256, b, p))) for b in range(item) if pow(256, b, p)],
             lane=255 // (p - 1),
             mod_p=times(1),

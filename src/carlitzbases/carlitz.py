@@ -2,12 +2,15 @@
 
 Everything here is exact on F_q[T] inputs.  E_n is evaluated on
 polynomials and truncated series alike by the bracket recurrence
-E_k = (E_{k-1}**q - E_{k-1}) / [k]; the linear polynomials e_n and the
-factorials F_n are the paper's objects and the tests' oracle
-E_n = e_n / F_n, not an evaluation path.
+E_k = (E_{k-1}**q - E_{k-1}) / [k], each step one pass over packed byte
+lanes (``_bracket_step``) and, on polynomials, each level cached; the
+linear polynomials e_n and the factorials F_n are the paper's objects and
+the tests' oracle E_n = e_n / F_n, not an evaluation path.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -22,6 +25,7 @@ from .algebra import (
     PrecisionError,
     TruncSeries,
     Value,
+    _slot_tables,
 )
 
 # Degrees grow like q**n; keep exact products desk-scale.
@@ -137,9 +141,10 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
 
     which follows from F_k = [k] F_{k-1}**q.  Polynomial and exact-series
     inputs give exact values, of degree q**n deg(x), and raise BudgetError
-    when q**n exceeds DEGREE_BUDGET; a truncated series of precision N > n
-    gives precision N - n, one digit per step, the same loss as D_n, and
-    has no degree budget because no digit at or past T**N is formed.
+    when q**n exceeds DEGREE_BUDGET; each level is cached, one step from
+    the level below.  A truncated series of precision N > n gives
+    precision N - n, one digit per step, the same loss as D_n, and has no
+    degree budget because no digit at or past T**N is formed.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -153,48 +158,100 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
         return _eval_E_poly(cfg, n, x.to_poly()).to_series()
     if x.prec <= n:
         raise PrecisionError(f"E_{n} needs input precision > {n}, got {x.prec}")
-    return _bracket_recurrence(cfg, n, x)
+    for k in range(1, n + 1):
+        x = _bracket_step(cfg, k, x)
+    return x
 
 
 @lru_cache(maxsize=None)
 def _eval_E_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
     if cfg.q ** n > DEGREE_BUDGET:
         raise BudgetError(f"E_{n} degree budget exceeded")
-    return _bracket_recurrence(cfg, n, x)
+    if n == 0:
+        return x
+    return _bracket_step(cfg, n, _eval_E_poly(cfg, n - 1, x))
 
 
-def _bracket_recurrence(cfg: FieldConfig, n: int, y: Value) -> Value:
-    for k in range(1, n + 1):
-        y = _div_bracket(cfg, k, y.frobenius(1) - y)
-    return y
+def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
+    """(y**q - y) / [k] = (y - y**q) / T * (1 + T**s + T**(2s) + ...) for
+    s = q**k - 1, since [k] = -T (1 - T**s): one step of the recurrence.
 
+    The work is on byte strings.  Each base-p digit of a coefficient has
+    its own byte lane (two bytes for p > 128, where one cannot hold the
+    sum of two residues), e lanes per coefficient: the digits of y and of
+    -y**q are written as strided slices (``bytes.translate`` by the digit
+    tables of ``_slot_tables``) into two buffers, read as ints and added;
+    a shift by one coefficient divides by T, and the strided prefix sum is
+    a doubling scan, acc += acc << (s 2**r coefficients), masked to the
+    ``size`` coefficients kept.  A lane is reduced mod p whenever the next
+    doubling could overflow it, and the digits go back to codes once.
 
-def _div_bracket(cfg: FieldConfig, k: int, z: Value) -> Value:
-    """z / [k] for z with v(z) >= 1, as -(z/T) / (1 - T**s), s = q**k - 1.
-
-    The geometric factor is one strided prefix sum.  A Poly quotient must
-    be exact: a nonzero constant term or a nonzero top-s digit of the
-    prefix sum raises InexactDivisionError.  A truncated series loses the
-    one digit that the division by T costs.
+    A Poly quotient must be exact: ``size`` is deg(y**q - y), and a
+    nonzero digit at or past size - s raises InexactDivisionError.  A
+    truncated series of precision N gives precision N - 1.
     """
-    s = cfg.q ** k - 1
-    exact = isinstance(z, Poly)
+    p, e, q = cfg.p, cfg.e, cfg.q
+    s = q ** k - 1
+    exact = isinstance(y, Poly)
+    codes = bytes(y.coeffs)
     if exact:
-        digits, size = z.coeffs, max(z.degree, 0)
+        v, size = 0, max(q * (len(codes) - 1), 0)
     else:
-        digits, size = (0,) * z.v + z.coeffs, z.prec - 1
-    u = list(digits[1:size + 1])
-    u += [0] * (size - len(u))
-    add = cfg.add_table
-    for i in range(s, size):
-        u[i] = add[u[i]][u[i - s]]
-    neg = cfg.neg_table
+        v, size = y.v, y.prec - 1
+    item = 1 if p <= 128 else 2
+    lanes = e * item  # bytes per coefficient
+    length = (size + 1) * lanes
+    tables = _slot_tables(cfg, 8)
+    spread = codes[:max(size // q + 1 - v, 0)]  # the digits of y**q kept
+    low, high = bytearray(length), bytearray(length)
+    step = q * lanes
+    for t in range(e):
+        start = v * lanes + t * item
+        low[start:start + len(codes) * lanes:lanes] = codes.translate(tables.digits[t])
+        start = q * v * lanes + t * item
+        high[start:start + len(spread) * step:step] = spread.translate(tables.negs[t])
+    # Lane sums of `held` residues each: reduce before a doubling overflows.
+    bits = 8 * lanes
+    cap = ((1 << 8 * item) - 1) // (p - 1)
+    nbytes = size * lanes
+    acc = (int.from_bytes(low, "little") + int.from_bytes(high, "little")) >> bits
+    held, span = 2, s
+    mask = (1 << size * bits) - 1
+    while span < size:
+        if 2 * held > cap:
+            acc = int.from_bytes(_lanes_mod_p(cfg, acc, nbytes, item), "little")
+            held = 1
+        acc += (acc << span * bits) & mask
+        held, span = 2 * held, 2 * span
+    if e == 1:
+        out = _lanes_mod_p(cfg, acc, nbytes, item)[::item]
+    else:
+        data, code = acc.to_bytes(nbytes, "little"), 0
+        for t, place in enumerate(tables.places):
+            code += int.from_bytes(data[t::e].translate(place), "little")
+        out = code.to_bytes(size, "little")
+    out = out.rstrip(b"\0")
     if not exact:
-        return TruncSeries(cfg, 0, (neg[c] for c in u), size)
-    top = max(size - s, 0)
-    if any(digits[:1]) or any(u[top:]):
+        return TruncSeries(cfg, 0, out, size)
+    if len(out) > max(size - s, 0):
         raise InexactDivisionError(f"division by [{k}] left a remainder")
-    return Poly(cfg, (neg[c] for c in u[:top]))
+    return Poly(cfg, out)
+
+
+def _lanes_mod_p(cfg: FieldConfig, acc: int, nbytes: int, item: int) -> bytes:
+    """The ``nbytes`` bytes of ``acc`` with every lane of ``item`` bytes
+    reduced mod p: by ``bytes.translate`` for byte lanes, and one lane at a
+    time for the two-byte lanes of p > 128, as ``unpack`` does."""
+    data = acc.to_bytes(nbytes, "little")
+    if item == 1:
+        return data.translate(_slot_tables(cfg, 8).mod_p)
+    wide = array("H")
+    wide.frombytes(data)
+    if sys.byteorder == "big":
+        wide.byteswap()
+    out = bytearray(nbytes)
+    out[::2] = bytes(x % cfg.p for x in wide)
+    return out
 
 
 def eval_G(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:

@@ -18,6 +18,7 @@ from .algebra import (
     DomainError,
     FieldConfig,
     Poly,
+    TruncSeries,
     lucas_binom,
     pack,
     packed_sums,
@@ -368,9 +369,13 @@ def check_power_criterion(cfg: FieldConfig, f, m: int,
 
 def check_reduced_basis(cfg: FieldConfig, n_max: int) -> VerdictReport:
     """The matrices [reduced E_i(T^j)] and [reduced D_i(T^j)] for i, j < n_max
-    coincide and are unitriangular, so the reductions are independent over F_q."""
+    coincide and are unitriangular, so the reductions are independent over F_q.
+
+    E_i is evaluated on T^j + O(T^(i+1)): E_i loses i digits, so the one
+    digit left, the constant term, is exact, and no value of degree q**i j
+    is formed (no degree budget at any q)."""
     config = {"q": cfg.q, "n_max": n_max}
-    mat_E = [[eval_E(cfg, i, Poly.monomial(cfg, j)).coeff(0)
+    mat_E = [[eval_E(cfg, i, TruncSeries.monomial(cfg, j, 1, i + 1)).coeff(0)
               for j in range(n_max)] for i in range(n_max)]
     mat_D = [[hasse_derivative(cfg, i, Poly.monomial(cfg, j)).coeff(0)
               for j in range(n_max)] for i in range(n_max)]

@@ -4,7 +4,8 @@ Each function computes a value the library computes faster another way:
 products by the full schoolbook double loop, sums, negation, scaling and
 Frobenius one digit at a time, the Voloch matrix by its
 defining subset sums, the E- and D-basis coefficients by triangular solve
-and by literal operator iteration, ((delta - [m] I)**n f)(x) by its
+and by literal operator iteration, one step of the E_n recurrence by
+subtraction and a digit-by-digit prefix sum, ((delta - [m] I)**n f)(x) by its
 closed double sum, the orthogonality sums one (k, l) pair at a time, the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
 enumeration coefficients one (j, m) pair at a time, the addition law's
@@ -25,6 +26,7 @@ from carlitzbases import (
     BasisMatrix,
     BudgetError,
     FieldConfig,
+    InexactDivisionError,
     Poly,
     TruncSeries,
     bracket,
@@ -259,6 +261,33 @@ def orthogonality_suite_by_pairs(cfg, n: int, budget: int = DEFAULT_BUDGET,
                                        notes=[str(exc)])
             reports.append(report)
     return reports
+
+
+def bracket_step_by_digits(cfg, k: int, y: Value) -> Value:
+    """(y**q - y) / [k], z = y**q - y formed by Frobenius and subtraction,
+    then divided as -(z/T) / (1 - T**s), s = q**k - 1, by the strided
+    prefix sum u[i] += u[i - s] one digit at a time.  A Poly quotient must
+    be exact (a nonzero constant term of z, or a nonzero digit among the
+    top s of the prefix sum, raises InexactDivisionError); a truncated
+    series loses the one digit that the division by T costs."""
+    z = y.frobenius(1) - y
+    s = cfg.q ** k - 1
+    exact = isinstance(z, Poly)
+    if exact:
+        digits, size = z.coeffs, max(z.degree, 0)
+    else:
+        digits, size = (0,) * z.v + z.coeffs, z.prec - 1
+    u = list(digits[1:size + 1])
+    u += [0] * (size - len(u))
+    for i in range(s, size):
+        u[i] = cfg.add(u[i], u[i - s])
+    u = [cfg.neg(c) for c in u]
+    if not exact:
+        return TruncSeries(cfg, 0, u, size)
+    top = max(size - s, 0)
+    if any(digits[:1]) or any(u[top:]):
+        raise InexactDivisionError(f"division by [{k}] left a remainder")
+    return Poly(cfg, u[:top])
 
 
 def digit_product_by_digits(cfg, j: int, x: Value, primed: bool, base) -> Value:

@@ -23,7 +23,7 @@ from carlitzbases import (
 )
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
 from carlitzbases.hasse import eval_D, hasse_derivative
-from oracles import FIELDS, digit_product_by_digits
+from oracles import FIELDS, bracket_step_by_digits, digit_product_by_digits
 
 
 def brute_force_e(cfg, n, x):
@@ -213,16 +213,103 @@ def test_eval_E_degree_budget_is_for_exact_values(f2):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_div_bracket_exact_on_polynomials(f3, rng, k):
+def test_bracket_step_exact_on_polynomials(f3, rng, k):
+    # One step is the exact quotient (y**q - y) / [k]: the textbook
+    # E_{k-1}(x) = e_{k-1}(x) / F_{k-1} steps to E_k(x); at k = 1 every y
+    # divides ([1] divides every y**q - y), and at k = 2 a remainder raises.
     from carlitzbases import InexactDivisionError
-    from carlitzbases.carlitz import _div_bracket
+    from carlitzbases.carlitz import _bracket_step
     for _ in range(10):
-        p = random_poly(f3, rng, 12)
-        assert _div_bracket(f3, k, bracket(f3, k) * p) == p
+        x = random_poly(f3, rng, 12)
+        y = e_poly(f3, k - 1)(x).exact_div(carlitz_F(f3, k - 1))
+        assert _bracket_step(f3, k, y) == e_poly(f3, k)(x).exact_div(carlitz_F(f3, k))
     T = Poly.T(f3)
-    for bad in (Poly.one(f3), T, bracket(f3, k) * T + T ** 2):
-        with pytest.raises(InexactDivisionError):
-            _div_bracket(f3, k, bad)
+    if k == 1:
+        for y in [random_poly(f3, rng, 12) for _ in range(10)] + [Poly.one(f3)]:
+            assert _bracket_step(f3, 1, y) * bracket(f3, 1) == y.frobenius(1) - y
+        assert _bracket_step(f3, 1, T) == Poly.one(f3)
+    else:
+        for bad in (T, T ** 2, eval_E(f3, 1, T ** 5) + T):
+            with pytest.raises(InexactDivisionError):
+                _bracket_step(f3, k, bad)
+
+
+# The step's fields: FIELDS, a larger e for p = 2 and p = 3, and two
+# p > 128, whose lanes are two bytes wide.
+STEP_FIELDS = {**FIELDS, 16: (2, 4), 27: (3, 3), 131: (131, 1), 251: (251, 1)}
+
+
+def _step_or_error(step, cfg, k, y):
+    from carlitzbases import InexactDivisionError
+    try:
+        return step(cfg, k, y)
+    except InexactDivisionError:
+        return InexactDivisionError
+
+
+@given(st.sampled_from(sorted(STEP_FIELDS)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_bracket_step_matches_digit_loop(q, data):
+    # The packed step against the subtract-and-loop oracle: Poly values
+    # E_{k-1}(x) and arbitrary polynomials (equal quotients, or both
+    # inexact), and truncated series of valuation 0 or above with precision
+    # k + 1 up to 3000 digits, where the lane sums of small p pass 2**8 and
+    # get reduced.
+    from carlitzbases.carlitz import _bracket_step
+    cfg = FieldConfig(*STEP_FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    k_max = max(k for k in range(1, 9) if q ** k <= 4096)
+    k = data.draw(st.integers(1, k_max))
+    kind = data.draw(st.sampled_from(("E", "poly", "series")))
+    if kind == "E":
+        x = random_poly(cfg, rnd, data.draw(st.integers(0, 4)))
+        y = eval_E(cfg, k - 1, x)
+    elif kind == "poly":
+        y = random_poly(cfg, rnd, data.draw(st.integers(0, 60)))
+    else:
+        prec = data.draw(st.sampled_from((k + 1, k + 2, 40, 300, 1000, 3000)))
+        v = data.draw(st.sampled_from((0, 0, 1, 3, prec // 2, prec)))
+        y = random_series(cfg, rnd, prec, min(v, prec))
+    got = _step_or_error(_bracket_step, cfg, k, y)
+    want = _step_or_error(bracket_step_by_digits, cfg, k, y)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("q,k,prec", [(2, 1, 3000), (131, 1, 130 * 600),
+                                      (251, 1, 250 * 280)])
+def test_bracket_step_lane_reductions(q, k, prec):
+    # Long prefix sums: q = 2 reduces its byte lanes every 7 doublings, and
+    # q = 131 and 251 their two-byte lanes (at most 504 and 262 residues)
+    # after 8; a lane that overflowed would carry into the next coefficient.
+    from carlitzbases.carlitz import _bracket_step
+    cfg = FieldConfig(*STEP_FIELDS[q])
+    y = random_series(cfg, random.Random(prec), prec)
+    assert _bracket_step(cfg, k, y) == bracket_step_by_digits(cfg, k, y)
+
+
+def test_eval_E_poly_one_step_per_level(monkeypatch):
+    # From a cold cache E_N(x) takes exactly N steps, each from the cached
+    # level below, after which E_0 ... E_N of x are all cache hits; past
+    # the degree budget E_17 raises before any step.
+    from carlitzbases import BudgetError, carlitz
+    cfg, N = FieldConfig(3), 5
+    x = parse_poly(cfg, "T^3+2*T+1")
+    steps = []
+    step = carlitz._bracket_step
+    monkeypatch.setattr(carlitz, "_bracket_step",
+                        lambda *args: steps.append(args[1]) or step(*args))
+    carlitz._eval_E_poly.cache_clear()
+    value = eval_E(cfg, N, x)
+    assert steps == list(range(1, N + 1))
+    hits = carlitz._eval_E_poly.cache_info().hits
+    assert [eval_E(cfg, n, x) for n in range(N + 1)][-1] == value
+    assert carlitz._eval_E_poly.cache_info().hits == hits + N + 1
+    assert steps == list(range(1, N + 1))
+    f2 = FieldConfig(2)
+    with pytest.raises(BudgetError):
+        eval_E(f2, 17, Poly.T(f2))
+    assert steps == list(range(1, N + 1))
 
 
 # The q**n cap keeps the oracle's schoolbook division by F_n, of degree

@@ -1,6 +1,8 @@
 """Identity checkers: orthogonality, addition laws, linearity, distances."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from carlitzbases import (
     DomainError,
     FieldConfig,
     Poly,
+    TruncSeries,
     check_addition_law,
     check_orthogonality,
     check_power_criterion,
@@ -18,6 +21,7 @@ from carlitzbases import (
     classify_linearity,
     digit_coeffs,
     eval_D,
+    eval_E,
     eval_G,
     identities,
     parse_poly,
@@ -360,6 +364,45 @@ def test_reduced_basis(q):
     cfg = FieldConfig(q)
     assert check_reduced_basis(cfg, 6).status == VERIFIED
     assert check_reduced_basis(cfg, 1).status == VERIFIED
+
+
+@pytest.mark.parametrize("q", [11, 13, 17, 131, 251])
+def test_reduced_basis_past_the_degree_budget(q):
+    # Exact E_5(T^5) has degree 5 q**5, past the degree budget for q >= 11;
+    # on T^j + O(T^(i+1)) the suite forms no such value.
+    assert run_suite(FieldConfig(q), "reduced")[0].status == VERIFIED
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_reduced_basis_constant_terms_are_exact(q):
+    # E_i(T^j + O(T^(i+1))) keeps one digit, the constant term of the
+    # exact E_i(T^j).
+    cfg = FieldConfig(*FIELDS.get(q, (q, 1)))
+    for i in range(6):
+        for j in range(6):
+            exact = eval_E(cfg, i, Poly.monomial(cfg, j))
+            truncated = eval_E(cfg, i, TruncSeries.monomial(cfg, j, 1, i + 1))
+            assert truncated.prec == 1
+            assert truncated.coeff(0) == exact.coeff(0)
+
+
+def test_run_verification_reports_a_raising_suite(capsys):
+    # At q = 131 the distance suite's level 3 exceeds the degree budget:
+    # the script prints a FAILED line naming the error, runs the suites
+    # after it, and exits 2 instead of raising.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rc = script.main(["--q", "131", "--n", "3", "--budget", "16", "--i-max", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    status = {line.split()[1]: line.split()[-1]
+              for line in lines if line.startswith("q=131")}
+    assert status == {"suite=ortho": "FAILED", "suite=addition": "ok",
+                      "suite=linearity": "ok", "suite=distance": "FAILED",
+                      "suite=power": "ok", "suite=reduced": "ok"}
+    assert "    BudgetError: E_3 degree budget exceeded" in lines
 
 
 # ---------------------------------------------------------------------------
