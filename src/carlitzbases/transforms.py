@@ -4,11 +4,14 @@ Functions are represented by evaluators that accept exact polynomials
 (and usually truncated series as well).  Each value has one production
 path here; the textbook formulas behind them (triangular solves, literal
 operator iteration, the subset sums of the Voloch matrix, the per-pair
-enumeration sums) are the test suite's oracles, not second paths.  The inverse matrix B and the
-powered-D coefficients are derived from the D-basis coefficients of
-``digit_coeffs_linear`` (B column by column from E_n, the powered ones by
-the binomial transform with the ``convert_powered`` weights), so the
-closed sum b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n) is written once.
+enumeration sums) are the test suite's oracles, not second paths.  The
+values delta^(n) f(x), n < N, come from one difference table with N
+evaluations of f (the tower of closures makes 2**N - 1).  The inverse
+matrix B and the powered-D coefficients are derived from the D-basis
+coefficients of ``digit_coeffs_linear`` (B column by column from E_n, the
+powered ones by the binomial transform with the ``convert_powered``
+weights), so the closed sum b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n)
+is written once.
 """
 from __future__ import annotations
 
@@ -236,32 +239,32 @@ def delta_upper(n: int, f: LinearFunc) -> LinearFunc:
     """The recursive operator with the q-power twist:
 
     (delta^(n) f)(x) = (delta^(n-1) f)(Tx) - T**(q**(n-1)) (delta^(n-1) f)(x).
-    Distinct from the n-fold iterate of delta for n >= 2.
+    Distinct from the n-fold iterate of delta for n >= 2; value n of
+    ``_delta_values``.
     """
     if not f.linear:
         raise DomainError("the difference operator requires an F_q-linear function")
-    return next(islice(_delta_uppers(f), n, None))
+    if n < 0:
+        raise DomainError(f"the difference operator needs n >= 0, got {n}")
+    return LinearFunc(f.cfg, lambda x: next(islice(_delta_values(f, x), n, None)),
+                      name=f"delta^({n})({f.name})")
 
 
-def _delta_uppers(f: LinearFunc):
-    """delta^(0) f, delta^(1) f, ...: each one more step than the last, with
-    the multiplier T**(q**k) of step k + 1."""
-    cfg = f.cfg
-    g, k = f, 0
+def _delta_values(f: LinearFunc, x: Value):
+    """(delta^(0) f)(x), (delta^(1) f)(x), ... by the difference table: step n
+    evaluates f once, at T**n x, and extends the diagonal
+    (delta^(k) f)(T**(n-k) x), k <= n, by the definition's product and
+    subtraction, so N values cost N evaluations of f and N(N-1)/2 steps."""
+    cfg, T = f.cfg, Poly.T(f.cfg)
+    diagonal, mults = [], []  # (delta^(k) f)(T**(n-1-k) x) and T**(q**k), k < n
     while True:
-        yield g
-        g = _delta_step(g, Poly.monomial(cfg, cfg.q ** k))
-        k += 1
-
-
-def _delta_step(f: LinearFunc, mult: Poly) -> LinearFunc:
-    cfg = f.cfg
-    T = Poly.T(cfg)
-
-    def ev(x, f=f, mult=mult):
-        return f(T * x) - mult * f(x)
-
-    return LinearFunc(cfg, ev, name=f"step({f.name})")
+        row = [f(x)]
+        for mult, prev in zip(mults, diagonal):
+            row.append(row[-1] - mult * prev)
+        yield row[-1]
+        diagonal = row
+        mults.append(Poly.monomial(cfg, cfg.q ** len(mults)))
+        x = T * x
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +281,13 @@ def wagner_coeffs(f: LinearFunc, N: int) -> BasisExpansion:
     if not f.linear:
         raise DomainError("E-basis expansion requires an F_q-linear function")
     _check_terms(N)
-    one = Poly.one(f.cfg)
     coeffs = []
-    for n, g in zip(range(N), _delta_uppers(f)):
-        try:
-            coeffs.append(g(one))
-        except PrecisionError as exc:
-            raise PrecisionError(f"precision exhausted at level {n}: {exc}") from exc
+    try:
+        for a in islice(_delta_values(f, Poly.one(f.cfg)), N):
+            coeffs.append(a)
+    except PrecisionError as exc:
+        raise PrecisionError(
+            f"precision exhausted at level {len(coeffs)}: {exc}") from exc
     return BasisExpansion(f.cfg, Basis.LINEAR_E, coeffs)
 
 

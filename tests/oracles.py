@@ -4,7 +4,8 @@ Each function computes a value the library computes faster another way:
 products by the full schoolbook double loop, sums, negation, scaling and
 Frobenius one digit at a time, the Voloch matrix by its
 defining subset sums, the E- and D-basis coefficients by triangular solve
-and by literal operator iteration, one step of the E_n recurrence by
+and by literal operator iteration, delta^(n) f by its tower of closures,
+one step of the E_n recurrence by
 subtraction and a digit-by-digit prefix sum, ((delta - [m] I)**n f)(x) by its
 closed double sum, the orthogonality sums one (k, l) pair at a time, the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
@@ -169,6 +170,21 @@ def wagner_coeffs_by_solve(f: LinearFunc, N: int) -> BasisExpansion:
             acc = acc - coeffs[n] * evals[i][n]
         coeffs.append(acc)  # E_i(T^i) = 1
     return BasisExpansion(cfg, Basis.LINEAR_E, coeffs)
+
+
+def delta_upper_by_closures(n: int, f: LinearFunc) -> LinearFunc:
+    """delta^(n) f as the definition's tower of closures: step k + 1 maps g
+    to x -> g(T x) - T**(q**k) g(x), so every node evaluates the one below
+    twice and (delta^(n) f)(x) costs 2**n evaluations of f."""
+    cfg = f.cfg
+    T = Poly.T(cfg)
+
+    def step(g, mult):
+        return LinearFunc(cfg, lambda x: g(T * x) - mult * g(x))
+
+    for k in range(n):
+        f = step(f, Poly.monomial(cfg, cfg.q ** k))
+    return f
 
 
 def digit_coeffs_linear_by_iteration(f: LinearFunc, N: int) -> BasisExpansion:

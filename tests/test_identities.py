@@ -343,6 +343,38 @@ def test_basis_distance_witness_value(f2):
     assert diff.valuation == 1
 
 
+def _planted(f, at, delta):
+    """f(cfg, n, t) moved by delta, at t = T**at only, or everywhere when at
+    is None: a planted fault."""
+    def wrapper(cfg, n, t):
+        value = f(cfg, n, t)
+        if at is None or t == Poly.monomial(cfg, at):
+            value = value + parse_poly(cfg, delta)
+        return value
+    return wrapper
+
+
+@pytest.mark.parametrize("name,at,delta,label,witness", [
+    # A constant added to E_2 breaks the reductions mod T: v(f - g) = 0 at
+    # i = 0, reported by the valuation check.
+    ("eval_E", None, "1", "basis_distance",
+     {"i": 0, "difference": "1", "valuation": 0}),
+    # D_2(T^2) = 1 moved by T: v(f - g) stays 1, the delta pattern at i = n
+    # fails.
+    ("hasse_derivative", 2, "T", "basis_distance_delta",
+     {"i": 2, "value": "T+1"}),
+    # E_2(T) = 0 moved by T: v(f - g) stays 1, the delta pattern at i < n
+    # fails.
+    ("eval_E", 1, "T", "basis_distance_delta", {"i": 1, "f": "T", "g": "0"}),
+])
+def test_basis_distance_falsified_labels(monkeypatch, f3, name, at, delta,
+                                         label, witness):
+    monkeypatch.setattr(identities, name,
+                        _planted(getattr(identities, name), at, delta))
+    r = basis_distance(f3, "E_vs_D", 2, i_max=6)
+    assert (r.status, r.identity, r.witness) == (FALSIFIED, label, witness)
+
+
 def test_power_criterion(f2, rng):
     from carlitzbases.transforms import E_func
     assert check_power_criterion(f2, E_func(f2, 1), 1, rng=rng).status == VERIFIED

@@ -13,6 +13,7 @@ from carlitzbases import (
     DomainError,
     FieldConfig,
     Poly,
+    PrecisionError,
     TruncSeries,
     bracket,
     carlitz_L,
@@ -37,12 +38,19 @@ from carlitzbases import (
     wagner_coeffs,
 )
 from carlitzbases import algebra, transforms
-from carlitzbases.algebra import EXACT, poly_enumerate, random_poly, values_match
+from carlitzbases.algebra import (
+    EXACT,
+    as_series,
+    poly_enumerate,
+    random_poly,
+    values_match,
+)
 from carlitzbases.transforms import (
     D_func,
     Dj_func,
     E_func,
     G_func,
+    LinearFunc,
     add_func,
     constant_func,
     default_level,
@@ -55,6 +63,7 @@ from carlitzbases.transforms import (
 from oracles import (
     FIELDS,
     delta_minus_power_at,
+    delta_upper_by_closures,
     digit_coeffs_linear_by_iteration,
     enumeration_coeffs_by_pairs,
     powered_digit_coeffs_by_iteration,
@@ -104,6 +113,127 @@ def test_delta_upper_examples(f2, rng):
     one = Poly.one(f2)
     for n in range(4):
         assert delta_upper(n, E_func(f2, n))(one) == one
+
+
+def test_delta_upper_rejects_negative_n(f2):
+    # Raised when the operator is built, not when it is first called.
+    for n in (-1, -4):
+        with pytest.raises(DomainError):
+            delta_upper(n, D_func(f2, 1))
+    assert delta_upper(2, D_func(f2, 1)).name == "delta^(2)(D:1)"
+
+
+def _wagner_by_closures(f, N):
+    """wagner_coeffs(f, N).coeffs from the tower of closures, or the
+    (PrecisionError, message) that wagner_coeffs raises."""
+    one = Poly.one(f.cfg)
+    coeffs = []
+    for n in range(N):
+        try:
+            coeffs.append(delta_upper_by_closures(n, f)(one))
+        except PrecisionError as exc:
+            return PrecisionError, f"precision exhausted at level {n}: {exc}"
+    return coeffs
+
+
+def _truncating(g, P):
+    """g on its input read to precision P: a series-valued evaluator."""
+    def ev(x):
+        x = as_series(x)
+        return g(TruncSeries(x.cfg, x.v, x.coeffs, min(x.prec, P)))
+    return LinearFunc(g.cfg, ev, name=f"trunc{P}({g.name})")
+
+
+def _value_or_error(g, x):
+    """[g(x)], or PrecisionError when g raises one.  The message is dropped:
+    the table evaluates f from x up and the tower from T**n x down, so at a
+    series x they may first meet different points that lack precision."""
+    try:
+        return [g(x)]
+    except PrecisionError:
+        return PrecisionError
+
+
+def _same(got, want):
+    """Equal by ==, which for series compares the precision, and of the same
+    types (a Poly also equals its exact series)."""
+    return got == want and [type(c) for c in got] == [type(c) for c in want]
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_difference_table_matches_closures(q, data):
+    # Wagner coefficients and delta^(n) f at Poly and series points, from the
+    # difference table and from the tower of closures: the same values and
+    # precisions, and a PrecisionError where the tower raises one.
+    cfg = FieldConfig(*FIELDS[q])
+    digits = st.lists(st.integers(0, q - 1), max_size=4)
+    atoms = [E_func(cfg, data.draw(st.integers(0, 2))),
+             D_func(cfg, data.draw(st.integers(0, 4))),
+             frobenius_func(cfg, data.draw(st.integers(0, 2)))]
+    kind = data.draw(st.integers(0, 3))
+    if kind < 3:
+        f = atoms[kind]
+    else:
+        c, d = (Poly(cfg, data.draw(digits)) for _ in range(2))
+        f = add_func(scale_func(c, atoms[0]),
+                     scale_func(d, atoms[data.draw(st.integers(1, 2))]))
+    if data.draw(st.booleans()):
+        f = _truncating(f, data.draw(st.integers(4, 30)))
+    N = data.draw(st.integers(1, 6))
+    try:
+        got = wagner_coeffs(f, N).coeffs
+    except PrecisionError as exc:
+        got = PrecisionError, str(exc)
+    assert _same(got, _wagner_by_closures(f, N))
+    if data.draw(st.booleans()):
+        x = Poly(cfg, data.draw(digits))
+    else:
+        v = data.draw(st.integers(0, 3))
+        x = TruncSeries(cfg, v, data.draw(digits),
+                        v + data.draw(st.integers(1, 12)))
+    n = data.draw(st.integers(0, 4))
+    got, want = (_value_or_error(g, x)
+                 for g in (delta_upper(n, f), delta_upper_by_closures(n, f)))
+    if want is PrecisionError:
+        assert got is PrecisionError
+    else:
+        assert _same(got, want)
+
+
+def test_difference_table_evaluates_f_once_per_point(f3):
+    calls = []
+    E2 = E_func(f3, 2)
+    f = LinearFunc(f3, lambda x: calls.append(x) or E2(x), name="counted")
+    wagner_coeffs(f, 8)
+    assert calls == [Poly.monomial(f3, i) for i in range(8)]
+    calls.clear()
+    one = Poly.one(f3)
+    for n in range(8):
+        delta_upper_by_closures(n, f)(one)
+    assert len(calls) == 2 ** 8 - 1
+    x = Poly(f3, (2, 1))
+    for n in range(6):
+        calls.clear()
+        delta_upper(n, f)(x)
+        assert calls == [Poly.monomial(f3, i) * x for i in range(n + 1)]
+
+
+def test_wagner_names_the_level_where_precision_runs_out(f3):
+    # f returns its input's digits, read from x + O(T^P), as a series to
+    # O(T^9): F_q-linear and series-valued.  f(T^n) needs the digit of T^n,
+    # unknown from n = P on, so the expansion runs out at level P.
+    P = 4
+
+    def digits(x):
+        xs = as_series(x, P)
+        return TruncSeries(f3, 0, [xs.coeff(i) for i in range(x.degree + 1)], 9)
+
+    f = LinearFunc(f3, digits, name="digits")
+    assert _same(wagner_coeffs(f, P).coeffs, _wagner_by_closures(f, P))
+    with pytest.raises(PrecisionError, match=rf"^precision exhausted at level {P}: "
+                       rf"coefficient of T\^{P} unknown past prec {P}$"):
+        wagner_coeffs(f, P + 2)
 
 
 # ---------------------------------------------------------------------------
