@@ -2,13 +2,16 @@
 
 Every check returns a VerdictReport; falsified reports carry a replayable
 witness.  Sup-norm style claims are certified on a finite range (recorded
-in the report) rather than proved.
+in the report) rather than proved.  The distance and reduced-basis checks
+read E_n(T^i) and D_n(T^i) mod T^P (``_E_mod``), not exactly.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import List, Optional
@@ -29,7 +32,7 @@ from .algebra import (
     valuation_norm,
     values_match,
 )
-from .carlitz import eval_E, eval_G
+from .carlitz import DEGREE_BUDGET, eval_E, eval_G
 from .hasse import eval_D, hasse_derivative, powered_D
 from .transforms import (
     Basis,
@@ -299,40 +302,84 @@ def basis_distance(cfg: FieldConfig, pair: str, n: int,
                    i_max: int = 50, m: int = 1) -> VerdictReport:
     """Certify v(f(T^i) - g(T^i)) >= 1 for i <= i_max (so ||f - g|| <= 1/q
     on the tested range, and the reductions mod T agree) and the delta
-    pattern f(T^i) = 0 for i < n, f(T^n) = 1."""
+    pattern f(T^i) = 0 for i < n, f(T^n) = 1.
+
+    f and g are read mod T^P, P = max(2, i - n + 1) (``_pair_values``).
+    The checks read one exact digit each.  For the sup note, P doubles for
+    each i whose difference is zero mod T^P, until a nonzero digit appears
+    below the least valuation found, or P passes the degree bound
+    q**s (i - n) of the difference, s = n (E_vs_D), m (Dq_vs_D) or n + 1
+    (Eq_vs_E), past which it is exactly zero.  A falsified witness is
+    re-evaluated exactly at its i, unless that passes DEGREE_BUDGET.
+    """
     config = {"pair": pair, "q": cfg.q, "n": n, "i_max": i_max, "m": m}
-    if pair == "E_vs_D":
-        f = lambda t: eval_E(cfg, n, t)
-        g = lambda t: hasse_derivative(cfg, n, t)
-    elif pair == "Dq_vs_D":
-        f = lambda t: powered_D(cfg, n, m, t)
-        g = lambda t: hasse_derivative(cfg, n, t)
-    elif pair == "Eq_vs_E":
-        f = lambda t: eval_E(cfg, n, t).frobenius(1)
-        g = lambda t: eval_E(cfg, n, t)
-    else:
+    s = {"E_vs_D": n, "Dq_vs_D": m, "Eq_vs_E": n + 1}.get(pair)
+    if s is None:
         raise DomainError(f"unknown pair {pair!r}")
-    one = Poly.one(cfg)
-    max_norm = valuation_norm(Poly.zero(cfg)).value
-    for i in range(i_max + 1):
-        t = Poly.monomial(cfg, i)
-        fv, gv = f(t), g(t)
-        diff = fv - gv
-        nm = valuation_norm(diff)
-        if nm.v is not None and nm.v < 1:
-            return _verdict("basis_distance", config, False,
-                            witness={"i": i, "difference": str(diff),
-                                     "valuation": nm.v})
-        max_norm = max(max_norm, nm.value)
-        # delta pattern for the basis functions themselves
-        if i == n and not values_match(gv, one):
-            return _verdict("basis_distance_delta", config, False,
-                            witness={"i": i, "value": str(gv)})
-        if i < n and not (_is_zero(fv) and _is_zero(gv)):
-            return _verdict("basis_distance_delta", config, False,
-                            witness={"i": i, "f": str(fv), "g": str(gv)})
-    notes = [f"sup over tested range is {max_norm} (certified for i <= {i_max} only)"]
+    P, pending, valuations, least = 2, range(i_max + 1), [], None
+    while pending:
+        unresolved = []
+        for i in pending:
+            digits, bound = max(P, i - n + 1), cfg.q ** s * (i - n)
+            fv, gv = _pair_values(cfg, pair, n, m, i, digits)
+            diff = fv - gv
+            failure = _distance_failure(config, n, i, fv, gv, diff)
+            if failure is not None and bound <= DEGREE_BUDGET:
+                try:
+                    fv, gv = _pair_values(cfg, pair, n, m, i)
+                    failure = _distance_failure(config, n, i, fv, gv,
+                                                fv - gv) or failure
+                except BudgetError:
+                    pass
+            if failure is not None:
+                return failure
+            if diff.valuation is not None:
+                valuations.append(diff.valuation)
+            elif digits <= bound:
+                unresolved.append((i, digits))
+        least = min(valuations, default=None)
+        pending = [i for i, digits in unresolved if least is None or digits < least]
+        P *= 2
+    sup = Fraction(0) if least is None else Fraction(1, cfg.q ** least)
+    notes = [f"sup over tested range is {sup} (certified for i <= {i_max} only)"]
     return VerdictReport("basis_distance", config, VERIFIED, notes=notes)
+
+
+def _pair_values(cfg, pair, n, m, i, P=None):
+    """(f(T^i), g(T^i)) for a ``basis_distance`` pair: exact (P None), or
+    mod T^P, on T^i + O(T^(n+P)); for Eq_vs_E, the Frobenius of the first
+    ceil(P / q) digits of E_n."""
+    x = (Poly.monomial(cfg, i) if P is None
+         else TruncSeries.monomial(cfg, i, 1, n + P))
+    if pair == "Dq_vs_D":
+        return powered_D(cfg, n, m, x), hasse_derivative(cfg, n, x)
+    ev = eval_E(cfg, n, x) if P is None else _E_mod(cfg, n, i, P, eval_E)
+    if pair == "E_vs_D":
+        return ev, hasse_derivative(cfg, n, x)
+    return (ev if P is None else ev.truncate(-(-P // cfg.q))).frobenius(1), ev
+
+
+@lru_cache(maxsize=1024)
+def _E_mod(cfg: FieldConfig, n: int, i: int, P: int, evaluate) -> TruncSeries:
+    """E_n(T^i) mod T^P by ``evaluate`` (``eval_E`` or a stand-in), read
+    from T^i + O(T^(n+P)), since E_n loses n digits; kept for the next
+    reader, as E_vs_D and Eq_vs_E read the same values."""
+    return evaluate(cfg, n, TruncSeries.monomial(cfg, i, 1, n + P))
+
+
+def _distance_failure(config, n, i, fv, gv, diff):
+    """The falsified ``basis_distance`` report at T^i, or None."""
+    v = diff.valuation
+    if v is not None and v < 1:
+        return _verdict("basis_distance", config, False,
+                        witness={"i": i, "difference": str(diff), "valuation": v})
+    if i == n and not values_match(gv, Poly.one(diff.cfg)):
+        return _verdict("basis_distance_delta", config, False,
+                        witness={"i": i, "value": str(gv)})
+    if i < n and not (_is_zero(fv) and _is_zero(gv)):
+        return _verdict("basis_distance_delta", config, False,
+                        witness={"i": i, "f": str(fv), "g": str(gv)})
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +414,10 @@ def check_reduced_basis(cfg: FieldConfig, n_max: int) -> VerdictReport:
     """The matrices [reduced E_i(T^j)] and [reduced D_i(T^j)] for i, j < n_max
     coincide and are unitriangular, so the reductions are independent over F_q.
 
-    E_i is evaluated on T^j + O(T^(i+1)): E_i loses i digits, so the one
-    digit left, the constant term, is exact, and no value of degree q**i j
-    is formed (no degree budget at any q)."""
+    E_i is read mod T (``_E_mod``), so no value of degree q**i j is formed
+    (no degree budget at any q)."""
     config = {"q": cfg.q, "n_max": n_max}
-    mat_E = [[eval_E(cfg, i, TruncSeries.monomial(cfg, j, 1, i + 1)).coeff(0)
+    mat_E = [[_E_mod(cfg, i, j, 1, eval_E).coeff(0)
               for j in range(n_max)] for i in range(n_max)]
     mat_D = [[hasse_derivative(cfg, i, Poly.monomial(cfg, j)).coeff(0)
               for j in range(n_max)] for i in range(n_max)]

@@ -224,17 +224,6 @@ def delta(f: LinearFunc) -> LinearFunc:
     return delta_upper(1, f)
 
 
-def delta_minus(f: LinearFunc, m: int) -> LinearFunc:
-    """(delta - [m] I) f, with [0] read as the zero polynomial."""
-    cfg = f.cfg
-    g = delta(f)
-    if m == 0:
-        return g
-    br = bracket(cfg, m)
-    return LinearFunc(cfg, lambda x: g(x) - br * f(x),
-                      name=f"(delta-[{m}])({f.name})")
-
-
 def delta_upper(n: int, f: LinearFunc) -> LinearFunc:
     """The recursive operator with the q-power twist:
 

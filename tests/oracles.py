@@ -6,8 +6,9 @@ Frobenius one digit at a time, the Voloch matrix by its
 defining subset sums, the E- and D-basis coefficients by triangular solve
 and by literal operator iteration, delta^(n) f by its tower of closures,
 one step of the E_n recurrence by
-subtraction and a digit-by-digit prefix sum, ((delta - [m] I)**n f)(x) by its
-closed double sum, the orthogonality sums one (k, l) pair at a time, the
+subtraction and a digit-by-digit prefix sum, (delta - [m] I) f as a
+closure and ((delta - [m] I)**n f)(x) by its closed double sum, the
+distance certificates on exact values, the orthogonality sums one (k, l) pair at a time, the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
 enumeration coefficients one (j, m) pair at a time, the addition law's
 convolutions one product at a time, Kronecker packing one slot at a
@@ -37,8 +38,9 @@ from carlitzbases import (
     lucas_binom,
     poly_enumerate,
 )
-from carlitzbases.algebra import Value, as_series
+from carlitzbases.algebra import Value, as_series, valuation_norm
 from carlitzbases.hasse import hasse_on_monomial
+from carlitzbases import identities
 from carlitzbases.identities import (
     BUDGET_EXHAUSTED,
     FALSIFIED,
@@ -50,7 +52,6 @@ from carlitzbases.transforms import (
     LinearFunc,
     default_level,
     delta,
-    delta_minus,
 )
 
 
@@ -209,6 +210,17 @@ def powered_digit_coeffs_by_iteration(f: LinearFunc, m: int, N: int) -> BasisExp
         coeffs.append(g(one))
         g = delta_minus(g, m)
     return BasisExpansion(cfg, Basis.POWERED_D, coeffs, m=m)
+
+
+def delta_minus(f: LinearFunc, m: int) -> LinearFunc:
+    """(delta - [m] I) f, with [0] read as the zero polynomial."""
+    cfg = f.cfg
+    g = delta(f)
+    if m == 0:
+        return g
+    br = bracket(cfg, m)
+    return LinearFunc(cfg, lambda x: g(x) - br * f(x),
+                      name=f"(delta-[{m}])({f.name})")
 
 
 def delta_minus_power_at(f: LinearFunc, m: int, n: int, x: Value) -> Value:
@@ -491,3 +503,43 @@ def addition_convolution(cfg, evaluate, primed: bool, j: int, x: Poly, u: Poly,
             term = evaluate(cfg, e, x) * evaluate(cfg, j - e, u, primed=primed)
             acc = acc + term.scalar_mul(w)
     return acc
+
+
+def basis_distance_exact(cfg, pair: str, n: int, i_max: int = 50,
+                         m: int = 1) -> VerdictReport:
+    """``identities.basis_distance`` on exact values: f(T^i) and g(T^i) as
+    polynomials of degree up to q**n (i - n) (q times that for Eq_vs_E),
+    every difference formed.  The evaluators are looked up on
+    ``identities`` at call time, so a planted fault reaches both."""
+    config = {"pair": pair, "q": cfg.q, "n": n, "i_max": i_max, "m": m}
+    if pair == "E_vs_D":
+        f = lambda t: identities.eval_E(cfg, n, t)
+        g = lambda t: identities.hasse_derivative(cfg, n, t)
+    elif pair == "Dq_vs_D":
+        f = lambda t: identities.powered_D(cfg, n, m, t)
+        g = lambda t: identities.hasse_derivative(cfg, n, t)
+    elif pair == "Eq_vs_E":
+        f = lambda t: identities.eval_E(cfg, n, t).frobenius(1)
+        g = lambda t: identities.eval_E(cfg, n, t)
+    else:
+        raise ValueError(f"unknown pair {pair!r}")
+    one = Poly.one(cfg)
+    max_norm = valuation_norm(Poly.zero(cfg)).value
+    for i in range(i_max + 1):
+        t = Poly.monomial(cfg, i)
+        fv, gv = f(t), g(t)
+        diff = fv - gv
+        nm = valuation_norm(diff)
+        if nm.v is not None and nm.v < 1:
+            return VerdictReport("basis_distance", config, FALSIFIED,
+                                 witness={"i": i, "difference": str(diff),
+                                          "valuation": nm.v})
+        max_norm = max(max_norm, nm.value)
+        if i == n and gv != one:
+            return VerdictReport("basis_distance_delta", config, FALSIFIED,
+                                 witness={"i": i, "value": str(gv)})
+        if i < n and not (fv.is_zero and gv.is_zero):
+            return VerdictReport("basis_distance_delta", config, FALSIFIED,
+                                 witness={"i": i, "f": str(fv), "g": str(gv)})
+    notes = [f"sup over tested range is {max_norm} (certified for i <= {i_max} only)"]
+    return VerdictReport("basis_distance", config, VERIFIED, notes=notes)

@@ -50,13 +50,12 @@ from carlitzbases.transforms import (
     D_func,
     E_func,
     add_func,
-    delta_minus,
     default_level,
     matrix_product_block,
     powered_D_func,
     scale_func,
 )
-from oracles import delta_minus_power_at
+from oracles import delta_minus, delta_minus_power_at
 
 SEED = 987123
 

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+from contextlib import ExitStack
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from carlitzbases import (
     eval_D,
     eval_E,
     eval_G,
+    hasse_derivative,
     identities,
     parse_poly,
     poly_enumerate,
@@ -54,6 +57,7 @@ from carlitzbases.transforms import (
 from oracles import (
     FIELDS,
     addition_convolution,
+    basis_distance_exact,
     orthogonality_suite_by_pairs,
     orthogonality_sum_by_pairs,
 )
@@ -344,14 +348,22 @@ def test_basis_distance_witness_value(f2):
 
 
 def _planted(f, at, delta):
-    """f(cfg, n, t) moved by delta, at t = T**at only, or everywhere when at
-    is None: a planted fault."""
+    """f(cfg, n, t) moved by delta (polynomial text, or a Poly), at t = T**at
+    only, exact or truncated (T**at + O(T**N), N > at), or everywhere when
+    at is None: a planted fault."""
     def wrapper(cfg, n, t):
         value = f(cfg, n, t)
-        if at is None or t == Poly.monomial(cfg, at):
-            value = value + parse_poly(cfg, delta)
+        if at is None or _is_monomial(t, at):
+            value = value + (parse_poly(cfg, delta) if isinstance(delta, str)
+                             else delta)
         return value
     return wrapper
+
+
+def _is_monomial(t, at):
+    if isinstance(t, TruncSeries):
+        return (t.v, t.coeffs) == (at, (1,))
+    return t == Poly.monomial(t.cfg, at)
 
 
 @pytest.mark.parametrize("name,at,delta,label,witness", [
@@ -373,6 +385,78 @@ def test_basis_distance_falsified_labels(monkeypatch, f3, name, at, delta,
                         _planted(getattr(identities, name), at, delta))
     r = basis_distance(f3, "E_vs_D", 2, i_max=6)
     assert (r.status, r.identity, r.witness) == (FALSIFIED, label, witness)
+
+
+DISTANCE_FIELDS = {**FIELDS, 7: (7, 1)}
+PAIRS = ("E_vs_D", "Dq_vs_D", "Eq_vs_E")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), q=st.sampled_from(sorted(DISTANCE_FIELDS)),
+       n=st.integers(0, 4), i_max=st.integers(0, 50),
+       pair=st.sampled_from(PAIRS))
+def test_basis_distance_matches_the_exact_oracle(data, q, n, i_max, pair):
+    # The certificate mod T^P against the exact one, report for report,
+    # with or without a planted fault: a polynomial of degree <= 1 (the
+    # digits read at P = 2) added to eval_E or hasse_derivative at one
+    # T^at (often at or below the level, where the delta pattern is read)
+    # or everywhere.  The degree budget of the witnesses is lifted, so
+    # every falsified witness is exact on both sides.
+    cfg = FieldConfig(*DISTANCE_FIELDS[q])
+    fault = data.draw(st.none() | st.tuples(
+        st.sampled_from(["eval_E", "hasse_derivative"]),
+        st.none() | st.integers(0, 5) | st.integers(0, 50),
+        st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))))
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(identities, "DEGREE_BUDGET", 1 << 40))
+        if fault is not None:
+            name, at, coeffs = fault
+            planted = _planted(getattr(identities, name), at, Poly(cfg, coeffs))
+            stack.enter_context(patch.object(identities, name, planted))
+        got = basis_distance(cfg, pair, n, i_max=i_max).to_json()
+        expected = basis_distance_exact(cfg, pair, n, i_max=i_max).to_json()
+    assert got == expected
+
+
+def test_basis_distance_witness_past_the_degree_budget():
+    # At q = 7 the exact E_4(T^40) has degree 7^4 * 36, past DEGREE_BUDGET:
+    # a fault there is witnessed by the difference mod T^37, the digits the
+    # certificate read (P = 40 - 4 + 1), not by the exact difference.
+    cfg = FieldConfig(7)
+    t = Poly.monomial(cfg, 40)
+    with patch.object(identities, "eval_E", _planted(eval_E, 40, "1")):
+        r = basis_distance(cfg, "E_vs_D", 4, i_max=40)
+    exact = eval_E(cfg, 4, t) + Poly.one(cfg) - hasse_derivative(cfg, 4, t)
+    assert r.status == FALSIFIED and r.identity == "basis_distance"
+    assert r.witness == {"i": 40, "difference": str(exact.to_series(37)),
+                         "valuation": 0}
+    assert r.witness["difference"].endswith("+O(T^37)")
+
+
+@pytest.mark.parametrize("q", [131, 251])
+def test_basis_distance_suite_past_the_degree_budget(q):
+    # Exact E_4 values at q = 131 have degree 131^4 (i - 4): the certificate
+    # reads them mod T^P instead, with the sup note's least valuation exact.
+    cfg = FieldConfig(q)
+    reports = run_suite(cfg, "distance", n=4)
+    assert len(reports) == 15
+    assert all(r.status == VERIFIED for r in reports)
+    sups = [r.notes[0].split()[5] for r in reports]
+    assert sups == ["0"] + [f"1/{q}"] * 14
+
+
+def test_basis_distance_fault_past_the_degree_budget_is_read_mod_T_P():
+    # A fault at T^50 in E_vs_D at q = 131, level 2: the exact witness
+    # would hold E_2(T^50), of degree 131^2 * 48; the one given is the
+    # difference mod T^49, with the planted constant term.
+    cfg = FieldConfig(131)
+    with patch.object(identities, "eval_E",
+                      _planted(identities.eval_E, 50, "1")):
+        r = basis_distance(cfg, "E_vs_D", 2)
+    assert (r.status, r.identity) == (FALSIFIED, "basis_distance")
+    assert r.witness["i"] == 50 and r.witness["valuation"] == 0
+    assert r.witness["difference"].startswith("1+")
+    assert r.witness["difference"].endswith("+O(T^49)")
 
 
 def test_power_criterion(f2, rng):
@@ -419,22 +503,30 @@ def test_reduced_basis_constant_terms_are_exact(q):
 
 
 def test_run_verification_reports_a_raising_suite(capsys):
-    # At q = 131 the distance suite's level 3 exceeds the degree budget:
-    # the script prints a FAILED line naming the error, runs the suites
-    # after it, and exits 2 instead of raising.
+    # A suite that raises BudgetError (here the distance suite, made to
+    # raise): the script prints a FAILED line naming the error, runs the
+    # suites after it, and exits 2 instead of raising.
     path = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
     spec = importlib.util.spec_from_file_location("run_verification", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    rc = script.main(["--q", "131", "--n", "3", "--budget", "16", "--i-max", "0"])
+    run_suite = script.run_suite
+
+    def raising(cfg, selector, **kwargs):
+        if selector == "distance":
+            raise BudgetError("E_9 degree budget exceeded")
+        return run_suite(cfg, selector, **kwargs)
+
+    script.run_suite = raising
+    rc = script.main(["--q", "2", "--n", "1", "--i-max", "4"])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 2
     status = {line.split()[1]: line.split()[-1]
-              for line in lines if line.startswith("q=131")}
-    assert status == {"suite=ortho": "FAILED", "suite=addition": "ok",
+              for line in lines if line.startswith("q=2")}
+    assert status == {"suite=ortho": "ok", "suite=addition": "ok",
                       "suite=linearity": "ok", "suite=distance": "FAILED",
                       "suite=power": "ok", "suite=reduced": "ok"}
-    assert "    BudgetError: E_3 degree budget exceeded" in lines
+    assert "    BudgetError: E_9 degree budget exceeded" in lines
 
 
 # ---------------------------------------------------------------------------

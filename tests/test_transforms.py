@@ -62,6 +62,7 @@ from carlitzbases.transforms import (
 )
 from oracles import (
     FIELDS,
+    delta_minus,
     delta_minus_power_at,
     delta_upper_by_closures,
     digit_coeffs_linear_by_iteration,
@@ -557,7 +558,6 @@ def test_powered_coeffs_closed_sum_vs_iteration(q, m):
 
 def test_delta_minus_power_at_general_x(f2, rng):
     # Closed double sum at arbitrary x agrees with literal operator iteration.
-    from carlitzbases.transforms import delta_minus
     for m in (0, 1, 2):
         for n in range(4):
             f = D_func(f2, 1)
