@@ -338,9 +338,11 @@ def pack(cfg: FieldConfig, coeffs, width: int) -> int:
     while the bound of ``slot_width`` holds; ``unpack`` reads it back.  The
     int is read from a zeroed buffer into which the codes (e = 1), or each
     base-p digit of them (``bytes.translate``), are written as one strided
-    slice.
+    slice; for e = 1 and one-byte slots that buffer is the codes themselves.
     """
     codes = bytes(coeffs)
+    if cfg.e == 1 and width == 8:
+        return int.from_bytes(codes, "little")
     item = width // 8
     step = (2 * cfg.e - 1) * item
     buf = bytearray(len(codes) * step)

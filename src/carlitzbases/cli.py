@@ -348,10 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _PARSER
+    if _PARSER is None:  # built once per process, on first use
+        _PARSER = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

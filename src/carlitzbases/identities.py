@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import mul
 from typing import List, Optional
 
@@ -100,9 +100,15 @@ def check_orthogonality(cfg: FieldConfig, family: str, variant: str,
 
 def orthogonality_suite(cfg: FieldConfig, n: int,
                         budget: int = DEFAULT_BUDGET) -> List[VerdictReport]:
-    """Exhaustive orthogonality over both families and variants at level n:
-    one Gram product per (family, variant), checked entry by entry in
-    row-major (k, l) order up to the first mismatch."""
+    """Exhaustive orthogonality over both families and variants at level n.
+
+    Per (family, variant), every F_k(m) and F'_l(m) is tabulated once, and
+    the suite is verified when the primed values match their subset
+    expansion (``_primed_values_match``) and every power sum matches its
+    closed form (``_power_sums_match``).  Any mismatch re-runs the Gram
+    product (``_gram_entries``), entry by entry in row-major (k, l) order
+    up to the first mismatch, which names the falsified entry.
+    """
     reports = []
     q = cfg.q
     indices = range(q ** n)
@@ -111,12 +117,15 @@ def orthogonality_suite(cfg: FieldConfig, n: int,
             config = {"family": family, "variant": variant, "q": q, "n": n}
             report = VerdictReport("orthogonality", config, VERIFIED)
             try:
-                for k, l, total in _gram_entries(cfg, family, variant, n,
-                                                 indices, indices, budget):
-                    if total != _orthogonality_expected(cfg, n, k, l):
-                        report = _orthogonality_verdict(cfg, family, variant,
-                                                        n, k, l, total)
-                        break
+                values, primed = _tabulate(cfg, family, variant, n, budget)
+                if not (_primed_values_match(cfg, n, values, primed)
+                        and _power_sums_match(cfg, n, values)):
+                    for k, l, total in _gram_entries(cfg, family, variant, n,
+                                                     indices, indices, budget):
+                        if total != _orthogonality_expected(cfg, n, k, l):
+                            report = _orthogonality_verdict(
+                                cfg, family, variant, n, k, l, total)
+                            break
             except BudgetError as exc:
                 report = VerdictReport("orthogonality", config,
                                        BUDGET_EXHAUSTED, notes=[str(exc)])
@@ -127,6 +136,27 @@ def orthogonality_suite(cfg: FieldConfig, n: int,
 _ENUMERATION = {"deg_lt": "deg_lt", "monic": "monic_deg_eq"}
 
 
+def _enumerated(cfg, family, variant, n, budget):
+    """The evaluator of ``family`` (eval_G or eval_D, looked up per call:
+    the module globals may be rebound) and the m that ``variant`` sums over."""
+    f = {"CARLITZ": eval_G, "DIGIT": eval_D}.get(family)
+    if f is None:
+        raise DomainError(f"unknown family {family!r}")
+    if variant not in _ENUMERATION:
+        raise DomainError(f"unknown variant {variant!r}")
+    return f, poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
+
+
+def _tabulate(cfg, family, variant, n, budget):
+    """The codes of F_k(m) and of F'_k(m), one row per k < q**n, one entry
+    per enumerated m."""
+    f, polys = _enumerated(cfg, family, variant, n, budget)
+    indices = range(cfg.q ** n)
+    values = [[f(cfg, k, m).coeffs for m in polys] for k in indices]
+    primed = [[f(cfg, k, m, primed=True).coeffs for m in polys] for k in indices]
+    return values, primed
+
+
 def _gram_entries(cfg, family, variant, n, ks, ls, budget):
     """Yield (k, l, sum over m of F_k(m) F'_l(m)) for k in ks, l in ls,
     row-major, as one Gram product over the enumerated m.
@@ -135,19 +165,80 @@ def _gram_entries(cfg, family, variant, n, ks, ls, budget):
     (``algebra.packed_sums``); each entry is then one sum of integer
     products, unpacked once.
     """
-    if family == "CARLITZ":
-        f = eval_G
-    elif family == "DIGIT":
-        f = eval_D
-    else:
-        raise DomainError(f"unknown family {family!r}")
-    if variant not in _ENUMERATION:
-        raise DomainError(f"unknown variant {variant!r}")
-    polys = poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
+    f, polys = _enumerated(cfg, family, variant, n, budget)
     rows = [[f(cfg, k, m).coeffs for m in polys] for k in ks]
     cols = [[f(cfg, l, m, primed=True).coeffs for m in polys] for l in ls]
     for (k, l), codes in zip(product(ks, ls), packed_sums(cfg, rows, cols)):
         yield k, l, Poly(cfg, codes)
+
+
+def _primed_values_match(cfg, n, values, primed):
+    """Whether F'_l = sum over D a subset of max(l) of
+    (-1)**|D| F_{l - (q-1) 1_D} at every m, where max(l) is the set of
+    positions of l's digits equal to q - 1: F' by its definition, from the
+    tabulated F.
+
+    Each row of codes is one string, every value padded to a common
+    length, packed once; a subset sum is one sum of packed ints, a
+    negative term p - 1 times its int, unpacked once.  An l with no
+    maximal digit is compared with its unprimed string byte for byte.
+    """
+    q, p = cfg.q, cfg.p
+    length = max(map(len, chain.from_iterable(chain(values, primed))), default=0)
+
+    def string(row):
+        return b"".join(bytes(c).ljust(length, b"\0") for c in row)
+
+    strings = [string(row) for row in values]
+    width = slot_width(cfg, 2 ** n, 1)
+    packed = [pack(cfg, s, width) for s in strings]
+    for l, row in enumerate(primed):
+        terms = [(l, 1)]
+        for t in range(n):
+            unit = q ** t
+            if l // unit % q == q - 1:
+                terms += [(i - (q - 1) * unit, p - w) for i, w in terms]
+        want = string(row)
+        if len(terms) == 1:
+            if want != strings[l]:
+                return False
+        elif unpack(cfg, sum(w * packed[i] for i, w in terms), width) != \
+                want.rstrip(b"\0"):
+            return False
+    return True
+
+
+def _power_sums_match(cfg, n, values):
+    """Whether every power sum S(s) = sum over m of prod_t b_t(m)**s_t,
+    s in [0, 2q - 2]**n, is (-1)**n when every s_t is q - 1 or 2q - 2
+    and 0 otherwise; b_t is E_t (CARLITZ) or D_t (DIGIT).
+
+    S(s) is the packed sum of F_k(m) F_l(m), both unprimed, with
+    k_t = min(s_t, q - 1) and l_t = s_t - k_t.  Expanding F' by its
+    definition, each Gram entry sum_m F_k(m) F'_l(m) is a signed sum of
+    the S(k + l - (q - 1) 1_D), D a subset of max(l), as F_a F_b depends
+    on the digitwise sum a + b only for the digit products of eval_G and
+    eval_D.  That map from the S to the Gram entries is unitriangular over
+    subsets: with the primed values checked, all S match their closed
+    form exactly when all q**(2n) Gram entries match theirs.
+    """
+    q = cfg.q
+    length = max(map(len, chain.from_iterable(values)), default=0)
+    width = slot_width(cfg, len(values[0]), length)
+    packed = [[pack(cfg, c, width) for c in row] for row in values]
+    one = bytes([cfg.sign(n)])
+    for s in product(range(2 * q - 1), repeat=n):
+        k = l = 0
+        closed = True
+        for t, st in enumerate(s):
+            kt = min(st, q - 1)
+            k += kt * q ** t
+            l += (st - kt) * q ** t
+            closed = closed and st % (q - 1) == 0 and st > 0
+        total = unpack(cfg, sum(map(mul, packed[k], packed[l])), width)
+        if total != (one if closed else b""):
+            return False
+    return True
 
 
 def _orthogonality_expected(cfg, n, k, l):
@@ -179,13 +270,10 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
     if evaluate is None:
         raise DomainError(f"unknown family {family!r}")
     f = lambda y: evaluate(cfg, j, y, primed=primed)
-    # F_e(x) F'_{j-e}(u) for every e with a nonzero binomial weight; at
-    # j = q**m - 1 that is every e <= j, as the signed and x - u forms need.
-    binomials = [lucas_binom(j, e, cfg.p) for e in range(j + 1)]
-    support = [e for e, c in enumerate(binomials) if c]
+    binomials, support = _binomial_row(j, cfg.p)
     convolution = _addition_convolution(cfg, evaluate, primed, j, x, u, support)
     lhs = f(x + u)
-    rhs = convolution([binomials[e] for e in support])
+    rhs = convolution(binomials)
     if not values_match(lhs, rhs):
         return _verdict("addition_law", config, False,
                         witness={"lhs": str(lhs), "rhs": str(rhs)})
@@ -208,6 +296,17 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
             return _verdict("addition_diff_form", config, False,
                             witness={"lhs": str(diff_lhs), "rhs": str(diff_rhs)})
     return _verdict("addition_law", config, True)
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(j, p):
+    """The binomials C(j, e) mod p that are nonzero, and their e <= j, in
+    order of e: F_e(x) F'_{j-e}(u) is formed for each such e.  At
+    j = q**m - 1 that is every e <= j, as the signed and x - u forms need.
+    """
+    binomials = [lucas_binom(j, e, p) for e in range(j + 1)]
+    support = tuple(e for e, c in enumerate(binomials) if c)
+    return tuple(binomials[e] for e in support), support
 
 
 def _addition_convolution(cfg, evaluate, primed, j, x, u, support):

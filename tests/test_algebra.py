@@ -641,14 +641,17 @@ _KERNEL_FIELDS = {q: FieldConfig(p, e) for q, (p, e) in
        st.data())
 @settings(max_examples=400, deadline=None)
 def test_pack_unpack_match_slot_oracles(q, width, data):
-    # pack against the slot-by-slot definition, and unpack against the
-    # per-slot loop on values whose slots reach 2**width - 1, the most
-    # that slot_width admits at that width; empty and all-zero sequences
-    # and slots included.
+    # pack against the slot-by-slot definition, for list, tuple and bytes
+    # input (e = 1 at 8 bits reads the codes as one int), and unpack
+    # against the per-slot loop on values whose slots reach 2**width - 1,
+    # the most that slot_width admits at that width; empty and all-zero
+    # sequences and slots included.
     cfg = _KERNEL_FIELDS[q]
     codes = data.draw(st.lists(st.integers(0, q - 1), max_size=30))
     packed = pack(cfg, codes, width)
     assert packed == pack_by_slots(cfg, codes, width)
+    for form in (tuple, bytes):
+        assert pack(cfg, form(codes), width) == packed
     assert unpack(cfg, packed, width) == bytes(codes).rstrip(b"\0")
     top = (1 << width) - 1
     slot = st.one_of(st.just(0), st.just(top), st.integers(0, top))

@@ -334,6 +334,31 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_parser_built_once_and_reused(monkeypatch, capsys):
+    # main builds its parser on first use only; a reused parser leaves no
+    # state between calls, so each call (a bad one among them) prints what
+    # it prints with a parser of its own.
+    from carlitzbases import cli
+    calls = [("--q", "3", "--seed", "4", "verify", "--suite", "power"),
+             ("--q", "3", "verify", "--suite", "nope"),
+             ("--q", "3", "verify", "--bogus"),
+             ("--q", "2", "matrix", "--which", "voloch", "--size", "2",
+              "--prec", "6"),
+             ("--q", "2", "matrix", "--which", "inverse", "--size", "2"),
+             ("--format", "text", "info")]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run_cli(capsys, *argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert built == [1]
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0, 0]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "matrix.json"
     code, out, _ = run_cli(capsys, "--q", "2", "--out", str(target),

@@ -1,6 +1,7 @@
 """Identity checkers: orthogonality, addition laws, linearity, distances."""
 
 import importlib.util
+import itertools
 import json
 from contextlib import ExitStack
 from pathlib import Path
@@ -99,15 +100,54 @@ def test_orthogonality_suite_budget(f2):
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 1), (4, 1), (2, 1), (2, 3), (3, 2),
-                                 (4, 2), (5, 1), (8, 1), (9, 1)])
+                                 (4, 2), (5, 1), (8, 1), (9, 1), (2, 4)])
 def test_orthogonality_exhaustive_small(q, n):
-    # The Gram-product suite gives the reports of the per-pair oracle.
+    # The power-sum suite gives the reports of the per-pair oracle, byte
+    # for byte.
     cfg = FieldConfig(*FIELDS[q])
     reports = orthogonality_suite(cfg, n)
     assert len(reports) == 4
     assert all(r.status == VERIFIED for r in reports)
     want = orthogonality_suite_by_pairs(cfg, n)
-    assert [r.to_json() for r in reports] == [r.to_json() for r in want]
+    assert reports_to_json_text(reports) == reports_to_json_text(want)
+
+
+def test_verified_orthogonality_forms_no_gram_entry(monkeypatch):
+    # A verified suite rests on the primed check and the power sums alone:
+    # the Gram product runs only after a mismatch.
+    def no_gram(*args):
+        raise AssertionError("Gram product formed")
+    monkeypatch.setattr(identities, "_gram_entries", no_gram)
+    for q, n in ((2, 5), (3, 2), (4, 1), (9, 1)):
+        cfg = FieldConfig(*FIELDS[q])
+        assert all(r.ok for r in orthogonality_suite(cfg, n))
+
+
+def _power_sum(cfg, base, polys, s):
+    """sum over m of prod_t base(cfg, t, m)**s_t, one Poly power, product
+    and addition at a time."""
+    total = Poly.zero(cfg)
+    for m in polys:
+        term = Poly.one(cfg)
+        for t, st in enumerate(s):
+            term = term * base(cfg, t, m) ** st
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 2), (4, 2), (5, 2)])
+@pytest.mark.parametrize("base", [eval_E, hasse_derivative])
+@pytest.mark.parametrize("kind", ["deg_lt", "monic_deg_eq"])
+def test_power_sums_closed_form(q, n, base, kind):
+    # S(s) = sum_m prod_t b_t(m)**s_t is (-1)**n when every s_t is q - 1 or
+    # 2q - 2, and 0 otherwise, for b_t = E_t and b_t = D_t: the closed form
+    # that the orthogonality suite compares its power sums with.
+    cfg = FieldConfig(*FIELDS[q])
+    polys = poly_enumerate(cfg, n, kind)
+    for s in itertools.product(range(2 * q - 1), repeat=n):
+        closed = all(st in (q - 1, 2 * q - 2) for st in s)
+        want = Poly.constant(cfg, cfg.sign(n)) if closed else Poly.zero(cfg)
+        assert _power_sum(cfg, base, polys, s) == want, s
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())
@@ -149,11 +189,14 @@ def test_gram_entries_at_slot_bound(monkeypatch, q):
                    for k in (0, 1)]
 
 
-def _patched(f, j, m, delta):
-    """f with f(j, m) (unprimed) moved by delta: a planted fault."""
+def _patched(f, j, m, delta, primed=False):
+    """f with f(j, m) moved by delta, unprimed or (``primed``) primed
+    only: a planted fault."""
+    planted = primed
+
     def wrapper(cfg, i, x, primed=False):
         value = f(cfg, i, x, primed=primed)
-        if i == j and x == m and not primed:
+        if i == j and x == m and primed == planted:
             value = value + delta
         return value
     return wrapper
@@ -173,13 +216,59 @@ def test_orthogonality_falsified_report_matches_oracle(monkeypatch, family,
     monkeypatch.setattr(identities, name, evaluators[family])
     got = orthogonality_suite(cfg, 2)
     want = orthogonality_suite_by_pairs(cfg, 2, evaluators=evaluators)
-    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert reports_to_json_text(got) == reports_to_json_text(want)
     bad, = [r for r in got if r.status == FALSIFIED]
     assert (bad.config["family"], bad.config["variant"], bad.config["k"]) == \
         (family, "deg_lt", 2)
     assert bad.witness["sum"] != bad.witness["expected"]
     single = check_orthogonality(cfg, family, "deg_lt", 2, 2, bad.config["l"])
     assert single.to_json() == bad.to_json()
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 1)])
+@pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
+                                         ("DIGIT", "eval_D")])
+@pytest.mark.parametrize("primed", [False, True, "both"])
+@pytest.mark.parametrize("where", ["top", "plain", "monic"])
+def test_orthogonality_planted_faults_match_oracle(monkeypatch, q, n, family,
+                                                   name, primed, where):
+    # One value moved by 1, unprimed, primed or both, at an index whose top
+    # digit is maximal (q**n - 1) or that has no maximal digit (1), at a
+    # point of degree < n or monic of degree n: the suite names the same
+    # first (k, l), sum and expected value as the oracle.  Moved both ways
+    # at q**n - 1, the primed values still match their subset expansion,
+    # and only the power sums see the fault.
+    cfg = FieldConfig(*FIELDS[q])
+    j = 1 if where == "plain" else q ** n - 1
+    m = Poly.monomial(cfg, n) if where == "monic" else Poly.one(cfg)
+    evaluators = {"CARLITZ": eval_G, "DIGIT": eval_D}
+    f = evaluators[family]
+    for flag in ((False, True) if primed == "both" else (primed,)):
+        f = _patched(f, j, m, Poly.one(cfg), primed=flag)
+    evaluators[family] = f
+    monkeypatch.setattr(identities, name, evaluators[family])
+    got = orthogonality_suite(cfg, n)
+    want = orthogonality_suite_by_pairs(cfg, n, evaluators=evaluators)
+    assert reports_to_json_text(got) == reports_to_json_text(want)
+    variant = "monic" if where == "monic" else "deg_lt"
+    assert [(r.config["family"], r.config["variant"])
+            for r in got if r.status == FALSIFIED] == [(family, variant)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 9), (3, 7)])
+def test_primed_check_at_slot_bound(q, n):
+    # Constant tables, F = q - 1 and F' = 0 wherever l has a maximal digit:
+    # the subset sum of l = q**n - 1 has 2**n terms, half of them times
+    # p - 1, and overflows an 8-bit slot, so the width must follow 2**n.
+    cfg = FieldConfig(*FIELDS[q])
+    full = (q - 1,) * 3
+    size = q ** n
+    values = [[full] for _ in range(size)]
+    primed = [[full if all(l // q ** t % q != q - 1 for t in range(n)) else ()]
+              for l in range(size)]
+    assert identities._primed_values_match(cfg, n, values, primed)
+    primed[-1] = [(1,)]
+    assert not identities._primed_values_match(cfg, n, values, primed)
 
 
 def test_orthogonality_budget_error_while_tabulating(monkeypatch, f2):
@@ -192,6 +281,24 @@ def test_orthogonality_budget_error_while_tabulating(monkeypatch, f2):
     want = orthogonality_suite_by_pairs(
         f2, 2, evaluators={"CARLITZ": eval_G, "DIGIT": over_budget})
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [r.status for r in got] == [VERIFIED, VERIFIED,
+                                       BUDGET_EXHAUSTED, BUDGET_EXHAUSTED]
+
+
+@pytest.mark.parametrize("raises", ["primed", "top index"])
+def test_orthogonality_budget_error_late_in_tabulation(monkeypatch, f2, raises):
+    # A BudgetError raised only by primed values, or only at the last index,
+    # after other values were tabulated, still gives budget_exhausted with
+    # the oracle's note.
+    def over_budget(cfg, j, x, primed=False):
+        if primed if raises == "primed" else j == 3:
+            raise BudgetError(f"E_{j} degree budget exceeded")
+        return eval_D(cfg, j, x, primed=primed)
+    monkeypatch.setattr(identities, "eval_D", over_budget)
+    got = orthogonality_suite(f2, 2)
+    want = orthogonality_suite_by_pairs(
+        f2, 2, evaluators={"CARLITZ": eval_G, "DIGIT": over_budget})
+    assert reports_to_json_text(got) == reports_to_json_text(want)
     assert [r.status for r in got] == [VERIFIED, VERIFIED,
                                        BUDGET_EXHAUSTED, BUDGET_EXHAUSTED]
 
@@ -252,6 +359,27 @@ def test_addition_law_forms_each_product_once(monkeypatch, f3, family):
         weighted = [e for e in range(j + 1) if identities.lucas_binom(j, e, 3)]
         assert [k for k, y, primed in calls if y == x and not primed] == weighted
         assert [j - k for k, y, primed in calls if y == u] == weighted
+
+
+def test_binomial_rows_formed_once(monkeypatch, f3, rng):
+    # Each (j, p) row of binomials is formed once, whatever the number of
+    # checks at j, and holds the nonzero C(j, e) mod p in order of e.
+    identities._binomial_row.cache_clear()
+    calls = []
+    binom = identities.lucas_binom
+    monkeypatch.setattr(identities, "lucas_binom",
+                        lambda *args: calls.append(args) or binom(*args))
+    for j in range(9):
+        for _ in range(3):
+            x, u = random_poly(f3, rng, 3), random_poly(f3, rng, 3)
+            assert check_addition_law(f3, "G", j, x, u).ok
+            assert check_addition_law(f3, "Dp", j, x, u).ok
+        weights, support = identities._binomial_row(j, 3)
+        assert support == tuple(e for e in range(j + 1) if binom(j, e, 3))
+        assert weights == tuple(binom(j, e, 3) for e in support)
+    assert sorted(calls) == sorted((j, e, 3) for j in range(9)
+                                   for e in range(j + 1))
+    identities._binomial_row.cache_clear()
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.sampled_from(["G", "Gp", "D", "Dp"]),
