@@ -3,9 +3,10 @@
 Everything here is exact on F_q[T] inputs.  E_n is evaluated on
 polynomials and truncated series alike by the bracket recurrence
 E_k = (E_{k-1}**q - E_{k-1}) / [k], each step one pass over packed byte
-lanes (``_bracket_step``) and, on polynomials, each level cached; the
-linear polynomials e_n and the factorials F_n are the paper's objects and
-the tests' oracle E_n = e_n / F_n, not an evaluation path.
+lanes (``_bracket_step``) and each level cached, polynomials and series
+in separate caches; the linear polynomials e_n and the factorials F_n
+are the paper's objects and the tests' oracle E_n = e_n / F_n, not an
+evaluation path.
 """
 from __future__ import annotations
 
@@ -30,6 +31,9 @@ from .algebra import (
 
 # Degrees grow like q**n; keep exact products desk-scale.
 DEGREE_BUDGET = 1 << 16
+# Entries kept by each cache of values at series points (E_n, G_j, D_n,
+# D_j); the Poly caches are unbounded.
+SERIES_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -141,10 +145,10 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
 
     which follows from F_k = [k] F_{k-1}**q.  Polynomial and exact-series
     inputs give exact values, of degree q**n deg(x), and raise BudgetError
-    when q**n exceeds DEGREE_BUDGET; each level is cached, one step from
-    the level below.  A truncated series of precision N > n gives
-    precision N - n, one digit per step, the same loss as D_n, and has no
-    degree budget because no digit at or past T**N is formed.
+    when q**n exceeds DEGREE_BUDGET.  A truncated series of precision
+    N > n gives precision N - n, one digit per step, the same loss as D_n,
+    and has no degree budget because no digit at or past T**N is formed.
+    Each level is cached, one step from the level below.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -158,9 +162,7 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
         return _eval_E_poly(cfg, n, x.to_poly()).to_series()
     if x.prec <= n:
         raise PrecisionError(f"E_{n} needs input precision > {n}, got {x.prec}")
-    for k in range(1, n + 1):
-        x = _bracket_step(cfg, k, x)
-    return x
+    return _eval_E_series(cfg, n, x)
 
 
 @lru_cache(maxsize=None)
@@ -170,6 +172,13 @@ def _eval_E_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
     if n == 0:
         return x
     return _bracket_step(cfg, n, _eval_E_poly(cfg, n - 1, x))
+
+
+@lru_cache(maxsize=SERIES_CACHE)
+def _eval_E_series(cfg: FieldConfig, n: int, x: TruncSeries) -> TruncSeries:
+    if n == 0:
+        return x
+    return _bracket_step(cfg, n, _eval_E_series(cfg, n - 1, x))
 
 
 def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
@@ -261,9 +270,10 @@ def eval_G(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
     a maximal digit a_n = q-1 contributes E_n(x)**a_n - 1 instead.
     G_0 = G'_0 = 1.
     """
+    primed = primed and _maximal(cfg.q, j)
     if isinstance(x, Poly):
         return _eval_G_poly(cfg, j, x, primed)
-    return _digit_product(cfg, j, x, primed, eval_E)
+    return _eval_G_series(cfg, j, x, primed)
 
 
 @lru_cache(maxsize=None)
@@ -271,34 +281,45 @@ def _eval_G_poly(cfg: FieldConfig, j: int, x: Poly, primed: bool) -> Poly:
     return _digit_product(cfg, j, x, primed, eval_E, _eval_G_poly)
 
 
-def _digit_product(cfg, j, x, primed, base, cached=None):
-    """prod base(cfg, n, x)**a_n over the base-q digits a_n of j, primed as
-    in ``eval_G``, in prefix form F_j = F_{j - a q**t} * F_{a q**t}: a is
-    the top digit of j, at position t, and the one-digit value F_{a q**t}
-    is the digit power base(cfg, t, x)**a, less 1 for a primed maximal
-    digit.  The factors multiply from the lowest digit up,
-    ((F_{a_0} * F_{a_1 q}) * F_{a_2 q**2}) ..., one product per digit past
-    the first.
+@lru_cache(maxsize=SERIES_CACHE)
+def _eval_G_series(cfg: FieldConfig, j: int, x: TruncSeries,
+                   primed: bool) -> TruncSeries:
+    return _digit_product(cfg, j, x, primed, eval_E, _eval_G_series)
 
-    ``cached`` (the evaluator's cache, for a Poly x) supplies both factors,
-    so each index costs one product and each digit power is formed once
-    per point; without it (a series x) both are formed again.
+
+def _maximal(q: int, j: int) -> bool:
+    """Whether some base-q digit of j is q - 1; without one F'_j = F_j, so
+    the evaluators look a primed j up as unprimed and cache it once."""
+    while j > 0 and j % q != q - 1:
+        j //= q
+    return j > 0
+
+
+def _digit_product(cfg, j, x, primed, base, cached):
+    """prod base(cfg, n, x)**a_n over the base-q digits a_n of j, primed as
+    in ``eval_G`` (``primed`` only when j has a maximal digit), in prefix
+    form F_j = F_{j - a q**t} * F_{a q**t}: a is the top digit of j, at
+    position t, and the one-digit value F_{a q**t} is the digit power
+    base(cfg, t, x)**a, less 1 for a primed maximal digit.  The factors
+    multiply from the lowest digit up, ((F_{a_0} * F_{a_1 q}) * F_{a_2 q**2})
+    ..., one product per digit past the first.
+
+    ``cached`` (the evaluator's cache for the type of x) supplies both
+    factors, so each index costs one product and each digit power is
+    formed once per point.
     """
     if j < 0:
         raise DomainError("digit index must be non-negative")
     if j == 0:
         one = Poly.one(cfg)
         return one if isinstance(x, Poly) else one.to_series()
-    if cached is None:
-        def cached(cfg, k, x, primed):
-            return _digit_product(cfg, k, x, primed, base)
     q, t, unit = cfg.q, 0, 1
     while unit * q <= j:
         t, unit = t + 1, unit * q
     a, rest = divmod(j, unit)
     if rest:
-        return cached(cfg, rest, x, primed) * cached(cfg, j - rest, x, primed)
+        return (cached(cfg, rest, x, primed and _maximal(q, rest))
+                * cached(cfg, j - rest, x, primed and a == q - 1))
     if not primed:
         return base(cfg, t, x) ** a
-    power = cached(cfg, j, x, False)
-    return power - Poly.one(cfg) if a == q - 1 else power
+    return cached(cfg, j, x, False) - Poly.one(cfg)  # a == q - 1

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import (
     BudgetError,
@@ -188,7 +188,7 @@ def cmd_expand(run: RunConfig, args) -> int:
     payload = exp.to_json()
     payload["function"] = args.f
     payload["run_config"] = run.to_text()
-    _emit(run, args, payload, csv_text=_expansion_csv(exp))
+    _emit(run, args, payload, csv=lambda: _expansion_csv(exp))
     return 0
 
 
@@ -213,7 +213,7 @@ def cmd_matrix(run: RunConfig, args) -> int:
         raise DomainError(f"unknown matrix {args.which!r}")
     payload = mat.to_json()
     payload["run_config"] = run.to_text()
-    _emit(run, args, payload, csv_text=mat.to_csv())
+    _emit(run, args, payload, csv=mat.to_csv)
     return 0
 
 
@@ -235,7 +235,7 @@ def cmd_verify(run: RunConfig, args) -> int:
                     for s in (identities.VERIFIED, identities.FALSIFIED,
                               identities.BUDGET_EXHAUSTED)},
     }
-    _emit(run, args, payload, csv_text=identities.reports_to_csv(reports))
+    _emit(run, args, payload, csv=lambda: identities.reports_to_csv(reports))
     falsified = [r for r in reports if r.status == identities.FALSIFIED]
     if falsified:
         for r in falsified:
@@ -258,17 +258,20 @@ def cmd_info(run: RunConfig, args) -> int:
         "modulus": None if cfg.modulus is None else list(cfg.modulus),
         "run_config": run.to_text(),
     }
-    _emit(run, args, payload, csv_text=None)
+    _emit(run, args, payload, csv=None)
     return 0
 
 
-def _emit(run: RunConfig, args, payload: dict, csv_text: Optional[str]):
+def _emit(run: RunConfig, args, payload: dict,
+          csv: Optional[Callable[[], str]]):
+    """Write ``payload`` in the run's format; ``csv`` builds the CSV text,
+    called only for --format csv (None: the command has no CSV form)."""
     if run.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif run.format == "csv":
-        if csv_text is None:
+        if csv is None:
             raise DomainError("this command has no CSV form")
-        text = csv_text
+        text = csv()
     elif run.format == "text":
         text = _as_text(payload)
     else:

@@ -18,7 +18,7 @@ from .algebra import (
     Value,
     lucas_binom,
 )
-from .carlitz import _digit_product
+from .carlitz import SERIES_CACHE, _digit_product, _maximal
 
 
 def hasse_derivative(cfg: FieldConfig, n: int, x: Value) -> Value:
@@ -32,8 +32,7 @@ def hasse_derivative(cfg: FieldConfig, n: int, x: Value) -> Value:
         return x
     if x.prec != EXACT and x.prec <= n:
         raise PrecisionError(f"D_{n} needs input precision > {n}, got {x.prec}")
-    # Digits below T**n vanish by Lucas; the constructor strips them.
-    return TruncSeries(cfg, x.v - n, _hasse_digits(cfg, n, x.v, x.coeffs), x.prec - n)
+    return _hasse_series(cfg, n, x)
 
 
 @lru_cache(maxsize=None)
@@ -43,12 +42,31 @@ def _hasse_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
     return Poly(cfg, _hasse_digits(cfg, n, n, x.coeffs[n:]))
 
 
+@lru_cache(maxsize=SERIES_CACHE)
+def _hasse_series(cfg: FieldConfig, n: int, x: TruncSeries) -> TruncSeries:
+    # Digits below T**n vanish by Lucas; the constructor strips them.
+    return TruncSeries(cfg, x.v - n, _hasse_digits(cfg, n, x.v, x.coeffs), x.prec - n)
+
+
 def _hasse_digits(cfg: FieldConfig, n: int, v: int, coeffs) -> list:
     """D_n on the window sum_k coeffs[k] T**(v+k): the digit C(i, n) a_i of
-    T**(i-n) for each i = v + k, binomials mod p by Lucas."""
-    mul, p = cfg.mul_table, cfg.p
-    return [mul[lucas_binom(i, n, p)][a] if a else 0
-            for i, a in enumerate(coeffs, v)]
+    T**(i-n) for each i = v + k, binomials mod p from ``_binomial_row``."""
+    mul = cfg.mul_table
+    row = _binomial_row(n, cfg.p, v + len(coeffs))
+    return [mul[b][a] for b, a in zip(row[v:], coeffs)]
+
+
+_BINOMIAL_ROWS = {}
+
+
+def _binomial_row(n: int, p: int, size: int) -> bytes:
+    """C(i, n) mod p for i < size (at least), by Lucas: one row per (n, p),
+    extended when a longer window asks for it."""
+    row = _BINOMIAL_ROWS.get((n, p), b"")
+    if len(row) < size:
+        row += bytes(lucas_binom(i, n, p) for i in range(len(row), size))
+        _BINOMIAL_ROWS[n, p] = row
+    return row
 
 
 def eval_D(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
@@ -56,14 +74,21 @@ def eval_D(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
 
     D_0 = D'_0 = 1 (the constant function); exact on polynomial input.
     """
+    primed = primed and _maximal(cfg.q, j)
     if isinstance(x, Poly):
         return _eval_D_poly(cfg, j, x, primed)
-    return _digit_product(cfg, j, x, primed, hasse_derivative)
+    return _eval_D_series(cfg, j, x, primed)
 
 
 @lru_cache(maxsize=None)
 def _eval_D_poly(cfg: FieldConfig, j: int, x: Poly, primed: bool) -> Poly:
     return _digit_product(cfg, j, x, primed, hasse_derivative, _eval_D_poly)
+
+
+@lru_cache(maxsize=SERIES_CACHE)
+def _eval_D_series(cfg: FieldConfig, j: int, x: TruncSeries,
+                   primed: bool) -> TruncSeries:
+    return _digit_product(cfg, j, x, primed, hasse_derivative, _eval_D_series)
 
 
 def powered_D(cfg: FieldConfig, n: int, m: int, x: Value) -> Value:

@@ -6,7 +6,8 @@ Frobenius one digit at a time, the Voloch matrix by its
 defining subset sums, the E- and D-basis coefficients by triangular solve
 and by literal operator iteration, delta^(n) f by its tower of closures,
 one step of the E_n recurrence by
-subtraction and a digit-by-digit prefix sum, (delta - [m] I) f as a
+subtraction and a digit-by-digit prefix sum (and E_n by n such steps),
+D_n one Lucas binomial per digit, (delta - [m] I) f as a
 closure and ((delta - [m] I)**n f)(x) by its closed double sum, the
 distance certificates on exact values, the orthogonality sums one (k, l) pair at a time, the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
@@ -38,7 +39,7 @@ from carlitzbases import (
     lucas_binom,
     poly_enumerate,
 )
-from carlitzbases.algebra import Value, as_series, valuation_norm
+from carlitzbases.algebra import EXACT, Value, as_series, valuation_norm
 from carlitzbases.hasse import hasse_on_monomial
 from carlitzbases import identities
 from carlitzbases.identities import (
@@ -316,6 +317,25 @@ def bracket_step_by_digits(cfg, k: int, y: Value) -> Value:
     if any(digits[:1]) or any(u[top:]):
         raise InexactDivisionError(f"division by [{k}] left a remainder")
     return Poly(cfg, u[:top])
+
+
+def eval_E_by_steps(cfg, n: int, x: Value) -> Value:
+    """E_n(x) by n steps of ``bracket_step_by_digits`` from E_0(x) = x,
+    nothing cached; an exact series is stepped as the Poly it equals."""
+    if isinstance(x, TruncSeries) and x.prec == EXACT:
+        return eval_E_by_steps(cfg, n, x.to_poly()).to_series()
+    for k in range(1, n + 1):
+        x = bracket_step_by_digits(cfg, k, x)
+    return x
+
+
+def hasse_by_digits(cfg, n: int, x: Value) -> Value:
+    """D_n(x) = sum C(i, n) a_i T**(i - n), one Lucas binomial per digit,
+    known to precision prec(x) - n."""
+    s = as_series(x)
+    out = {i - n: cfg.mul(lucas_binom(i, n, cfg.p), a)
+           for i, a in enumerate(s.coeffs, s.v) if i >= n}
+    return _from_digits(cfg, out, s.prec - n, isinstance(x, Poly))
 
 
 def digit_product_by_digits(cfg, j: int, x: Value, primed: bool, base) -> Value:

@@ -12,6 +12,7 @@ from carlitzbases import (
     DomainError,
     FieldConfig,
     Poly,
+    TruncSeries,
     bracket,
     carlitz_F,
     carlitz_L,
@@ -411,7 +412,8 @@ def test_digit_product_products(monkeypatch, q):
     # G_j multiplies its digit powers from the first factor on: with E_n
     # itself product-free, G_j costs the binary powers of its digits plus
     # one product per further nonzero digit, and G_{q^n} = E_n costs none.
-    # Values equal the product from 1 of the oracle's powers.
+    # The series caches are cleared before each call, so each count is that
+    # of a cold point.  Values equal the product from 1 of the oracle's powers.
     from carlitzbases import algebra
     from oracles import schoolbook_mul
 
@@ -424,6 +426,7 @@ def test_digit_product_products(monkeypatch, q):
                         lambda *args: calls.append(1) or kernel(*args))
     for j in range(q ** 3):
         for primed in (False, True):
+            _clear_series_caches()
             calls.clear()
             got = eval_G(cfg, j, x, primed=primed)
             digits = [a for a in DigitIndex.of(j, q).digits if a]
@@ -472,11 +475,23 @@ def test_digit_products_match_digit_oracle(q, data):
         assert got == want
 
 
+def _series_caches():
+    from carlitzbases import carlitz, hasse
+    return (carlitz._eval_E_series, carlitz._eval_G_series,
+            hasse._hasse_series, hasse._eval_D_series)
+
+
+def _clear_series_caches():
+    for cached in _series_caches():
+        cached.cache_clear()
+
+
 def _clear_evaluator_caches():
     from carlitzbases import carlitz, hasse
     for cached in (carlitz._eval_E_poly, carlitz._eval_G_poly,
                    hasse._hasse_poly, hasse._eval_D_poly):
         cached.cache_clear()
+    _clear_series_caches()
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
@@ -485,8 +500,10 @@ def _clear_evaluator_caches():
 def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order):
     # From cold caches, F_k(x) and F'_k(x) for every k < q**n, in either
     # order, cost one product per index with two or more nonzero digits,
-    # plus the binary powers base_t(x)**a of each one-digit index a q**t,
-    # formed once per point for both.  Every E_t(x) and D_t(x), t < n, is
+    # and F'_k one more only when k has a maximal digit q - 1 (otherwise
+    # F'_k = F_k, taken from the cache), plus the binary powers
+    # base_t(x)**a of each one-digit index a q**t, formed once per point
+    # for both.  Every E_t(x) and D_t(x), t < n, is
     # nonconstant, so no product meets a zero: E_t(x) has degree
     # q**t (deg x - t) for deg x = n, and D_t(x) the top term
     # C(q**n - 1, t) T**(q**n - 1 - t), nonzero by Lucas, for deg x = q**n - 1.
@@ -504,12 +521,142 @@ def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order
                         lambda *args: calls.append(1) or kernel(*args))
     values = {primed: [evaluate(cfg, k, x, primed=primed) for k in range(q ** n)]
               for primed in order}
-    prefixed = sum(1 for k in range(q ** n)
-                   if sum(map(bool, DigitIndex.of(k, q).digits)) >= 2)
+    prefixed = [DigitIndex.of(k, q).digits for k in range(q ** n)
+                if sum(map(bool, DigitIndex.of(k, q).digits)) >= 2]
+    maximal = sum(1 for digits in prefixed if q - 1 in digits)
     powers = n * sum(a.bit_length() + bin(a).count("1") - 2 for a in range(1, q))
-    assert len(calls) == 2 * prefixed + powers
+    assert len(calls) == len(prefixed) + maximal + powers
     monkeypatch.undo()
     base = eval_E if family == "G" else hasse_derivative
     for primed in order:
         assert values[primed] == [digit_product_by_digits(cfg, k, x, primed, base)
                                   for k in range(q ** n)]
+
+
+# ---------------------------------------------------------------------------
+# Series points: the cached tower
+# ---------------------------------------------------------------------------
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_series_caches_match_uncached_oracles(q, data):
+    # On truncated and exact series, E_n, D_n, G_j, G'_j, D_j and D'_j give
+    # the values and precisions of the uncached oracles (E_n by bracket
+    # steps, D_n by Lucas binomials, digit products one digit at a time),
+    # from cold or warm caches, in any order of calls, and again on the
+    # repeated call, which is a cache hit.
+    from oracles import eval_E_by_steps, hasse_by_digits
+
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    x = _digit_product_input(cfg, data.draw(st.sampled_from(("exact", "trunc"))), rnd)
+    if data.draw(st.booleans()):
+        _clear_series_caches()
+    top = q ** (2 if q >= 8 else 3)
+    calls = ([(evaluate, base, n, None) for n in range(3)
+              for evaluate, base in ((eval_E, eval_E_by_steps),
+                                     (hasse_derivative, hasse_by_digits))]
+             + [(evaluate, base, j, primed) for j in range(top)
+                for primed in (False, True)
+                for evaluate, base in ((eval_G, eval_E_by_steps),
+                                       (eval_D, hasse_by_digits))])
+    rnd.shuffle(calls)
+    for evaluate, base, k, primed in calls:
+        if primed is None:
+            want = base(cfg, k, x)
+            got = [evaluate(cfg, k, x) for _ in range(2)]
+        else:
+            want = digit_product_by_digits(cfg, k, x, primed, base)
+            got = [evaluate(cfg, k, x, primed=primed) for _ in range(2)]
+        for value in got:
+            assert type(value) is type(want)
+            assert value == want and value.prec == want.prec
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_poly_and_exact_series_keep_their_types(q):
+    # A Poly and the exact series with its coefficients are equal, yet each
+    # keeps its own result type, in either order of evaluation from cold
+    # caches: neither type's cache answers for the other.
+    cfg = FieldConfig(*FIELDS[q])
+    x = random_poly(cfg, random.Random(q), 3) + Poly.monomial(cfg, 4)
+    s = x.to_series()
+    assert x == s
+    calls = ([(evaluate, n, {}) for n in range(3)
+              for evaluate in (eval_E, hasse_derivative)]
+             + [(evaluate, j, {"primed": primed}) for j in range(q * q)
+                for primed in (False, True) for evaluate in (eval_G, eval_D)])
+    for points in ((x, s), (s, x)):
+        _clear_evaluator_caches()
+        for evaluate, k, kwargs in calls:
+            by_type = {type(y): evaluate(cfg, k, y, **kwargs) for y in points}
+            assert type(by_type[Poly]) is Poly
+            assert type(by_type[TruncSeries]) is TruncSeries
+            assert by_type[Poly].to_series() == by_type[TruncSeries]
+
+
+def test_series_caches_stay_bounded():
+    # A sweep over more series points than a cache holds leaves every
+    # series cache at most SERIES_CACHE entries long, the busiest one full,
+    # and the last point's values still cached.
+    from carlitzbases.carlitz import SERIES_CACHE
+
+    cfg = FieldConfig(2)
+    rnd = random.Random(7)
+    _clear_series_caches()
+
+    def evaluate(x):
+        return [eval_E(cfg, 2, x), eval_G(cfg, 6, x), hasse_derivative(cfg, 3, x),
+                eval_D(cfg, 5, x, primed=True)]
+
+    for _ in range(SERIES_CACHE + 16):
+        x = random_series(cfg, rnd, 12)
+        values = evaluate(x)
+    infos = [cached.cache_info() for cached in _series_caches()]
+    assert all(info.maxsize == SERIES_CACHE for info in infos)
+    assert max(info.currsize for info in infos) == SERIES_CACHE
+    assert all(0 < info.currsize <= SERIES_CACHE for info in infos)
+    assert evaluate(x) == values
+    hits = [cached.cache_info().hits - info.hits
+            for cached, info in zip(_series_caches(), infos)]
+    assert all(hits), hits
+
+
+def test_eval_E_series_one_step_per_level(monkeypatch):
+    # From a cold cache E_N(x) of a truncated series takes exactly N steps,
+    # each from the cached level below; E_0 ... E_N are then all cache hits.
+    from carlitzbases import carlitz
+    cfg, N = FieldConfig(3), 4
+    x = random_series(cfg, random.Random(3), 30)
+    steps = []
+    step = carlitz._bracket_step
+    monkeypatch.setattr(carlitz, "_bracket_step",
+                        lambda *args: steps.append(args[1]) or step(*args))
+    _clear_series_caches()
+    value = eval_E(cfg, N, x)
+    assert steps == list(range(1, N + 1))
+    assert [eval_E(cfg, n, x) for n in range(1, N + 1)][-1] == value
+    assert steps == list(range(1, N + 1))
+
+
+@pytest.mark.parametrize("evaluate", [eval_G, eval_D])
+def test_primed_without_maximal_digit_is_unprimed(monkeypatch, evaluate):
+    # F'_j = F_j when no digit of j is q - 1: at q = 5 on deg m < 2, with
+    # every F_j(m) cached, the 16 such indices cost no product, and their
+    # primed values are the unprimed ones.
+    from carlitzbases import algebra
+
+    cfg = FieldConfig(5)
+    points = poly_enumerate(cfg, 2, "deg_lt")
+    _clear_evaluator_caches()
+    warm = {(j, m): evaluate(cfg, j, m) for j in range(25) for m in points}
+    plain = [j for j in range(25) if 4 not in DigitIndex.of(j, 5).digits]
+    assert len(plain) == 16
+    calls = []
+    kernel = algebra._mul
+    monkeypatch.setattr(algebra, "_mul",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for j in plain:
+        for m in points:
+            assert evaluate(cfg, j, m, primed=True) == warm[j, m]
+    assert calls == []

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output formats, exit-status contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -263,6 +264,51 @@ def test_matrix_csv_format(capsys):
                            "matrix", "--which", "inverse", "--size", "3")
     assert code == 0
     assert out.splitlines()[0] == "row,col,entry"
+
+
+# The CSV bytes of each command, as sha256 of stdout, recorded when every
+# command still built its CSV text eagerly.
+CSV_RUNS = [
+    (("--q", "2", "matrix", "--which", "voloch", "--size", "5", "--prec", "24"),
+     "29e99e93735f264ec6f563fd33188fd422ef5735e4f8858920f32dc5ab0ac35a"),
+    (("--q", "3", "matrix", "--which", "inverse", "--size", "4"),
+     "0c730f7f1cfdc8ccb1c1b547939214c64ee14de14c55476007a93e7401e8228d"),
+    (("--q", "3", "expand", "--f", "T*E:1+D:2", "--basis", "G", "--terms", "9"),
+     "1c49bc04663f0cc610955e71d3aff856b90dc393599fffb6e55e876a30fce916"),
+    (("--q", "2", "expand", "--f", "E:2+D:1", "--basis", "E", "--terms", "6"),
+     "02b10a52873500937814bbbf3dcbd3097348a504d4f2cacef0234dd71f2f47d4"),
+    (("--q", "3", "verify", "--suite", "power"),
+     "ca77b4afb88eee85d86ca03d02766c8a163f9ac148b257f61b8a2788480f1919"),
+    (("--q", "2", "verify", "--suite", "ortho", "--n", "3"),
+     "8c15bcd174c776eac18611d0678ec88e376a9464efcc633d3cd642dad11eea63"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CSV_RUNS)
+def test_csv_bytes_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "--format", "csv", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CSV_RUNS])
+def test_json_output_builds_no_csv(monkeypatch, capsys, argv):
+    # Every CSV builder is replaced by one that fails the test: JSON output
+    # never calls it, and --format csv does, so the replacement is the one
+    # the command reaches.
+    from carlitzbases import cli, identities, transforms
+
+    def refuse(*args):
+        raise AssertionError("CSV text built")
+
+    monkeypatch.setattr(transforms.BasisMatrix, "to_csv", refuse)
+    monkeypatch.setattr(cli, "_expansion_csv", refuse)
+    monkeypatch.setattr(identities, "reports_to_csv", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["run_config"]
+    with pytest.raises(AssertionError, match="CSV text built"):
+        main(["--format", "csv", *argv])
 
 
 # ---------------------------------------------------------------------------

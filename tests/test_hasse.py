@@ -1,5 +1,7 @@
 """Hasse derivations D_n, digit derivatives D_j, and q^m-th powers."""
 
+import random
+
 import pytest
 
 from carlitzbases import (
@@ -183,3 +185,30 @@ def test_powered_D_is_frobenius_of_D(f3, rng):
             x = random_poly(f3, rng, 5)
             assert (powered_D(f3, n, m, x)
                     == hasse_derivative(f3, n, x).frobenius(m))
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_binomial_row_per_order(monkeypatch, q):
+    # D_n reads its binomials C(i, n) mod p from one row per (n, p): a longer
+    # window computes only the new ones, and later windows, Poly or series,
+    # compute none.  Values equal the one-Lucas-binomial-per-digit oracle.
+    from carlitzbases import hasse
+    from oracles import hasse_by_digits
+
+    cfg, n = FieldConfig(*FIELDS[q]), 2
+    rnd = random.Random(q)
+    calls = []
+    binom = hasse.lucas_binom
+    monkeypatch.setattr(hasse, "lucas_binom",
+                        lambda *args: calls.append(args) or binom(*args))
+    hasse._BINOMIAL_ROWS.clear()
+    hasse._hasse_series.cache_clear()
+    for prec, expected in ((20, 20), (12, 0), (41, 21), (30, 0)):
+        calls.clear()
+        x = TruncSeries(cfg, 0, [rnd.randrange(q) for _ in range(prec - 1)] + [1], prec)
+        assert hasse_derivative(cfg, n, x) == hasse_by_digits(cfg, n, x)
+        assert len(calls) == expected
+    calls.clear()
+    x = random_poly(cfg, rnd, 40)
+    assert hasse_derivative(cfg, n, x) == hasse_by_digits(cfg, n, x)
+    assert calls == []
