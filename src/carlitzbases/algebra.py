@@ -108,8 +108,11 @@ class FieldConfig:
             if not _is_irreducible(modulus, p):
                 raise DomainError("modulus is reducible over F_p")
             self.modulus = modulus
-        # Every lru_cache lookup keyed on a config hashes it: hash once.
-        self._hash = hash((p, e, self.modulus))
+        # What identifies the field, as a plain tuple: cache keys built on
+        # it hash and compare without a call into this class.  Every
+        # lru_cache lookup keyed on a config hashes it: hash once.
+        self._key = (p, e, self.modulus)
+        self._hash = hash(self._key)
         self._build_tables()
 
     def _build_tables(self):
@@ -211,9 +214,7 @@ class FieldConfig:
         return "+".join(terms) if terms else "0"
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FieldConfig)
-            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
+        return self is other or (isinstance(other, FieldConfig) and self._key == other._key)
 
     def __hash__(self):
         return self._hash
@@ -253,10 +254,10 @@ def _add(cfg: FieldConfig, a, b) -> list:
     return out
 
 
-def _spread(coeffs, s: int) -> list:
+def _spread(coeffs, s: int) -> bytearray:
     """``coeffs`` with coefficient i moved to index i * s: the Frobenius
     map x -> x**(q**m) on coefficients, for s = q**m."""
-    out = [0] * ((len(coeffs) - 1) * s + 1)
+    out = bytearray(max((len(coeffs) - 1) * s + 1, 0))
     out[::s] = coeffs
     return out
 
@@ -339,16 +340,17 @@ def pack(cfg: FieldConfig, coeffs, width: int) -> int:
     int is read from a zeroed buffer into which the codes (e = 1), or each
     base-p digit of them (``bytes.translate``), are written as one strided
     slice; for e = 1 and one-byte slots that buffer is the codes themselves.
+    ``coeffs`` is a byte string (``Poly.coeffs``) or any sequence of codes.
     """
-    codes = bytes(coeffs)
     if cfg.e == 1 and width == 8:
-        return int.from_bytes(codes, "little")
+        return int.from_bytes(coeffs, "little")
     item = width // 8
     step = (2 * cfg.e - 1) * item
-    buf = bytearray(len(codes) * step)
+    buf = bytearray(len(coeffs) * step)
     if cfg.e == 1:
-        buf[::step] = codes
+        buf[::step] = coeffs
     else:
+        codes = bytes(coeffs)
         for t, digit in enumerate(_slot_tables(cfg, width).digits):
             buf[t * item::step] = codes.translate(digit)
     return int.from_bytes(buf, "little")
@@ -440,10 +442,10 @@ def packed_sums(cfg: FieldConfig, rows, cols):
 KRONECKER_CROSSOVER = (2.05, 1.20)
 
 
-def _mul(cfg: FieldConfig, a, b, size: int) -> list:
+def _mul(cfg: FieldConfig, a, b, size: int) -> bytes:
     """The first ``size`` coefficients of the product of the coefficient
-    sequences ``a`` and ``b``: the one multiplication kernel of Poly and
-    TruncSeries.  Dense long products take the Kronecker path, the rest
+    sequences ``a`` and ``b``, as ``size`` bytes: the one multiplication
+    kernel of Poly and TruncSeries.  Dense long products take the Kronecker path, the rest
     the schoolbook loop (see KRONECKER_CROSSOVER).
     """
     a, b = a[:size], b[:size]
@@ -455,7 +457,7 @@ def _mul(cfg: FieldConfig, a, b, size: int) -> list:
     return _mul_schoolbook(cfg, a, b, size)
 
 
-def _mul_schoolbook(cfg: FieldConfig, a, b, size: int) -> list:
+def _mul_schoolbook(cfg: FieldConfig, a, b, size: int) -> bytes:
     """``_mul`` by the double loop over the nonzero coefficients of ``a``;
     pairs (i, j) with i + j >= size are never visited.  As in
     ``_mul_kronecker``, ``a`` is the shorter factor and neither factor is
@@ -468,10 +470,10 @@ def _mul_schoolbook(cfg: FieldConfig, a, b, size: int) -> list:
             for j, y in enumerate(b[:size - i], i):
                 if y:
                     out[j] = add[out[j]][row[y]]
-    return out
+    return bytes(out)
 
 
-def _mul_kronecker(cfg: FieldConfig, a, b, size: int) -> list:
+def _mul_kronecker(cfg: FieldConfig, a, b, size: int) -> bytes:
     """``_mul`` as one integer product of the packed factors, cut to its
     first ``size`` coefficient slots before unpacking, so the digits past
     a truncation are never read back.  The slot width follows ``a``, the
@@ -479,9 +481,7 @@ def _mul_kronecker(cfg: FieldConfig, a, b, size: int) -> list:
     width = slot_width(cfg, 1, len(a))
     product = pack(cfg, a, width) * pack(cfg, b, width)
     product &= (1 << width * (2 * cfg.e - 1) * size) - 1
-    out = list(unpack(cfg, product, width))
-    out += [0] * (size - len(out))
-    return out
+    return unpack(cfg, product, width).ljust(size, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +491,16 @@ def _mul_kronecker(cfg: FieldConfig, a, b, size: int) -> list:
 class Poly:
     """Dense polynomial in T over F_q, normalized (no trailing zero coefficient).
 
-    The zero polynomial has degree -1 (sentinel).
+    ``coeffs`` holds the coefficient codes, constant term first, as
+    ``bytes`` (every code fits a byte, as q <= 256); the constructor takes
+    any iterable of codes.  The zero polynomial has degree -1 (sentinel).
     """
 
     __slots__ = ("cfg", "coeffs")
 
-    def __init__(self, cfg: FieldConfig, coeffs: Iterable[int] = ()):
-        coeffs = tuple(coeffs)
-        if coeffs and not coeffs[-1]:
-            end = len(coeffs) - 1
-            while end and not coeffs[end - 1]:
-                end -= 1
-            coeffs = coeffs[:end]
+    def __init__(self, cfg: FieldConfig, coeffs: Iterable[int] = b""):
         self.cfg = cfg
-        self.coeffs = coeffs
+        self.coeffs = bytes(coeffs).rstrip(b"\0")
 
     @classmethod
     def zero(cls, cfg):
@@ -512,17 +508,17 @@ class Poly:
 
     @classmethod
     def one(cls, cfg):
-        return cls(cfg, (1,))
+        return cls(cfg, b"\1")
 
     @classmethod
     def constant(cls, cfg, c: int):
-        return cls(cfg, (c,))
+        return cls(cfg, c.to_bytes(1, "little"))
 
     @classmethod
     def monomial(cls, cfg, k: int, c: int = 1):
         if k < 0:
             raise DomainError("Poly exponents must be non-negative")
-        return cls(cfg, (0,) * k + (c,))
+        return cls(cfg, bytes(k) + c.to_bytes(1, "little"))
 
     @classmethod
     def T(cls, cfg):
@@ -542,10 +538,9 @@ class Poly:
 
     @property
     def valuation(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        if not self.coeffs:
+            return None
+        return len(self.coeffs) - len(self.coeffs.lstrip(b"\0"))
 
     def coeff(self, i: int) -> int:
         if 0 <= i < len(self.coeffs):
@@ -566,12 +561,12 @@ class Poly:
         return Poly(self.cfg, map(self.cfg.neg_table.__getitem__, self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            return self.to_series() * other
         if not isinstance(other, Poly):
+            if isinstance(other, TruncSeries):
+                return self.to_series() * other
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.cfg)
+        if not (self.coeffs and other.coeffs):
+            return Poly(self.cfg)
         size = len(self.coeffs) + len(other.coeffs) - 1
         return Poly(self.cfg, _mul(self.cfg, self.coeffs, other.coeffs, size))
 
@@ -624,11 +619,12 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
             return other == self
-        return (isinstance(other, Poly)
-                and self.cfg == other.cfg and self.coeffs == other.coeffs)
+        return (isinstance(other, Poly) and self.coeffs == other.coeffs
+                and (self.cfg is other.cfg or self.cfg == other.cfg))
 
     def __hash__(self):
-        return hash((self.cfg, self.coeffs))
+        # Equal polynomials have equal codes; bytes cache their own hash.
+        return hash(self.coeffs)
 
     def text(self) -> str:
         if self.is_zero:
@@ -740,28 +736,25 @@ class TruncSeries:
     """Laurent series over F_q known up to a stated precision exponent.
 
     Every coefficient of T**i with i < prec is known; coeffs stores the
-    nonzero window starting at the valuation v.  prec = EXACT (infinity)
-    marks an exactly known Laurent polynomial.  Empty coeffs means "zero
-    to precision prec" (exactly zero when prec == EXACT).
+    nonzero window starting at the valuation v, as ``bytes`` of codes like
+    ``Poly.coeffs``.  prec = EXACT (infinity) marks an exactly known
+    Laurent polynomial.  Empty coeffs means "zero to precision prec"
+    (exactly zero when prec == EXACT).
     """
 
     __slots__ = ("cfg", "v", "coeffs", "prec")
 
     def __init__(self, cfg: FieldConfig, v: int, coeffs: Iterable[int], prec):
-        coeffs = tuple(coeffs)
+        coeffs = bytes(coeffs)
         if prec != EXACT:
             prec = int(prec)
             if len(coeffs) > prec - v:
                 coeffs = coeffs[:max(prec - v, 0)]
         if coeffs and not (coeffs[0] and coeffs[-1]):
-            # The nonzero window coeffs[start:end].
-            start, end = 0, len(coeffs)
-            while start < end and not coeffs[start]:
-                start += 1
-            while end > start and not coeffs[end - 1]:
-                end -= 1
-            v += start
-            coeffs = coeffs[start:end]
+            # The nonzero window: v moves past the leading zeros.
+            window = coeffs.lstrip(b"\0")
+            v += len(coeffs) - len(window)
+            coeffs = window.rstrip(b"\0")
         self.cfg = cfg
         self.v = v if coeffs else 0
         self.coeffs = coeffs
@@ -769,11 +762,11 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, cfg, prec=EXACT):
-        return cls(cfg, 0, (), prec)
+        return cls(cfg, 0, b"", prec)
 
     @classmethod
     def monomial(cls, cfg, k: int, c: int = 1, prec=EXACT):
-        return cls(cfg, k, (c,), prec)
+        return cls(cfg, k, c.to_bytes(1, "little"), prec)
 
     @property
     def is_zero_to_prec(self) -> bool:
@@ -812,8 +805,8 @@ class TruncSeries:
         if not other.coeffs:
             return TruncSeries(cfg, self.v, self.coeffs, prec)
         lo = min(self.v, other.v)
-        a = (0,) * (self.v - lo) + self.coeffs
-        b = (0,) * (other.v - lo) + other.coeffs
+        a = bytes(self.v - lo) + self.coeffs
+        b = bytes(other.v - lo) + other.coeffs
         return TruncSeries(cfg, lo, _add(cfg, a, b), prec)
 
     def __neg__(self):
@@ -833,7 +826,7 @@ class TruncSeries:
         cfg = self.cfg
         prec = min(self.prec + other._eff_v(), other.prec + self._eff_v())
         if not self.coeffs or not other.coeffs:
-            return TruncSeries(cfg, 0, (), prec)
+            return TruncSeries(cfg, 0, b"", prec)
         lo = self.v + other.v
         size = len(self.coeffs) + len(other.coeffs) - 1
         if prec != EXACT:
@@ -893,18 +886,20 @@ class TruncSeries:
             raise PrecisionError("only exact series convert to Poly")
         if self.coeffs and self.v < 0:
             raise DomainError("negative-valuation value is not in F_q[T]")
-        return Poly(self.cfg, (0,) * self.v + self.coeffs)
+        return Poly(self.cfg, bytes(self.v) + self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
             other = other.to_series()
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (self.cfg == other.cfg and self.prec == other.prec
-                and self.v == other.v and self.coeffs == other.coeffs)
+        return (self.coeffs == other.coeffs and self.v == other.v
+                and self.prec == other.prec
+                and (self.cfg is other.cfg or self.cfg == other.cfg))
 
     def __hash__(self):
-        return hash((self.cfg, self.v, self.coeffs, self.prec))
+        # Equal series have equal codes; bytes cache their own hash.
+        return hash((self.v, self.coeffs, self.prec))
 
     def matches(self, other) -> bool:
         """Digitwise agreement below the smaller of the two precisions."""

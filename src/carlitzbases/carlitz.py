@@ -3,10 +3,10 @@
 Everything here is exact on F_q[T] inputs.  E_n is evaluated on
 polynomials and truncated series alike by the bracket recurrence
 E_k = (E_{k-1}**q - E_{k-1}) / [k], each step one pass over packed byte
-lanes (``_bracket_step``) and each level cached, polynomials and series
-in separate caches; the linear polynomials e_n and the factorials F_n
-are the paper's objects and the tests' oracle E_n = e_n / F_n, not an
-evaluation path.
+lanes (``_bracket_step``) and each level kept in the point's tower
+(``towers``, the one cache of basis values); the linear polynomials e_n
+and the factorials F_n are the paper's objects and the tests' oracle
+E_n = e_n / F_n, not an evaluation path.
 """
 from __future__ import annotations
 
@@ -28,12 +28,10 @@ from .algebra import (
     Value,
     _slot_tables,
 )
+from .towers import TOWERS
 
 # Degrees grow like q**n; keep exact products desk-scale.
 DEGREE_BUDGET = 1 << 16
-# Entries kept by each cache of values at series points (E_n, G_j, D_n,
-# D_j); the Poly caches are unbounded.
-SERIES_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -148,37 +146,29 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
     when q**n exceeds DEGREE_BUDGET.  A truncated series of precision
     N > n gives precision N - n, one digit per step, the same loss as D_n,
     and has no degree budget because no digit at or past T**N is formed.
-    Each level is cached, one step from the level below.
+    Each level is kept in the point's tower (``towers``), one step from
+    the level below.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
-    if isinstance(x, Poly):
-        return _eval_E_poly(cfg, n, x)
-    if x.coeffs and x.v < 0:
-        raise DomainError("E_n is only evaluated on O (v >= 0)")
-    if n == 0:
-        return x
-    if x.prec == EXACT:
-        return _eval_E_poly(cfg, n, x.to_poly()).to_series()
-    if x.prec <= n:
-        raise PrecisionError(f"E_{n} needs input precision > {n}, got {x.prec}")
-    return _eval_E_series(cfg, n, x)
-
-
-@lru_cache(maxsize=None)
-def _eval_E_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
-    if cfg.q ** n > DEGREE_BUDGET:
+    tower = TOWERS.tower(cfg, x)
+    levels = tower.E
+    if n < len(levels):
+        TOWERS.hits += 1
+        return levels[n]
+    if not isinstance(x, Poly):
+        if x.coeffs and x.v < 0:
+            raise DomainError("E_n is only evaluated on O (v >= 0)")
+        if 0 < n and x.prec <= n:  # never for an exact series
+            raise PrecisionError(f"E_{n} needs input precision > {n}, got {x.prec}")
+    if (isinstance(x, Poly) or x.prec == EXACT) and cfg.q ** n > DEGREE_BUDGET:
         raise BudgetError(f"E_{n} degree budget exceeded")
-    if n == 0:
-        return x
-    return _bracket_step(cfg, n, _eval_E_poly(cfg, n - 1, x))
-
-
-@lru_cache(maxsize=SERIES_CACHE)
-def _eval_E_series(cfg: FieldConfig, n: int, x: TruncSeries) -> TruncSeries:
-    if n == 0:
-        return x
-    return _bracket_step(cfg, n, _eval_E_series(cfg, n - 1, x))
+    if not levels:
+        levels.append(x)  # counted with its tower
+    while len(levels) <= n:
+        levels.append(_bracket_step(cfg, len(levels), levels[-1]))
+        TOWERS.charge(tower, levels[-1])
+    return levels[n]
 
 
 def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
@@ -195,18 +185,20 @@ def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
     ``size`` coefficients kept.  A lane is reduced mod p whenever the next
     doubling could overflow it, and the digits go back to codes once.
 
-    A Poly quotient must be exact: ``size`` is deg(y**q - y), and a
-    nonzero digit at or past size - s raises InexactDivisionError.  A
-    truncated series of precision N gives precision N - 1.
+    An exact quotient (Poly or exact series, v >= 0) must be exact:
+    ``size`` is deg(y**q - y), and a nonzero digit at or past size - s
+    raises InexactDivisionError.  A truncated series of precision N gives
+    precision N - 1.
     """
     p, e, q = cfg.p, cfg.e, cfg.q
     s = q ** k - 1
-    exact = isinstance(y, Poly)
-    codes = bytes(y.coeffs)
+    codes = y.coeffs
+    v = 0 if isinstance(y, Poly) else y.v
+    exact = isinstance(y, Poly) or y.prec == EXACT
     if exact:
-        v, size = 0, max(q * (len(codes) - 1), 0)
+        size = max(q * (v + len(codes) - 1), 0)
     else:
-        v, size = y.v, y.prec - 1
+        size = y.prec - 1
     item = 1 if p <= 128 else 2
     lanes = e * item  # bytes per coefficient
     length = (size + 1) * lanes
@@ -244,7 +236,7 @@ def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
         return TruncSeries(cfg, 0, out, size)
     if len(out) > max(size - s, 0):
         raise InexactDivisionError(f"division by [{k}] left a remainder")
-    return Poly(cfg, out)
+    return Poly(cfg, out) if isinstance(y, Poly) else TruncSeries(cfg, 0, out, EXACT)
 
 
 def _lanes_mod_p(cfg: FieldConfig, acc: int, nbytes: int, item: int) -> bytes:
@@ -270,21 +262,12 @@ def eval_G(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
     a maximal digit a_n = q-1 contributes E_n(x)**a_n - 1 instead.
     G_0 = G'_0 = 1.
     """
-    primed = primed and _maximal(cfg.q, j)
-    if isinstance(x, Poly):
-        return _eval_G_poly(cfg, j, x, primed)
-    return _eval_G_series(cfg, j, x, primed)
-
-
-@lru_cache(maxsize=None)
-def _eval_G_poly(cfg: FieldConfig, j: int, x: Poly, primed: bool) -> Poly:
-    return _digit_product(cfg, j, x, primed, eval_E, _eval_G_poly)
-
-
-@lru_cache(maxsize=SERIES_CACHE)
-def _eval_G_series(cfg: FieldConfig, j: int, x: TruncSeries,
-                   primed: bool) -> TruncSeries:
-    return _digit_product(cfg, j, x, primed, eval_E, _eval_G_series)
+    if j < 0:
+        raise DomainError("digit index must be non-negative")
+    tower = TOWERS.tower(cfg, x)
+    if tower.G is None:
+        tower.G = ({}, {})
+    return _digit_product(cfg, tower, tower.G, eval_E, j, primed and _maximal(cfg.q, j))
 
 
 def _maximal(q: int, j: int) -> bool:
@@ -295,8 +278,9 @@ def _maximal(q: int, j: int) -> bool:
     return j > 0
 
 
-def _digit_product(cfg, j, x, primed, base, cached):
-    """prod base(cfg, n, x)**a_n over the base-q digits a_n of j, primed as
+def _digit_product(cfg, tower, tables, base, j, primed):
+    """prod base(cfg, n, x)**a_n over the base-q digits a_n of j >= 0 at
+    the tower's point x, base being eval_E or hasse_derivative, primed as
     in ``eval_G`` (``primed`` only when j has a maximal digit), in prefix
     form F_j = F_{j - a q**t} * F_{a q**t}: a is the top digit of j, at
     position t, and the one-digit value F_{a q**t} is the digit power
@@ -304,22 +288,33 @@ def _digit_product(cfg, j, x, primed, base, cached):
     multiply from the lowest digit up, ((F_{a_0} * F_{a_1 q}) * F_{a_2 q**2})
     ..., one product per digit past the first.
 
-    ``cached`` (the evaluator's cache for the type of x) supplies both
-    factors, so each index costs one product and each digit power is
-    formed once per point.
+    ``tables`` (the tower's unprimed and primed values of the family)
+    supply both factors and keep the result, so each index costs one
+    product and each digit power is formed once per point.
     """
-    if j < 0:
-        raise DomainError("digit index must be non-negative")
+    table = tables[primed]
+    out = table.get(j)
+    if out is not None:
+        TOWERS.hits += 1
+        return out
     if j == 0:
-        one = Poly.one(cfg)
-        return one if isinstance(x, Poly) else one.to_series()
-    q, t, unit = cfg.q, 0, 1
-    while unit * q <= j:
-        t, unit = t + 1, unit * q
-    a, rest = divmod(j, unit)
-    if rest:
-        return (cached(cfg, rest, x, primed and _maximal(q, rest))
-                * cached(cfg, j - rest, x, primed and a == q - 1))
-    if not primed:
-        return base(cfg, t, x) ** a
-    return cached(cfg, j, x, False) - Poly.one(cfg)  # a == q - 1
+        out = Poly.one(cfg)
+        if not isinstance(tower.x, Poly):
+            out = out.to_series()
+    else:
+        q, t, unit = cfg.q, 0, 1
+        while unit * q <= j:
+            t, unit = t + 1, unit * q
+        a, rest = divmod(j, unit)
+        if rest:
+            out = (_digit_product(cfg, tower, tables, base, rest,
+                                  primed and _maximal(q, rest))
+                   * _digit_product(cfg, tower, tables, base, j - rest,
+                                    primed and a == q - 1))
+        elif not primed:
+            out = base(cfg, t, tower.x) ** a
+        else:  # a == q - 1
+            out = _digit_product(cfg, tower, tables, base, j, False) - Poly.one(cfg)
+    table[j] = out
+    TOWERS.charge(tower, out)
+    return out

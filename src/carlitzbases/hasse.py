@@ -6,10 +6,7 @@ exact on polynomials.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .algebra import (
-    EXACT,
     DomainError,
     FieldConfig,
     Poly,
@@ -18,34 +15,35 @@ from .algebra import (
     Value,
     lucas_binom,
 )
-from .carlitz import SERIES_CACHE, _digit_product, _maximal
+from .carlitz import _digit_product, _maximal
+from .towers import TOWERS
 
 
 def hasse_derivative(cfg: FieldConfig, n: int, x: Value) -> Value:
     if n < 0:
         raise DomainError("derivative order must be non-negative")
+    tower = TOWERS.tower(cfg, x)
+    value = tower.D.get(n)
+    if value is not None:
+        TOWERS.hits += 1
+        return value
     if isinstance(x, Poly):
-        return _hasse_poly(cfg, n, x)
-    if x.coeffs and x.v < 0:
-        raise DomainError("D_n is only evaluated on O (v >= 0)")
-    if n == 0:
-        return x
-    if x.prec != EXACT and x.prec <= n:
-        raise PrecisionError(f"D_{n} needs input precision > {n}, got {x.prec}")
-    return _hasse_series(cfg, n, x)
-
-
-@lru_cache(maxsize=None)
-def _hasse_poly(cfg: FieldConfig, n: int, x: Poly) -> Poly:
-    if n == 0:
-        return x
-    return Poly(cfg, _hasse_digits(cfg, n, n, x.coeffs[n:]))
-
-
-@lru_cache(maxsize=SERIES_CACHE)
-def _hasse_series(cfg: FieldConfig, n: int, x: TruncSeries) -> TruncSeries:
-    # Digits below T**n vanish by Lucas; the constructor strips them.
-    return TruncSeries(cfg, x.v - n, _hasse_digits(cfg, n, x.v, x.coeffs), x.prec - n)
+        if n == 0:
+            return x
+        value = Poly(cfg, _hasse_digits(cfg, n, n, x.coeffs[n:]))
+    else:
+        if x.coeffs and x.v < 0:
+            raise DomainError("D_n is only evaluated on O (v >= 0)")
+        if n == 0:
+            return x
+        if x.prec <= n:  # never for an exact series
+            raise PrecisionError(f"D_{n} needs input precision > {n}, got {x.prec}")
+        # Digits below T**n vanish by Lucas; the constructor strips them.
+        value = TruncSeries(cfg, x.v - n, _hasse_digits(cfg, n, x.v, x.coeffs),
+                            x.prec - n)
+    tower.D[n] = value
+    TOWERS.charge(tower, value)
+    return value
 
 
 def _hasse_digits(cfg: FieldConfig, n: int, v: int, coeffs) -> list:
@@ -74,21 +72,13 @@ def eval_D(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
 
     D_0 = D'_0 = 1 (the constant function); exact on polynomial input.
     """
-    primed = primed and _maximal(cfg.q, j)
-    if isinstance(x, Poly):
-        return _eval_D_poly(cfg, j, x, primed)
-    return _eval_D_series(cfg, j, x, primed)
-
-
-@lru_cache(maxsize=None)
-def _eval_D_poly(cfg: FieldConfig, j: int, x: Poly, primed: bool) -> Poly:
-    return _digit_product(cfg, j, x, primed, hasse_derivative, _eval_D_poly)
-
-
-@lru_cache(maxsize=SERIES_CACHE)
-def _eval_D_series(cfg: FieldConfig, j: int, x: TruncSeries,
-                   primed: bool) -> TruncSeries:
-    return _digit_product(cfg, j, x, primed, hasse_derivative, _eval_D_series)
+    if j < 0:
+        raise DomainError("digit index must be non-negative")
+    tower = TOWERS.tower(cfg, x)
+    if tower.Dj is None:
+        tower.Dj = ({}, {})
+    return _digit_product(cfg, tower, tower.Dj, hasse_derivative, j,
+                          primed and _maximal(cfg.q, j))
 
 
 def powered_D(cfg: FieldConfig, n: int, m: int, x: Value) -> Value:

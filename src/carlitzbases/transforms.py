@@ -379,7 +379,7 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
         starts = [x.v if isinstance(x, TruncSeries) else 0 for x in fvals]
         v = min((s for s, x in zip(starts, fvals) if x.coeffs), default=0)
         values.append((fvals, v))
-        columns.append([(0,) * (s - v) + x.coeffs if x.coeffs else ()
+        columns.append([bytes(s - v) + x.coeffs if x.coeffs else b""
                         for s, x in zip(starts, fvals)])
     evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
     wvals = [[evaluate(cfg, cfg.q ** n - 1 - j, mp, primed=True) for mp in polys]

@@ -305,7 +305,7 @@ def bracket_step_by_digits(cfg, k: int, y: Value) -> Value:
     if exact:
         digits, size = z.coeffs, max(z.degree, 0)
     else:
-        digits, size = (0,) * z.v + z.coeffs, z.prec - 1
+        digits, size = bytes(z.v) + z.coeffs, z.prec - 1
     u = list(digits[1:size + 1])
     u += [0] * (size - len(u))
     for i in range(s, size):

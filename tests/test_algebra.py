@@ -225,6 +225,26 @@ def test_poly_normalization(f2):
     assert p.degree == 1
 
 
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_coefficients_are_bytes_from_any_iterable(q):
+    # A list, tuple, generator, bytes or bytearray of the same codes builds
+    # equal Polys and equal series, each holding its codes as bytes (trailing
+    # zeros, and a series' leading ones, stripped) with equal hashes.  A
+    # tuple of codes is not the bytes it holds.
+    cfg = FieldConfig(*FIELDS[q])
+    codes = [0, q - 1, 0, 1, q // 2, 0, 0]
+    sources = (lambda: list(codes), lambda: tuple(codes), lambda: iter(codes),
+               lambda: bytes(codes), lambda: bytearray(codes))
+    polys = [Poly(cfg, make()) for make in sources]
+    series = [TruncSeries(cfg, 2, make(), 12) for make in sources]
+    for values, stored in ((polys, bytes(codes[:5])), (series, bytes(codes[1:5]))):
+        assert all(type(x.coeffs) is bytes and x.coeffs == stored for x in values)
+        assert all(x == values[0] for x in values)
+        assert len({hash(x) for x in values}) == 1
+    assert series[0].v == 3
+    assert polys[0].coeffs != tuple(codes[:5])
+
+
 def test_poly_text_roundtrip(f2, f3):
     for cfg, text in [(f2, "T^4+T"), (f3, "T^3+2*T"), (f2, "1"), (f2, "0"),
                       (f2, "T^2+T+1")]:
@@ -456,7 +476,7 @@ def test_mul_long_operands_match_schoolbook(q, data):
     full = schoolbook_mul(Poly(cfg, a.coeffs), Poly(cfg, b.coeffs))
     size = data.draw(st.integers(0, len(a.coeffs) + len(b.coeffs)))
     assert algebra._mul(cfg, a.coeffs, b.coeffs, size) == \
-        [full.coeff(i) for i in range(size)]
+        bytes(full.coeff(i) for i in range(size))
 
 
 def _long_digits(cfg, length, density, seed):
@@ -499,7 +519,7 @@ def test_kronecker_mul_at_slot_width_steps(monkeypatch, q, shorter, longer, widt
         got = a.to_series(prec) * b.to_series()
         assert got == schoolbook_mul(a.to_series(prec), b.to_series())
         assert algebra._mul(cfg, a.coeffs, b.coeffs, prec) == \
-            [expected.coeff(i) for i in range(prec)]
+            bytes(expected.coeff(i) for i in range(prec))
 
 
 def test_mul_dispatch_takes_each_path(monkeypatch):

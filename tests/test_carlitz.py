@@ -197,8 +197,9 @@ def test_eval_E_precision_and_domain_errors(f2):
     with pytest.raises(PrecisionError):
         eval_E(f2, 3, TruncSeries(f2, 0, (1, 1), 3))
     assert eval_E(f2, 3, TruncSeries(f2, 0, (1, 1), 4)).prec == 1
-    with pytest.raises(DomainError):
-        eval_E(f2, 1, TruncSeries(f2, -1, (1,), 8))
+    for n in (0, 1):
+        with pytest.raises(DomainError):
+            eval_E(f2, n, TruncSeries(f2, -1, (1,), 8))
 
 
 def test_eval_E_degree_budget_is_for_exact_values(f2):
@@ -300,12 +301,12 @@ def test_eval_E_poly_one_step_per_level(monkeypatch):
     step = carlitz._bracket_step
     monkeypatch.setattr(carlitz, "_bracket_step",
                         lambda *args: steps.append(args[1]) or step(*args))
-    carlitz._eval_E_poly.cache_clear()
+    carlitz.TOWERS.cache_clear()
     value = eval_E(cfg, N, x)
     assert steps == list(range(1, N + 1))
-    hits = carlitz._eval_E_poly.cache_info().hits
+    hits = carlitz.TOWERS.cache_info().hits
     assert [eval_E(cfg, n, x) for n in range(N + 1)][-1] == value
-    assert carlitz._eval_E_poly.cache_info().hits == hits + N + 1
+    assert carlitz.TOWERS.cache_info().hits == hits + N + 1
     assert steps == list(range(1, N + 1))
     f2 = FieldConfig(2)
     with pytest.raises(BudgetError):
@@ -412,8 +413,8 @@ def test_digit_product_products(monkeypatch, q):
     # G_j multiplies its digit powers from the first factor on: with E_n
     # itself product-free, G_j costs the binary powers of its digits plus
     # one product per further nonzero digit, and G_{q^n} = E_n costs none.
-    # The series caches are cleared before each call, so each count is that
-    # of a cold point.  Values equal the product from 1 of the oracle's powers.
+    # The cache is cleared before each call, so each count is that of a
+    # cold point.  Values equal the product from 1 of the oracle's powers.
     from carlitzbases import algebra
     from oracles import schoolbook_mul
 
@@ -426,7 +427,7 @@ def test_digit_product_products(monkeypatch, q):
                         lambda *args: calls.append(1) or kernel(*args))
     for j in range(q ** 3):
         for primed in (False, True):
-            _clear_series_caches()
+            _clear_towers()
             calls.clear()
             got = eval_G(cfg, j, x, primed=primed)
             digits = [a for a in DigitIndex.of(j, q).digits if a]
@@ -475,23 +476,9 @@ def test_digit_products_match_digit_oracle(q, data):
         assert got == want
 
 
-def _series_caches():
-    from carlitzbases import carlitz, hasse
-    return (carlitz._eval_E_series, carlitz._eval_G_series,
-            hasse._hasse_series, hasse._eval_D_series)
-
-
-def _clear_series_caches():
-    for cached in _series_caches():
-        cached.cache_clear()
-
-
-def _clear_evaluator_caches():
-    from carlitzbases import carlitz, hasse
-    for cached in (carlitz._eval_E_poly, carlitz._eval_G_poly,
-                   hasse._hasse_poly, hasse._eval_D_poly):
-        cached.cache_clear()
-    _clear_series_caches()
+def _clear_towers():
+    from carlitzbases.towers import TOWERS
+    TOWERS.cache_clear()
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
@@ -514,7 +501,7 @@ def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order
     degree = n if family == "G" else q ** n - 1
     x = random_poly(cfg, rnd, degree - 1) + Poly.monomial(cfg, degree)
     evaluate = eval_G if family == "G" else eval_D
-    _clear_evaluator_caches()
+    _clear_towers()
     calls = []
     kernel = algebra._mul
     monkeypatch.setattr(algebra, "_mul",
@@ -538,39 +525,51 @@ def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order
 # ---------------------------------------------------------------------------
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())
-@settings(max_examples=60, deadline=None)
-def test_series_caches_match_uncached_oracles(q, data):
-    # On truncated and exact series, E_n, D_n, G_j, G'_j, D_j and D'_j give
-    # the values and precisions of the uncached oracles (E_n by bracket
-    # steps, D_n by Lucas binomials, digit products one digit at a time),
-    # from cold or warm caches, in any order of calls, and again on the
-    # repeated call, which is a cache hit.
+@settings(max_examples=80, deadline=None)
+def test_towers_match_uncached_oracles(q, data):
+    # At Poly, exact-series and truncated-series points, E_n, D_n, G_j,
+    # G'_j, D_j and D'_j give the values, types and precisions of the
+    # uncached oracles (E_n by bracket steps, D_n by Lucas binomials, digit
+    # products one digit at a time), in any order of calls over two points,
+    # from a cold or a warm cache, or under a budget so small that every
+    # few values drop the other point mid-sweep; and again on the repeated
+    # call, a cache hit.
+    from unittest import mock
+
+    from carlitzbases import towers
     from oracles import eval_E_by_steps, hasse_by_digits
 
     cfg = FieldConfig(*FIELDS[q])
     rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
-    x = _digit_product_input(cfg, data.draw(st.sampled_from(("exact", "trunc"))), rnd)
-    if data.draw(st.booleans()):
-        _clear_series_caches()
+    kinds = st.sampled_from(("poly", "exact", "trunc"))
+    points = [_digit_product_input(cfg, data.draw(kinds), rnd) for _ in range(2)]
+    mode = data.draw(st.sampled_from(("cold", "warm", "evicting")))
+    if mode != "warm":
+        _clear_towers()
+    budget = 3 * towers._VALUE_BYTES if mode == "evicting" else towers.TOWER_BUDGET
     top = q ** (2 if q >= 8 else 3)
-    calls = ([(evaluate, base, n, None) for n in range(3)
+    calls = ([(x, evaluate, base, n, None) for x in points for n in range(3)
               for evaluate, base in ((eval_E, eval_E_by_steps),
                                      (hasse_derivative, hasse_by_digits))]
-             + [(evaluate, base, j, primed) for j in range(top)
+             + [(x, evaluate, base, j, primed) for x in points for j in range(top)
                 for primed in (False, True)
                 for evaluate, base in ((eval_G, eval_E_by_steps),
                                        (eval_D, hasse_by_digits))])
     rnd.shuffle(calls)
-    for evaluate, base, k, primed in calls:
-        if primed is None:
-            want = base(cfg, k, x)
-            got = [evaluate(cfg, k, x) for _ in range(2)]
-        else:
-            want = digit_product_by_digits(cfg, k, x, primed, base)
-            got = [evaluate(cfg, k, x, primed=primed) for _ in range(2)]
-        for value in got:
-            assert type(value) is type(want)
-            assert value == want and value.prec == want.prec
+    with mock.patch.object(towers, "TOWER_BUDGET", budget):
+        for x, evaluate, base, k, primed in calls:
+            if primed is None:
+                want = base(cfg, k, x)
+                got = [evaluate(cfg, k, x) for _ in range(2)]
+            else:
+                want = digit_product_by_digits(cfg, k, x, primed, base)
+                got = [evaluate(cfg, k, x, primed=primed) for _ in range(2)]
+            for value in got:
+                assert type(value) is type(want)
+                assert value == want
+                assert getattr(value, "prec", None) == getattr(want, "prec", None)
+        info = towers.TOWERS.cache_info()
+        assert info.currsize <= budget or info.points == 1
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
@@ -587,7 +586,7 @@ def test_poly_and_exact_series_keep_their_types(q):
              + [(evaluate, j, {"primed": primed}) for j in range(q * q)
                 for primed in (False, True) for evaluate in (eval_G, eval_D)])
     for points in ((x, s), (s, x)):
-        _clear_evaluator_caches()
+        _clear_towers()
         for evaluate, k, kwargs in calls:
             by_type = {type(y): evaluate(cfg, k, y, **kwargs) for y in points}
             assert type(by_type[Poly]) is Poly
@@ -595,31 +594,82 @@ def test_poly_and_exact_series_keep_their_types(q):
             assert by_type[Poly].to_series() == by_type[TruncSeries]
 
 
-def test_series_caches_stay_bounded():
-    # A sweep over more series points than a cache holds leaves every
-    # series cache at most SERIES_CACHE entries long, the busiest one full,
-    # and the last point's values still cached.
-    from carlitzbases.carlitz import SERIES_CACHE
+def test_one_lookup_per_evaluation(monkeypatch):
+    # Every call of eval_E, hasse_derivative, eval_G or eval_D, cold or
+    # warm, looks its point up once: the prefix recursion reads the
+    # point's own tower, and calls the evaluator of a digit's base (E_t or
+    # D_t) only to form a one-digit value.
+    from carlitzbases import carlitz, hasse, towers
 
+    cfg = FieldConfig(3)
+    x = parse_poly(cfg, "T^3+2*T+1")
+    lookups, calls = [], []
+    tower = towers.TOWERS.tower
+    monkeypatch.setattr(towers.TOWERS, "tower",
+                        lambda *args: lookups.append(1) or tower(*args))
+    for module, name in ((carlitz, "eval_E"), (carlitz, "eval_G"),
+                         (hasse, "hasse_derivative"), (hasse, "eval_D")):
+        monkeypatch.setattr(module, name, _counted(getattr(module, name), calls))
+    _clear_towers()
+    for _ in range(2):
+        for k in range(27):
+            for primed in (False, True):
+                carlitz.eval_G(cfg, k, x, primed=primed)
+                hasse.eval_D(cfg, k, x, primed=primed)
+        for n in range(3):
+            carlitz.eval_E(cfg, n, x)
+            hasse.hasse_derivative(cfg, n, x)
+    assert len(calls) == 2 * (2 * 27 * 2 + 2 * 3) + 2 * 3 * 2
+    assert len(lookups) == len(calls)
+
+
+def _counted(f, calls):
+    def counted(*args, **kwargs):
+        calls.append(f.__name__)
+        return f(*args, **kwargs)
+    return counted
+
+
+def test_tower_cache_stays_within_budget(monkeypatch):
+    # A sweep over series points that hold more than the budget between
+    # them keeps the bytes held, and their peak, within the budget, with
+    # the least recent points dropped; the last point's values are still
+    # cached, so reading them again computes nothing.
+    from carlitzbases import towers
+
+    budget = 1 << 16
+    monkeypatch.setattr(towers, "TOWER_BUDGET", budget)
     cfg = FieldConfig(2)
     rnd = random.Random(7)
-    _clear_series_caches()
+    _clear_towers()
 
     def evaluate(x):
         return [eval_E(cfg, 2, x), eval_G(cfg, 6, x), hasse_derivative(cfg, 3, x),
                 eval_D(cfg, 5, x, primed=True)]
 
-    for _ in range(SERIES_CACHE + 16):
-        x = random_series(cfg, rnd, 12)
+    # From cold, the bytes held are the point's charge plus, per value in
+    # its tower, the value's coefficient bytes and the fixed charge.
+    x = random_series(cfg, rnd, 40)
+    evaluate(x)
+    tower = towers.TOWERS.tower(cfg, x)
+    values = tower.E[1:] + [v for table in (tower.D,) + tower.G + tower.Dj
+                            for v in table.values()]
+    assert towers.TOWERS.cache_info().currsize == tower.nbytes == (
+        len(x.coeffs) + 4 * towers._VALUE_BYTES
+        + sum(len(v.coeffs) + towers._VALUE_BYTES for v in values))
+    held = swept = 0
+    while held <= 2 * budget:
+        x = random_series(cfg, rnd, 40)
         values = evaluate(x)
-    infos = [cached.cache_info() for cached in _series_caches()]
-    assert all(info.maxsize == SERIES_CACHE for info in infos)
-    assert max(info.currsize for info in infos) == SERIES_CACHE
-    assert all(0 < info.currsize <= SERIES_CACHE for info in infos)
+        held += towers.TOWERS.tower(cfg, x).nbytes
+        swept += 1
+    info = towers.TOWERS.cache_info()
+    assert info.maxsize == budget
+    assert 0 < info.currsize <= budget and info.peak <= budget
+    assert 0 < info.points < swept
     assert evaluate(x) == values
-    hits = [cached.cache_info().hits - info.hits
-            for cached, info in zip(_series_caches(), infos)]
-    assert all(hits), hits
+    after = towers.TOWERS.cache_info()
+    assert after.hits == info.hits + 4 and after.misses == info.misses
 
 
 def test_eval_E_series_one_step_per_level(monkeypatch):
@@ -632,7 +682,7 @@ def test_eval_E_series_one_step_per_level(monkeypatch):
     step = carlitz._bracket_step
     monkeypatch.setattr(carlitz, "_bracket_step",
                         lambda *args: steps.append(args[1]) or step(*args))
-    _clear_series_caches()
+    _clear_towers()
     value = eval_E(cfg, N, x)
     assert steps == list(range(1, N + 1))
     assert [eval_E(cfg, n, x) for n in range(1, N + 1)][-1] == value
@@ -648,7 +698,7 @@ def test_primed_without_maximal_digit_is_unprimed(monkeypatch, evaluate):
 
     cfg = FieldConfig(5)
     points = poly_enumerate(cfg, 2, "deg_lt")
-    _clear_evaluator_caches()
+    _clear_towers()
     warm = {(j, m): evaluate(cfg, j, m) for j in range(25) for m in points}
     plain = [j for j in range(25) if 4 not in DigitIndex.of(j, 5).digits]
     assert len(plain) == 16

@@ -95,8 +95,9 @@ def test_voloch_identity(q, m_max, rng):
 
 
 def test_hasse_domain_and_precision_errors(f2):
-    with pytest.raises(DomainError):
-        hasse_derivative(f2, 1, TruncSeries(f2, -2, (1,), 5))
+    for n in (0, 1):
+        with pytest.raises(DomainError):
+            hasse_derivative(f2, n, TruncSeries(f2, -2, (1,), 5))
     with pytest.raises(PrecisionError):
         hasse_derivative(f2, 4, TruncSeries(f2, 0, (1, 1), 3))
 
@@ -202,7 +203,7 @@ def test_binomial_row_per_order(monkeypatch, q):
     monkeypatch.setattr(hasse, "lucas_binom",
                         lambda *args: calls.append(args) or binom(*args))
     hasse._BINOMIAL_ROWS.clear()
-    hasse._hasse_series.cache_clear()
+    hasse.TOWERS.cache_clear()
     for prec, expected in ((20, 20), (12, 0), (41, 21), (30, 0)):
         calls.clear()
         x = TruncSeries(cfg, 0, [rnd.randrange(q) for _ in range(prec - 1)] + [1], prec)

@@ -340,6 +340,45 @@ def test_addition_law_top_digit_index(f3, rng):
         assert r.status == VERIFIED, r.witness
 
 
+@pytest.mark.parametrize("identity,family,j,fault_at", [
+    ("addition_law", "G", 4, "sum"),
+    ("addition_scaling", "Dp", 5, "scaled"),
+    ("addition_diff_form", "D", 8, "diff"),
+])
+def test_addition_law_planted_faults(monkeypatch, f3, identity, family, j, fault_at):
+    # F_j moved at x + u, at 2x or at x - u (j = q^2 - 1) breaks the law
+    # that reads it: the report names that law, carries x and u as text in
+    # the config of a passing check, and the two sides as its witness.
+    # Planted at every point, the suite's report for the family is the
+    # first falsified check's.
+    x, u = parse_poly(f3, "T^2+1"), parse_poly(f3, "2*T+2")
+    at = {"sum": x + u, "scaled": x.scalar_mul(2), "diff": x - u}[fault_at]
+    name = "eval_" + family[0]
+    evaluate = getattr(identities, name)
+
+    def planted(points):
+        def wrapper(cfg, k, y, primed=False):
+            value = evaluate(cfg, k, y, primed=primed)
+            return value + Poly.one(cfg) if k == j and y in points else value
+        return wrapper
+
+    clean = check_addition_law(f3, family, j, x, u)
+    assert clean.status == VERIFIED
+    assert clean.config == {"family": family, "q": 3, "j": j,
+                            "x": "T^2+1", "u": "2*T+2"}
+    monkeypatch.setattr(identities, name, planted([at]))
+    r = check_addition_law(f3, family, j, x, u)
+    assert (r.identity, r.status, r.config) == (identity, FALSIFIED, clean.config)
+    assert {"lhs", "rhs"} <= set(r.witness)
+    monkeypatch.setattr(identities, name, planted(poly_enumerate(f3, 3, "deg_lt")))
+    report = next(r for r in run_suite(f3, "addition", seed=5)
+                  if r.config["family"] == family)
+    assert report.status == FALSIFIED and report.config["j"] == j
+    assert report.to_json() == check_addition_law(
+        f3, family, j, parse_poly(f3, report.config["x"]),
+        parse_poly(f3, report.config["u"])).to_json()
+
+
 @pytest.mark.parametrize("family", ["Gp", "Dp"])
 def test_addition_law_forms_each_product_once(monkeypatch, f3, family):
     # Every F_e(x) F'_{j-e}(u) is formed once per check, also when the
@@ -490,7 +529,7 @@ def _planted(f, at, delta):
 
 def _is_monomial(t, at):
     if isinstance(t, TruncSeries):
-        return (t.v, t.coeffs) == (at, (1,))
+        return (t.v, t.coeffs) == (at, b"\1")
     return t == Poly.monomial(t.cfg, at)
 
 
