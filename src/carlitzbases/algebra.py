@@ -296,8 +296,8 @@ def slot_width(cfg: FieldConfig, terms: int, length: int) -> int:
 class _SlotTables(NamedTuple):
     """The byte tables of ``pack`` and ``unpack`` for one field and width."""
 
-    digits: list  # per digit t < e: x -> digit t of the code x
-    negs: list    # per digit t < e: x -> digit t of the code of -x
+    digits: list  # per digit t < e: x -> digit t of the code x, as pack writes it
+    neg: bytes    # code x -> code of -x, for the -y**q that the E_n step packs
     planes: list  # (b, x -> x 256**b mod p) for each slot byte b of nonzero weight
     lane: int     # residues mod p one byte can sum without overflow
     mod_p: bytes  # x -> x mod p
@@ -318,7 +318,7 @@ def _slot_tables(cfg: FieldConfig, width: int) -> _SlotTables:
         fold_digits = [cfg._digits[cfg.fold_table[p ** t]] for t in range(e - 1)]
         tables = cfg._slot_tables[width] = _SlotTables(
             digits=[bytes(x // p ** t % p for x in range(256)) for t in range(e)],
-            negs=[bytes(-(x // p ** t) % p for x in range(256)) for t in range(e)],
+            neg=bytes(cfg.neg_table).ljust(256, b"\0"),
             planes=[(b, times(pow(256, b, p))) for b in range(item) if pow(256, b, p)],
             lane=255 // (p - 1),
             mod_p=times(1),
@@ -672,25 +672,23 @@ def parse_poly(cfg: FieldConfig, text: str) -> Poly:
     Accepts terms like ``T^4``, ``2*T``, ``3``, joined by ``+`` or ``-``,
     with ``T`` or ``u`` as the variable letter.
     """
-    s = text.replace(" ", "").replace("u", "T")
-    if not s or s == "0":
-        return Poly.zero(cfg)
-    s = s.replace("-", "+-")
     coeffs = {}
-    for term in s.split("+"):
+    for term in text.replace(" ", "").replace("-", "+-").split("+"):
         if not term:
             continue
         negate = term.startswith("-")
-        if negate:
-            term = term[1:]
-        if "T" in term:
-            head, _, tail = term.partition("T")
-            c = int(head.rstrip("*")) if head else 1
-            k = int(tail[1:]) if tail.startswith("^") else (1 if not tail else None)
-            if k is None:
-                raise DomainError(f"cannot parse polynomial term {term!r}")
-        else:
-            c, k = int(term), 0
+        head, var, tail = term[negate:].replace("u", "T").partition("T")
+        try:
+            if not var:
+                c, k = int(head), 0
+            elif tail and not tail.startswith("^"):
+                raise ValueError(tail)
+            else:
+                c = int(head.rstrip("*")) if head else 1
+                k = int(tail[1:]) if tail else 1
+        except ValueError:
+            raise DomainError(f"cannot read polynomial term {term!r}; terms are "
+                              "like T^4, 2*T or 3, joined by + or -") from None
         c %= cfg.p
         if negate:
             c = cfg.neg(c)

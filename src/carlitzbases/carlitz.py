@@ -2,16 +2,14 @@
 
 Everything here is exact on F_q[T] inputs.  E_n is evaluated on
 polynomials and truncated series alike by the bracket recurrence
-E_k = (E_{k-1}**q - E_{k-1}) / [k], each step one pass over packed byte
-lanes (``_bracket_step``) and each level kept in the point's tower
-(``towers``, the one cache of basis values); the linear polynomials e_n
-and the factorials F_n are the paper's objects and the tests' oracle
-E_n = e_n / F_n, not an evaluation path.
+E_k = (E_{k-1}**q - E_{k-1}) / [k], each step a doubling scan over ints
+in the slot format of ``algebra.pack`` (``_bracket_step``), and each level
+kept in the point's tower (``towers``, the one cache of basis values);
+the linear polynomials e_n and the factorials F_n are the paper's objects
+and the tests' oracle E_n = e_n / F_n, not an evaluation path.
 """
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -27,6 +25,9 @@ from .algebra import (
     TruncSeries,
     Value,
     _slot_tables,
+    _spread,
+    pack,
+    unpack,
 )
 from .towers import TOWERS
 
@@ -175,84 +176,44 @@ def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
     """(y**q - y) / [k] = (y - y**q) / T * (1 + T**s + T**(2s) + ...) for
     s = q**k - 1, since [k] = -T (1 - T**s): one step of the recurrence.
 
-    The work is on byte strings.  Each base-p digit of a coefficient has
-    its own byte lane (two bytes for p > 128, where one cannot hold the
-    sum of two residues), e lanes per coefficient: the digits of y and of
-    -y**q are written as strided slices (``bytes.translate`` by the digit
-    tables of ``_slot_tables``) into two buffers, read as ints and added;
-    a shift by one coefficient divides by T, and the strided prefix sum is
-    a doubling scan, acc += acc << (s 2**r coefficients), masked to the
-    ``size`` coefficients kept.  A lane is reduced mod p whenever the next
-    doubling could overflow it, and the digits go back to codes once.
+    y and -y**q (its negated codes ``_spread``) are packed, one byte per
+    slot (two for p > 128, where a byte cannot hold two residues), and
+    added; a shift by one coefficient divides by T, and the prefix sum is a
+    doubling scan, acc += acc << (s 2**r coefficients), cut to the ``size``
+    coefficients kept.  Whenever the next doubling could overflow a slot,
+    ``unpack`` reduces the slots and ``pack`` packs them again; ``unpack``
+    decodes the result once.
 
     An exact quotient (Poly or exact series, v >= 0) must be exact:
     ``size`` is deg(y**q - y), and a nonzero digit at or past size - s
     raises InexactDivisionError.  A truncated series of precision N gives
     precision N - 1.
     """
-    p, e, q = cfg.p, cfg.e, cfg.q
+    q = cfg.q
     s = q ** k - 1
     codes = y.coeffs
     v = 0 if isinstance(y, Poly) else y.v
     exact = isinstance(y, Poly) or y.prec == EXACT
-    if exact:
-        size = max(q * (v + len(codes) - 1), 0)
-    else:
-        size = y.prec - 1
-    item = 1 if p <= 128 else 2
-    lanes = e * item  # bytes per coefficient
-    length = (size + 1) * lanes
-    tables = _slot_tables(cfg, 8)
-    spread = codes[:max(size // q + 1 - v, 0)]  # the digits of y**q kept
-    low, high = bytearray(length), bytearray(length)
-    step = q * lanes
-    for t in range(e):
-        start = v * lanes + t * item
-        low[start:start + len(codes) * lanes:lanes] = codes.translate(tables.digits[t])
-        start = q * v * lanes + t * item
-        high[start:start + len(spread) * step:step] = spread.translate(tables.negs[t])
-    # Lane sums of `held` residues each: reduce before a doubling overflows.
-    bits = 8 * lanes
-    cap = ((1 << 8 * item) - 1) // (p - 1)
-    nbytes = size * lanes
-    acc = (int.from_bytes(low, "little") + int.from_bytes(high, "little")) >> bits
+    size = max(q * (v + len(codes) - 1), 0) if exact else y.prec - 1
+    width = 8 if cfg.p <= 128 else 16
+    bits = (2 * cfg.e - 1) * width  # per coefficient
+    negs = codes[:max(size // q + 1 - v, 0)].translate(_slot_tables(cfg, width).neg)
+    acc = ((pack(cfg, codes, width) << v * bits)
+           + (pack(cfg, _spread(negs, q), width) << q * v * bits)) >> bits
+    # Slot sums of `held` residues each: reduce before a doubling overflows.
     held, span = 2, s
     mask = (1 << size * bits) - 1
     while span < size:
-        if 2 * held > cap:
-            acc = int.from_bytes(_lanes_mod_p(cfg, acc, nbytes, item), "little")
-            held = 1
+        if 2 * held * (cfg.p - 1) >= 1 << width:
+            acc, held = pack(cfg, unpack(cfg, acc, width), width), 1
         acc += (acc << span * bits) & mask
         held, span = 2 * held, 2 * span
-    if e == 1:
-        out = _lanes_mod_p(cfg, acc, nbytes, item)[::item]
-    else:
-        data, code = acc.to_bytes(nbytes, "little"), 0
-        for t, place in enumerate(tables.places):
-            code += int.from_bytes(data[t::e].translate(place), "little")
-        out = code.to_bytes(size, "little")
-    out = out.rstrip(b"\0")
-    if not exact:
-        return TruncSeries(cfg, 0, out, size)
-    if len(out) > max(size - s, 0):
+    out = unpack(cfg, acc, width)
+    if exact and len(out) > max(size - s, 0):
         raise InexactDivisionError(f"division by [{k}] left a remainder")
-    return Poly(cfg, out) if isinstance(y, Poly) else TruncSeries(cfg, 0, out, EXACT)
-
-
-def _lanes_mod_p(cfg: FieldConfig, acc: int, nbytes: int, item: int) -> bytes:
-    """The ``nbytes`` bytes of ``acc`` with every lane of ``item`` bytes
-    reduced mod p: by ``bytes.translate`` for byte lanes, and one lane at a
-    time for the two-byte lanes of p > 128, as ``unpack`` does."""
-    data = acc.to_bytes(nbytes, "little")
-    if item == 1:
-        return data.translate(_slot_tables(cfg, 8).mod_p)
-    wide = array("H")
-    wide.frombytes(data)
-    if sys.byteorder == "big":
-        wide.byteswap()
-    out = bytearray(nbytes)
-    out[::2] = bytes(x % cfg.p for x in wide)
-    return out
+    if isinstance(y, Poly):
+        return Poly(cfg, out)
+    return TruncSeries(cfg, 0, out, EXACT if exact else size)
 
 
 def eval_G(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:

@@ -38,8 +38,19 @@ from .transforms import (
     Basis,
     BasisExpansion,
     DEFAULT_BUDGET,
+    D_func,
+    Dj_func,
+    E_func,
+    G_func,
     LinearFunc,
+    _enumeration_coeffs,
     _is_q_power,
+    add_func,
+    constant_func,
+    frobenius_func,
+    identity_func,
+    monomial_func,
+    scale_func,
 )
 
 VERIFIED = "verified"
@@ -561,8 +572,6 @@ SUITES = ("ortho", "addition", "linearity", "distance", "power", "reduced")
 def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
               budget: int = DEFAULT_BUDGET, seed: int = 0,
               i_max: int = 50) -> List[VerdictReport]:
-    from . import transforms as tf
-
     if n < 0:
         raise DomainError(f"suite level n must be non-negative, got {n}")
     if budget < 1:
@@ -593,7 +602,7 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
             # The whole corpus is expanded at once, sharing the weights.
             J = min(cfg.q ** 3, 32)
             corpus = _linearity_corpus(cfg)
-            expansions = tf._enumeration_coeffs(
+            expansions = _enumeration_coeffs(
                 [func for func, _ in corpus], J, cfg, None,
                 max(budget, cfg.q ** 4), Basis.DIGIT_D)
             for (func, expected), exp in zip(corpus, expansions):
@@ -610,7 +619,6 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
                 for pair in ("E_vs_D", "Dq_vs_D", "Eq_vs_E"):
                     reports.append(basis_distance(cfg, pair, level, i_max=i_max))
         elif sel == "power":
-            from .transforms import E_func, G_func, constant_func
             for func in (E_func(cfg, 1), G_func(cfg, 3),
                          constant_func(cfg, Poly.one(cfg))):
                 reports.append(check_power_criterion(cfg, func, 1, rng=rng,
@@ -623,10 +631,6 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
 
 
 def _linearity_corpus(cfg):
-    from .transforms import (D_func, Dj_func, E_func, G_func, add_func,
-                             constant_func, frobenius_func, identity_func,
-                             monomial_func, scale_func)
-
     T = Poly.T(cfg)
     linear = [
         identity_func(cfg),

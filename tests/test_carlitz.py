@@ -236,8 +236,8 @@ def test_bracket_step_exact_on_polynomials(f3, rng, k):
                 _bracket_step(f3, k, bad)
 
 
-# The step's fields: FIELDS, a larger e for p = 2 and p = 3, and two
-# p > 128, whose lanes are two bytes wide.
+# The step's fields: FIELDS, a larger e for p = 2 and p = 3, whose packed
+# blocks are widest, and two p > 128, whose slots are two bytes wide.
 STEP_FIELDS = {**FIELDS, 16: (2, 4), 27: (3, 3), 131: (131, 1), 251: (251, 1)}
 
 
@@ -255,7 +255,7 @@ def test_bracket_step_matches_digit_loop(q, data):
     # The packed step against the subtract-and-loop oracle: Poly values
     # E_{k-1}(x) and arbitrary polynomials (equal quotients, or both
     # inexact), and truncated series of valuation 0 or above with precision
-    # k + 1 up to 3000 digits, where the lane sums of small p pass 2**8 and
+    # k + 1 up to 3000 digits, where the slot sums of small p pass 2**8 and
     # get reduced.
     from carlitzbases.carlitz import _bracket_step
     cfg = FieldConfig(*STEP_FIELDS[q])
@@ -278,16 +278,22 @@ def test_bracket_step_matches_digit_loop(q, data):
     assert got == want
 
 
-@pytest.mark.parametrize("q,k,prec", [(2, 1, 3000), (131, 1, 130 * 600),
-                                      (251, 1, 250 * 280)])
+@pytest.mark.parametrize("q,k,prec", [(2, 1, 3000), (4, 1, 3000), (8, 1, 3000),
+                                      (9, 1, 3000), (16, 1, 3000),
+                                      (131, 1, 130 * 600), (251, 1, 250 * 280)])
 def test_bracket_step_lane_reductions(q, k, prec):
-    # Long prefix sums: q = 2 reduces its byte lanes every 7 doublings, and
-    # q = 131 and 251 their two-byte lanes (at most 504 and 262 residues)
-    # after 8; a lane that overflowed would carry into the next coefficient.
+    # Long prefix sums in pack's slots: p = 2 (q = 2, 4, 8, 16) reduces its
+    # byte slots (at most 255 residues) every 7 doublings and q = 9 (127
+    # residues) every 6, for e > 1 through unpack's reduction of each block
+    # mod the modulus; q = 131 and 251 reduce their two-byte slots (at most
+    # 504 and 262 residues) every 8.  A slot that overflowed would carry
+    # into the next one.  Random codes, and codes whose digits are all
+    # p - 1, which make the largest slot sums.
     from carlitzbases.carlitz import _bracket_step
     cfg = FieldConfig(*STEP_FIELDS[q])
-    y = random_series(cfg, random.Random(prec), prec)
-    assert _bracket_step(cfg, k, y) == bracket_step_by_digits(cfg, k, y)
+    for y in (random_series(cfg, random.Random(prec), prec),
+              TruncSeries(cfg, 0, bytes([q - 1]) * prec, prec)):
+        assert _bracket_step(cfg, k, y) == bracket_step_by_digits(cfg, k, y)
 
 
 def test_eval_E_poly_one_step_per_level(monkeypatch):

@@ -222,6 +222,17 @@ def test_modulus_for_prime_field_exits_two(capsys, argv):
     assert out == "" and "modulus" in err
 
 
+@pytest.mark.parametrize("modulus,term", [("garbage", "garbage"),
+                                          ("u^2+x+1", "x"), ("u^a+u+1", "u^a")])
+def test_unreadable_modulus_exits_two(capsys, modulus, term):
+    # A modulus term that cannot be read is named in the error, beside the
+    # accepted form, not reported as a bare int() failure.
+    code, out, err = run_cli(capsys, "--q", "4", "--modulus", modulus, "info")
+    assert code == 2 and out == ""
+    assert f"cannot read polynomial term {term!r}" in err
+    assert "T^4, 2*T or 3" in err and "int()" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("--q", "4", "--e", "3"),
     ("--q", "4", "--e", "1"),
@@ -287,6 +298,33 @@ CSV_RUNS = [
 @pytest.mark.parametrize("argv,digest", CSV_RUNS)
 def test_csv_bytes_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "--format", "csv", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The JSON bytes of E_n paths that the benchmark's reference digests do not
+# reach: e = 3 and e = 4 fields, whose packed blocks are widest, and the
+# p > 128 fields, whose slots are two bytes wide.  Recorded before the
+# bracket step moved onto pack/unpack.
+E_PATH_RUNS = [
+    (("--q", "8", "matrix", "--which", "inverse", "--size", "4"),
+     "9379039eb6b1bf1f727e4c2b7a1f02bef1d93603164f7e440ffe41f7cedf3aa9"),
+    (("--q", "9", "expand", "--f", "E:2+D:1", "--basis", "E", "--terms", "5"),
+     "79c74f8fda8304da67b1f0babbbf1cc76740f2ee5033dc7ee1296ec7eedc8138"),
+    (("--q", "16", "verify", "--suite", "reduced"),
+     "fe40a34f8369bae020f612af87e10e889c9008e5b78743ed66efaf505688b9b7"),
+    (("--q", "27", "verify", "--suite", "distance", "--n", "2"),
+     "ac1a6412bbe82581610affd89f0c3866ecbf5924872da9e571f542c2d9c1dfc6"),
+    (("--q", "131", "verify", "--suite", "distance", "--n", "3"),
+     "8504c9e10c07a1cf657cb631ae57fa9be4ab4a0e0e37b61fd129a856d1a9e7d6"),
+    (("--q", "251", "verify", "--suite", "reduced"),
+     "9a39e1d68fbf59d5f2b798daee4bdf419050232874ca398ef998f26f3befe3a7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", E_PATH_RUNS)
+def test_e_path_bytes_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
