@@ -4,6 +4,10 @@ Field elements are integer codes in [0, q): the base-p digit vector of an
 element in the polynomial basis of the modulus, packed little-endian
 (code = sum digits[i] * p**i).  All field arithmetic goes through tables
 built once per FieldConfig, so q is capped at 256.
+
+For p = 2 the code of a sum is the XOR of the codes: sums, products
+(``_mul_rows``) and the E_n step (``difference_scan``) XOR ints, and the
+test ``cfg.p == 2`` is made in this module only.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from operator import mul
 from typing import Iterable, NamedTuple, Union
 
@@ -157,6 +161,10 @@ class FieldConfig:
             # u**e * (sum h_t u**t) mod the modulus.
             self.fold_table = [self.mul_table[h][u_e] for h in range(p ** (e - 1))]
         self.inv_table = [None] + [row.index(1) for row in self.mul_table[1:]]
+        # The same maps as 256-byte rows of ``bytes.translate``: mul_rows[c]
+        # takes each code x to c x, neg_row takes it to -x.
+        self.mul_rows = [bytes(row).ljust(256, b"\0") for row in self.mul_table]
+        self.neg_row = bytes(self.neg_table).ljust(256, b"\0")
         # Byte tables of pack and unpack, built by the first call at a width.
         self._slot_tables = {}
 
@@ -243,9 +251,13 @@ def lucas_binom(a: int, b: int, p: int) -> int:
     return out
 
 
-def _add(cfg: FieldConfig, a, b) -> list:
+def _add(cfg: FieldConfig, a: bytes, b: bytes):
     """The coefficientwise sum of ``a`` and ``b``, the longer one's tail
-    kept: the one addition kernel of Poly and TruncSeries."""
+    kept: the one addition kernel of Poly and TruncSeries (an int XOR for
+    p = 2)."""
+    if cfg.p == 2:
+        return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
+            max(len(a), len(b)), "little")
     if len(a) < len(b):
         a, b = b, a
     add = cfg.add_table
@@ -297,7 +309,6 @@ class _SlotTables(NamedTuple):
     """The byte tables of ``pack`` and ``unpack`` for one field and width."""
 
     digits: list  # per digit t < e: x -> digit t of the code x, as pack writes it
-    neg: bytes    # code x -> code of -x, for the -y**q that the E_n step packs
     planes: list  # (b, x -> x 256**b mod p) for each slot byte b of nonzero weight
     lane: int     # residues mod p one byte can sum without overflow
     mod_p: bytes  # x -> x mod p
@@ -318,7 +329,6 @@ def _slot_tables(cfg: FieldConfig, width: int) -> _SlotTables:
         fold_digits = [cfg._digits[cfg.fold_table[p ** t]] for t in range(e - 1)]
         tables = cfg._slot_tables[width] = _SlotTables(
             digits=[bytes(x // p ** t % p for x in range(256)) for t in range(e)],
-            neg=bytes(cfg.neg_table).ljust(256, b"\0"),
             planes=[(b, times(pow(256, b, p))) for b in range(item) if pow(256, b, p)],
             lane=255 // (p - 1),
             mod_p=times(1),
@@ -414,47 +424,73 @@ def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
     return code.to_bytes(count, "little").rstrip(b"\0")
 
 
-def packed_sums(cfg: FieldConfig, rows, cols):
-    """For each row in ``rows`` and col in ``cols``, row-major, the
-    coefficient codes (``unpack``) of sum_m row[m] * col[m], where every
-    row[m] and col[m] is a coefficient sequence.
+def packed_sums(cfg: FieldConfig, rows, cols, pairs=None):
+    """For each (i, j) in ``pairs`` (default: every row and col,
+    row-major), the codes (``unpack``) of sum_m rows[i][m] * cols[j][m],
+    every entry a coefficient sequence.
 
-    Every sequence is packed once, at the width ``slot_width`` gives for
-    len(row) terms whose shorter factor is at most the lesser of the
-    longest row entry and the longest col entry; each sum is then a sum
-    of integer products, unpacked once.  Sums are formed as they are
-    read.
+    Every sequence is packed once (once in all when ``cols`` is ``rows``),
+    at the width ``slot_width`` gives for len(row) terms whose shorter
+    factor is at most the lesser of the longest row entry and the longest
+    col entry; each sum is a sum of integer products, unpacked once.
+    Sums are formed as they are read.
     """
     length = min(max(map(len, chain.from_iterable(t))) for t in (rows, cols))
     width = slot_width(cfg, len(rows[0]), length)
-    rows = [[pack(cfg, c, width) for c in row] for row in rows]
-    cols = [[pack(cfg, c, width) for c in col] for col in cols]
-    for row in rows:
-        for col in cols:
-            yield unpack(cfg, sum(map(mul, row, col)), width)
+    packed = [[pack(cfg, c, width) for c in row] for row in rows]
+    cols = packed if cols is rows else [[pack(cfg, c, width) for c in col]
+                                        for col in cols]
+    if pairs is None:
+        pairs = product(range(len(rows)), range(len(cols)))
+    for i, j in pairs:
+        yield unpack(cfg, sum(map(mul, packed[i], cols[j])), width)
 
 
-# A product goes through pack/unpack when its schoolbook work, the nonzero
-# coefficients of the shorter factor times the longer factor's length
-# (the schoolbook loop skips zero rows), exceeds this constant times the
-# packed slot count (2e - 1) * (len a + len b): the constant for e = 1 and
-# for e > 1, as measured by ``scripts/mul_crossover.py --grid full``.
-KRONECKER_CROSSOVER = (2.05, 1.20)
+# A product leaves the loop kernel for pack/unpack when its loop work, the
+# nonzero coefficients of the shorter factor times the longer factor's
+# length (both loops skip zero coefficients), exceeds this constant times
+# the packed slot count (2e - 1) * (len a + len b).  One constant per class
+# (p == 2, e > 1), as measured by ``scripts/mul_crossover.py --grid full``.
+# The loop is the schoolbook one for odd p, whose constants are kept from
+# when q = 2 shared their grid, and the row kernel for p = 2: at e = 1 it
+# loses to Kronecker from ratio 2.05 on, and at e > 1 Kronecker was never
+# more than 11% faster on any cell up to 8192 by 32768 coefficients, and
+# up to 108 times slower, so those products never pack.
+KRONECKER_CROSSOVER = {(False, False): 2.05, (False, True): 1.20,
+                       (True, False): 2.05, (True, True): math.inf}
 
 
-def _mul(cfg: FieldConfig, a, b, size: int) -> bytes:
-    """The first ``size`` coefficients of the product of the coefficient
-    sequences ``a`` and ``b``, as ``size`` bytes: the one multiplication
-    kernel of Poly and TruncSeries.  Dense long products take the Kronecker path, the rest
-    the schoolbook loop (see KRONECKER_CROSSOVER).
+def _mul(cfg: FieldConfig, a: bytes, b: bytes, size: int) -> bytes:
+    """The first ``size`` coefficients of the product of the code strings
+    ``a`` and ``b``, as ``size`` bytes: the one multiplication kernel of
+    Poly and TruncSeries.  Dense long products take the Kronecker path
+    (see KRONECKER_CROSSOVER), the rest the row kernel for p = 2 and the
+    schoolbook loop for odd p.
     """
     a, b = a[:size], b[:size]
     if len(a) > len(b):
         a, b = b, a
     slots = (2 * cfg.e - 1) * (len(a) + len(b))
-    if (len(a) - a.count(0)) * len(b) > KRONECKER_CROSSOVER[cfg.e > 1] * slots:
+    char2 = cfg.p == 2
+    if (len(a) - a.count(0)) * len(b) > KRONECKER_CROSSOVER[char2, cfg.e > 1] * slots:
         return _mul_kronecker(cfg, a, b, size)
+    if char2:
+        return _mul_rows(cfg, a, b, size)
     return _mul_schoolbook(cfg, a, b, size)
+
+
+def _mul_rows(cfg: FieldConfig, a: bytes, b: bytes, size: int) -> bytes:
+    """``_mul`` for p = 2: ``b`` scaled once per distinct nonzero code x of
+    ``a`` (translated by ``mul_rows[x]``), read as an int, is XORed in at
+    each place of x; ``a`` is the shorter factor, as ``_mul`` passes it."""
+    rows, scaled, acc = cfg.mul_rows, {}, 0
+    for i, x in enumerate(a):
+        if x:
+            row = scaled.get(x)
+            if row is None:
+                row = scaled[x] = int.from_bytes(b.translate(rows[x]), "little")
+            acc ^= row << 8 * i
+    return (acc & ((1 << 8 * size) - 1)).to_bytes(size, "little")
 
 
 def _mul_schoolbook(cfg: FieldConfig, a, b, size: int) -> bytes:
@@ -479,9 +515,71 @@ def _mul_kronecker(cfg: FieldConfig, a, b, size: int) -> bytes:
     a truncation are never read back.  The slot width follows ``a``, the
     shorter factor (``_mul`` cuts and orders the factors)."""
     width = slot_width(cfg, 1, len(a))
-    product = pack(cfg, a, width) * pack(cfg, b, width)
-    product &= (1 << width * (2 * cfg.e - 1) * size) - 1
-    return unpack(cfg, product, width).ljust(size, b"\0")
+    packed = pack(cfg, a, width) * pack(cfg, b, width)
+    packed &= (1 << width * (2 * cfg.e - 1) * size) - 1
+    return unpack(cfg, packed, width).ljust(size, b"\0")
+
+
+def product_sums(cfg: FieldConfig, left, right, terms: int):
+    """The map from weights [(i, w), ...], w in [0, p) read in F_p, to the
+    codes of sum w left[i] right[i], without trailing zeros; each product
+    of code strings is formed once.  For p = 2 it is ``_mul``'s, as an
+    int, and a sum XORs those of odd weight.  For odd p the factors are
+    packed at the width ``slot_width`` gives for ``terms`` (which bounds
+    the weights of a sum) and the longest shorter factor, and a sum is
+    unpacked once."""
+    char2 = cfg.p == 2
+    width = 0 if char2 else slot_width(
+        cfg, terms, max(map(min, map(len, left), map(len, right)), default=0))
+    products = [int.from_bytes(_mul(cfg, a, b, len(a) + len(b)), "little") if char2
+                else pack(cfg, a, width) * pack(cfg, b, width)
+                for a, b in zip(left, right)]
+
+    def weighted_sum(weights):
+        if not char2:
+            return unpack(cfg, sum(w * products[i] for i, w in weights), width)
+        acc = 0
+        for i, w in weights:
+            if w & 1:
+                acc ^= products[i]
+        return acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+    return weighted_sum
+
+
+def difference_scan(cfg: FieldConfig, codes: bytes, v: int, size: int,
+                    span: int) -> bytes:
+    """The first ``size`` codes, without trailing zeros, of
+    (y - y**q) / T * (1 + T**span + T**(2 span) + ...) for
+    y = T**v sum codes[i] T**i, v >= 0: the E_n step's quotient.  The
+    prefix sum is a doubling scan, acc += acc << (span 2**r coefficients).
+    For p = 2 the codes are the ints and every sum an XOR.  For odd p, y
+    and -y**q are packed, one byte per slot (two for p > 128), and
+    ``unpack``/``pack`` reduce the slots before a doubling could
+    overflow one."""
+    q = cfg.q
+    raised = codes[:max(size // q + 1 - v, 0)]  # the digits of y**q kept
+    if cfg.p == 2:
+        acc = ((int.from_bytes(codes, "little") << 8 * v)
+               ^ (int.from_bytes(_spread(raised, q), "little") << 8 * q * v)) >> 8
+        mask = (1 << 8 * size) - 1
+        while span < size:
+            acc ^= (acc << 8 * span) & mask
+            span *= 2
+        return acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+    width = 8 if cfg.p <= 128 else 16
+    bits = (2 * cfg.e - 1) * width  # per coefficient
+    acc = ((pack(cfg, codes, width) << v * bits)
+           + (pack(cfg, _spread(raised.translate(cfg.neg_row), q), width)
+              << q * v * bits)) >> bits
+    # Slot sums of `held` residues each: reduce before a doubling overflows.
+    held = 2
+    mask = (1 << size * bits) - 1
+    while span < size:
+        if 2 * held * (cfg.p - 1) >= 1 << width:
+            acc, held = pack(cfg, unpack(cfg, acc, width), width), 1
+        acc += (acc << span * bits) & mask
+        held, span = 2 * held, 2 * span
+    return unpack(cfg, acc, width)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +656,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.cfg, map(self.cfg.neg_table.__getitem__, self.coeffs))
+        return Poly(self.cfg, self.coeffs.translate(self.cfg.neg_row))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -579,7 +677,7 @@ class Poly:
         cfg = self.cfg
         if c == 0:
             return Poly.zero(cfg)
-        return Poly(cfg, map(cfg.mul_table[c].__getitem__, self.coeffs))
+        return Poly(cfg, self.coeffs.translate(cfg.mul_rows[c]))
 
     def divmod(self, other: "Poly"):
         if other.is_zero:
@@ -808,8 +906,8 @@ class TruncSeries:
         return TruncSeries(cfg, lo, _add(cfg, a, b), prec)
 
     def __neg__(self):
-        return TruncSeries(self.cfg, self.v,
-                           map(self.cfg.neg_table.__getitem__, self.coeffs), self.prec)
+        return TruncSeries(self.cfg, self.v, self.coeffs.translate(self.cfg.neg_row),
+                           self.prec)
 
     def __sub__(self, other):
         if isinstance(other, Poly):
@@ -840,7 +938,7 @@ class TruncSeries:
         cfg = self.cfg
         if c == 0:
             return TruncSeries.zero(cfg)
-        return TruncSeries(cfg, self.v, map(cfg.mul_table[c].__getitem__, self.coeffs),
+        return TruncSeries(cfg, self.v, self.coeffs.translate(cfg.mul_rows[c]),
                            self.prec)
 
     def frobenius(self, m: int = 1) -> "TruncSeries":

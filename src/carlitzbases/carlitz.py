@@ -3,7 +3,7 @@
 Everything here is exact on F_q[T] inputs.  E_n is evaluated on
 polynomials and truncated series alike by the bracket recurrence
 E_k = (E_{k-1}**q - E_{k-1}) / [k], each step a doubling scan over ints
-in the slot format of ``algebra.pack`` (``_bracket_step``), and each level
+(``algebra.difference_scan``, called by ``_bracket_step``), and each level
 kept in the point's tower (``towers``, the one cache of basis values);
 the linear polynomials e_n and the factorials F_n are the paper's objects
 and the tests' oracle E_n = e_n / F_n, not an evaluation path.
@@ -24,10 +24,7 @@ from .algebra import (
     PrecisionError,
     TruncSeries,
     Value,
-    _slot_tables,
-    _spread,
-    pack,
-    unpack,
+    difference_scan,
 )
 from .towers import TOWERS
 
@@ -174,15 +171,8 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
 
 def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
     """(y**q - y) / [k] = (y - y**q) / T * (1 + T**s + T**(2s) + ...) for
-    s = q**k - 1, since [k] = -T (1 - T**s): one step of the recurrence.
-
-    y and -y**q (its negated codes ``_spread``) are packed, one byte per
-    slot (two for p > 128, where a byte cannot hold two residues), and
-    added; a shift by one coefficient divides by T, and the prefix sum is a
-    doubling scan, acc += acc << (s 2**r coefficients), cut to the ``size``
-    coefficients kept.  Whenever the next doubling could overflow a slot,
-    ``unpack`` reduces the slots and ``pack`` packs them again; ``unpack``
-    decodes the result once.
+    s = q**k - 1, since [k] = -T (1 - T**s): one step of the recurrence,
+    its ``size`` coefficients formed by ``algebra.difference_scan``.
 
     An exact quotient (Poly or exact series, v >= 0) must be exact:
     ``size`` is deg(y**q - y), and a nonzero digit at or past size - s
@@ -195,20 +185,7 @@ def _bracket_step(cfg: FieldConfig, k: int, y: Value) -> Value:
     v = 0 if isinstance(y, Poly) else y.v
     exact = isinstance(y, Poly) or y.prec == EXACT
     size = max(q * (v + len(codes) - 1), 0) if exact else y.prec - 1
-    width = 8 if cfg.p <= 128 else 16
-    bits = (2 * cfg.e - 1) * width  # per coefficient
-    negs = codes[:max(size // q + 1 - v, 0)].translate(_slot_tables(cfg, width).neg)
-    acc = ((pack(cfg, codes, width) << v * bits)
-           + (pack(cfg, _spread(negs, q), width) << q * v * bits)) >> bits
-    # Slot sums of `held` residues each: reduce before a doubling overflows.
-    held, span = 2, s
-    mask = (1 << size * bits) - 1
-    while span < size:
-        if 2 * held * (cfg.p - 1) >= 1 << width:
-            acc, held = pack(cfg, unpack(cfg, acc, width), width), 1
-        acc += (acc << span * bits) & mask
-        held, span = 2 * held, 2 * span
-    out = unpack(cfg, acc, width)
+    out = difference_scan(cfg, codes, v, size, s)
     if exact and len(out) > max(size - s, 0):
         raise InexactDivisionError(f"division by [{k}] left a remainder")
     if isinstance(y, Poly):

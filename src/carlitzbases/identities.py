@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from operator import mul
 from typing import List, Optional
 
 from .algebra import (
@@ -23,12 +22,10 @@ from .algebra import (
     Poly,
     TruncSeries,
     lucas_binom,
-    pack,
     packed_sums,
     poly_enumerate,
+    product_sums,
     random_poly,
-    slot_width,
-    unpack,
     valuation_norm,
     values_match,
 )
@@ -192,9 +189,10 @@ def _primed_values_match(cfg, n, values, primed):
     tabulated F.
 
     Each row of codes is one string, every value padded to a common
-    length, packed once; a subset sum is one sum of packed ints, a
-    negative term p - 1 times its int, unpacked once.  An l with no
-    maximal digit is compared with its unprimed string byte for byte.
+    length; a subset sum, a negative term p - 1 times its string, is one
+    weighted sum (``algebra.product_sums``, each string times the constant
+    1, so 2**n terms bound its slots).  An l with no maximal digit is
+    compared with its unprimed string byte for byte.
     """
     q, p = cfg.q, cfg.p
     length = max(map(len, chain.from_iterable(chain(values, primed))), default=0)
@@ -203,8 +201,7 @@ def _primed_values_match(cfg, n, values, primed):
         return b"".join(bytes(c).ljust(length, b"\0") for c in row)
 
     strings = [string(row) for row in values]
-    width = slot_width(cfg, 2 ** n, 1)
-    packed = [pack(cfg, s, width) for s in strings]
+    sums = product_sums(cfg, strings, [b"\1"] * len(strings), 2 ** n)
     for l, row in enumerate(primed):
         terms = [(l, 1)]
         for t in range(n):
@@ -215,8 +212,7 @@ def _primed_values_match(cfg, n, values, primed):
         if len(terms) == 1:
             if want != strings[l]:
                 return False
-        elif unpack(cfg, sum(w * packed[i] for i, w in terms), width) != \
-                want.rstrip(b"\0"):
+        elif sums(terms) != want.rstrip(b"\0"):
             return False
     return True
 
@@ -226,20 +222,18 @@ def _power_sums_match(cfg, n, values):
     s in [0, 2q - 2]**n, is (-1)**n when every s_t is q - 1 or 2q - 2
     and 0 otherwise; b_t is E_t (CARLITZ) or D_t (DIGIT).
 
-    S(s) is the packed sum of F_k(m) F_l(m), both unprimed, with
-    k_t = min(s_t, q - 1) and l_t = s_t - k_t.  Expanding F' by its
-    definition, each Gram entry sum_m F_k(m) F'_l(m) is a signed sum of
-    the S(k + l - (q - 1) 1_D), D a subset of max(l), as F_a F_b depends
-    on the digitwise sum a + b only for the digit products of eval_G and
-    eval_D.  That map from the S to the Gram entries is unitriangular over
+    S(s) is the packed sum (``algebra.packed_sums``) of F_k(m) F_l(m),
+    both unprimed, with k_t = min(s_t, q - 1) and l_t = s_t - k_t.
+    Expanding F' by its definition, each Gram entry sum_m F_k(m) F'_l(m)
+    is a signed sum of the S(k + l - (q - 1) 1_D), D a subset of max(l),
+    as F_a F_b depends on the digitwise sum a + b only for the digit
+    products of eval_G and eval_D.  That map from the S to the Gram entries is unitriangular over
     subsets: with the primed values checked, all S match their closed
     form exactly when all q**(2n) Gram entries match theirs.
     """
     q = cfg.q
-    length = max(map(len, chain.from_iterable(values)), default=0)
-    width = slot_width(cfg, len(values[0]), length)
-    packed = [[pack(cfg, c, width) for c in row] for row in values]
     one = bytes([cfg.sign(n)])
+    pairs, forms = [], []
     for s in product(range(2 * q - 1), repeat=n):
         k = l = 0
         closed = True
@@ -248,8 +242,10 @@ def _power_sums_match(cfg, n, values):
             k += kt * q ** t
             l += (st - kt) * q ** t
             closed = closed and st % (q - 1) == 0 and st > 0
-        total = unpack(cfg, sum(map(mul, packed[k], packed[l])), width)
-        if total != (one if closed else b""):
+        pairs.append((k, l))
+        forms.append(one if closed else b"")
+    for total, form in zip(packed_sums(cfg, values, values, pairs), forms):
+        if total != form:
             return False
     return True
 
@@ -339,20 +335,16 @@ def _addition_convolution(cfg, evaluate, primed, j, x, u, support):
     read as an element of F_p) to sum over e of w_e F_e(x) F'_{j-e}(u), a
     Poly; F is ``evaluate`` (eval_G or eval_D), primed on u as asked.
 
-    Each product F_e(x) F'_{j-e}(u) is formed once, as the integer product
-    of the packed factors, and each sum as the integer-weighted sum of
-    those products, unpacked once.  A weight multiplies every slot by at
-    most p - 1, so the slot bound counts len(support) * (p - 1) terms.
+    Each product F_e(x) F'_{j-e}(u) is formed once, and each sum is one
+    weighted sum of those products (``algebra.product_sums``).  A weight
+    is at most p - 1, so a sum has at most len(support) * (p - 1) terms.
     """
     left = [evaluate(cfg, e, x).coeffs for e in support]
     right = [evaluate(cfg, j - e, u, primed=primed).coeffs for e in support]
-    length = max(map(min, map(len, left), map(len, right)), default=0)
-    width = slot_width(cfg, len(support) * (cfg.p - 1), length)
-    products = [pack(cfg, a, width) * pack(cfg, b, width)
-                for a, b in zip(left, right)]
+    sums = product_sums(cfg, left, right, len(support) * (cfg.p - 1))
 
     def convolution(weights):
-        return Poly(cfg, unpack(cfg, sum(map(mul, weights, products)), width))
+        return Poly(cfg, sums(enumerate(weights)))
 
     return convolution
 

@@ -506,53 +506,145 @@ def _kernel_widths(monkeypatch):
 ])
 def test_kronecker_mul_at_slot_width_steps(monkeypatch, q, shorter, longer, width):
     # All-(q-1) factors fill the middle slots to exactly the slot bound; the
-    # width follows the shorter factor, and the product, full or truncated
-    # inside the shorter factor or past it, equals schoolbook's.
+    # width follows the shorter factor, and the Kronecker product, full or
+    # truncated inside the shorter factor or past it, equals schoolbook's.
+    # The kernel is called directly: for p = 2 and e > 1 (q = 8) ``_mul``
+    # takes the row kernel at every length.
     cfg = _MUL_FIELDS[q]
     widths = _kernel_widths(monkeypatch)
     a = Poly(cfg, [q - 1] * shorter)
     b = Poly(cfg, [q - 1] * longer)
     expected = schoolbook_mul(a, b)
     assert a * b == expected and b * a == expected
-    assert widths == [width] * 4
+    for size in (shorter + longer - 1, shorter // 2, shorter + longer // 2):
+        widths.clear()
+        assert algebra._mul_kronecker(cfg, a.coeffs, b.coeffs, size) == \
+            bytes(expected.coeff(i) for i in range(size))
+        assert widths == [width] * 2
     for prec in (shorter // 2, shorter + longer // 2):
         got = a.to_series(prec) * b.to_series()
         assert got == schoolbook_mul(a.to_series(prec), b.to_series())
-        assert algebra._mul(cfg, a.coeffs, b.coeffs, prec) == \
-            bytes(expected.coeff(i) for i in range(prec))
 
 
 def test_mul_dispatch_takes_each_path(monkeypatch):
-    # A product is packed when the schoolbook work, the nonzero coefficients
-    # of the shorter factor times the longer factor's length, exceeds
-    # KRONECKER_CROSSOVER times the slot count (2e - 1)(len a + len b): a
-    # dense one and one with a single nonzero over the constant are packed,
-    # one at the constant stays schoolbook, in either operand order, for
-    # e = 1 (q = 2) and e > 1 (q = 8).
-    widths = _kernel_widths(monkeypatch)
+    # A product is packed when the loop work, the nonzero coefficients of
+    # the shorter factor times the longer factor's length, exceeds
+    # KRONECKER_CROSSOVER[p == 2, e > 1] times the slot count
+    # (2e - 1)(len a + len b): a dense one and one with a single nonzero
+    # over the bound are packed, one at the bound takes the loop kernel,
+    # in either operand order.  The loop kernel is the row kernel for p = 2
+    # (q = 2) and the schoolbook loop for odd p (q = 3, 9); for p = 2 and
+    # e > 1 (q = 8) the constant is inf, and even a dense product takes
+    # the rows.
+    paths = []
+    for name in ("_mul_rows", "_mul_schoolbook", "_mul_kronecker"):
+        monkeypatch.setattr(algebra, name,
+                            lambda *args, name=name, kernel=getattr(algebra, name):
+                            paths.append(name) or kernel(*args))
     shorter, longer = 48, 64
-    for q in (2, 8):
+    for q in (2, 3, 8, 9):
         cfg = _MUL_FIELDS[q]
-        slots = (2 * cfg.e - 1) * (shorter + longer)
-        most = int(algebra.KRONECKER_CROSSOVER[cfg.e > 1] * slots / longer)
+        constant = algebra.KRONECKER_CROSSOVER[cfg.p == 2, cfg.e > 1]
+        loop = "_mul_rows" if cfg.p == 2 else "_mul_schoolbook"
+        if constant == math.inf:
+            cases = ((shorter, loop),)
+        else:
+            slots = (2 * cfg.e - 1) * (shorter + longer)
+            most = int(constant * slots / longer)
+            cases = ((shorter, "_mul_kronecker"), (most + 1, "_mul_kronecker"),
+                     (most, loop))
         b = Poly(cfg, _long_digits(cfg, longer, 1.0, 5))
-        for nonzero, packed in ((shorter, True), (most + 1, True), (most, False)):
+        for nonzero, path in cases:
             digits = [0] * shorter
             for i in random.Random(nonzero).sample(range(shorter - 1), nonzero - 1):
                 digits[i] = q - 1
             digits[-1] = 1
             a = Poly(cfg, digits)
             for x, y in ((a, b), (b, a)):
-                widths.clear()
-                assert x * y == schoolbook_mul(x, y)
-                assert bool(widths) is packed
+                expected = schoolbook_mul(x, y)
+                paths.clear()
+                assert x * y == expected
+                assert paths == [path]
 
 
-@given(st.sampled_from(sorted(FIELDS)), st.data())
+# The fields of characteristic 2, where sums are XORs: those of FIELDS,
+# q = 16 and q = 256, whose rows fill all 256 bytes of a translate table.
+_CHAR2_FIELDS = {q: FieldConfig(2, q.bit_length() - 1) for q in (2, 4, 8, 16, 256)}
+
+
+@given(st.sampled_from(sorted(_CHAR2_FIELDS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_kernel_matches_schoolbook(q, data):
+    # The row kernel against the schoolbook oracle: random, dense all-(q-1)
+    # and empty factors, cut to any size, inside the shorter factor or past
+    # it; then Poly and series products through the operators.
+    cfg = _CHAR2_FIELDS[q]
+
+    def factor():
+        kind = data.draw(st.sampled_from(("random", "dense", "empty")))
+        if kind == "empty":
+            return b""
+        if kind == "dense":
+            return bytes([q - 1]) * data.draw(st.integers(1, 60))
+        return bytes(data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                        max_size=60)))
+
+    a, b = factor(), factor()
+    full = schoolbook_mul(Poly(cfg, a), Poly(cfg, b))
+    size = data.draw(st.integers(0, len(a) + len(b)))
+    shorter, longer = sorted((a[:size], b[:size]), key=len)
+    assert algebra._mul_rows(cfg, shorter, longer, size) == \
+        bytes(full.coeff(i) for i in range(size))
+    x, y = _operand(cfg, data), _operand(cfg, data, long=data.draw(st.booleans()))
+    for u, w in ((x, y), (y, x)):
+        assert_same(u * w, schoolbook_mul(u, w))
+
+
+@given(st.sampled_from(sorted(_CHAR2_FIELDS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_xor_add_matches_digitwise(q, data):
+    # For p = 2 ``_add`` is one XOR of the code strings: against the
+    # table sum digit by digit, the longer string's tail kept, for strings
+    # of any lengths (empty and trailing zeros included).
+    cfg = _CHAR2_FIELDS[q]
+    digits = st.lists(st.integers(0, q - 1), max_size=20)
+    a, b = bytes(data.draw(digits)), bytes(data.draw(digits))
+    n = max(len(a), len(b))
+    a_pad, b_pad = a.ljust(n, b"\0"), b.ljust(n, b"\0")
+    assert bytes(algebra._add(cfg, a, b)) == \
+        bytes(cfg.add(x, y) for x, y in zip(a_pad, b_pad))
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 16])
+def test_product_sums_with_empty_factors(q):
+    # Weighted sums of products where factors are empty (zero), on the XOR
+    # path (q = 4, 16) and the packed one (q = 3, 9): an empty product adds
+    # nothing, and a sum of only empty products is b"".
+    cfg = FieldConfig(*{3: (3, 1), 4: (2, 2), 9: (3, 2), 16: (2, 4)}[q])
+    a = bytes([q - 1, 1, 0, 2])
+    left, right = [b"", a, b"", a, a], [b"", b"", a, b"\1", a]
+    sums = algebra.product_sums(cfg, left, right, 2 * len(left))
+    assert sums([(0, 1), (1, 1), (2, 1)]) == b""
+    assert sums([]) == b""
+    square = schoolbook_mul(Poly(cfg, a), Poly(cfg, a))
+    assert sums(enumerate([1] * len(left))) == (square + Poly(cfg, a)).coeffs
+
+
+# The fields of the packing tests and of the translate rows: those of the
+# differential tests, the largest of each characteristic up to q = 256,
+# p = 127, whose byte lanes must be reduced after every two wide-slot byte
+# planes, and p = 251 > 128, whose residues a byte lane cannot sum.
+_KERNEL_FIELDS = {q: FieldConfig(p, e) for q, (p, e) in
+                  {**FIELDS, 16: (2, 4), 32: (2, 5), 49: (7, 2), 243: (3, 5),
+                   256: (2, 8), 127: (127, 1), 251: (251, 1)}.items()}
+
+
+@given(st.sampled_from(sorted(_KERNEL_FIELDS)), st.data())
 @settings(max_examples=200, deadline=None)
 def test_poly_add_neg_scale_match_digitwise(q, data):
-    # The table-indexed element operations against one field call per digit.
-    cfg = _MUL_FIELDS[q]
+    # The table-indexed element operations (negation and scaling translate
+    # the codes by 256-byte rows) against one field call per digit.
+    cfg = _KERNEL_FIELDS[q]
     digits = st.lists(st.integers(0, q - 1), max_size=10)
     a, b = Poly(cfg, data.draw(digits)), Poly(cfg, data.draw(digits))
     c = data.draw(st.integers(0, q - 1))
@@ -646,15 +738,6 @@ def test_slot_width_steps():
         [8, 8, 16, 32, 64]
     with pytest.raises(BudgetError):
         slot_width(f2, 2 ** 32, 2 ** 32)
-
-
-# The fields of the packing tests: those of the differential tests, the
-# largest of each characteristic up to q = 256, p = 127, whose byte lanes
-# must be reduced after every two wide-slot byte planes, and p = 251 > 128,
-# whose residues a byte lane cannot sum.
-_KERNEL_FIELDS = {q: FieldConfig(p, e) for q, (p, e) in
-                  {**FIELDS, 16: (2, 4), 32: (2, 5), 49: (7, 2), 243: (3, 5),
-                   256: (2, 8), 127: (127, 1), 251: (251, 1)}.items()}
 
 
 @given(st.sampled_from(sorted(_KERNEL_FIELDS)), st.sampled_from((8, 16, 32, 64)),

@@ -236,8 +236,9 @@ def test_bracket_step_exact_on_polynomials(f3, rng, k):
                 _bracket_step(f3, k, bad)
 
 
-# The step's fields: FIELDS, a larger e for p = 2 and p = 3, whose packed
-# blocks are widest, and two p > 128, whose slots are two bytes wide.
+# The step's fields: FIELDS, a larger e for p = 2 (the XOR scan) and for
+# p = 3, whose packed blocks are widest, and two p > 128, whose slots are
+# two bytes wide.
 STEP_FIELDS = {**FIELDS, 16: (2, 4), 27: (3, 3), 131: (131, 1), 251: (251, 1)}
 
 
@@ -252,11 +253,11 @@ def _step_or_error(step, cfg, k, y):
 @given(st.sampled_from(sorted(STEP_FIELDS)), st.data())
 @settings(max_examples=120, deadline=None)
 def test_bracket_step_matches_digit_loop(q, data):
-    # The packed step against the subtract-and-loop oracle: Poly values
-    # E_{k-1}(x) and arbitrary polynomials (equal quotients, or both
-    # inexact), and truncated series of valuation 0 or above with precision
-    # k + 1 up to 3000 digits, where the slot sums of small p pass 2**8 and
-    # get reduced.
+    # The step (XOR scan for p = 2, packed slots for odd p) against the
+    # subtract-and-loop oracle: Poly values E_{k-1}(x) and arbitrary
+    # polynomials (equal quotients, or both inexact), and truncated series
+    # of valuation 0 or above with precision k + 1 up to 3000 digits, where
+    # the slot sums of odd p pass 2**8 and get reduced.
     from carlitzbases.carlitz import _bracket_step
     cfg = FieldConfig(*STEP_FIELDS[q])
     rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
@@ -282,18 +283,39 @@ def test_bracket_step_matches_digit_loop(q, data):
                                       (9, 1, 3000), (16, 1, 3000),
                                       (131, 1, 130 * 600), (251, 1, 250 * 280)])
 def test_bracket_step_lane_reductions(q, k, prec):
-    # Long prefix sums in pack's slots: p = 2 (q = 2, 4, 8, 16) reduces its
-    # byte slots (at most 255 residues) every 7 doublings and q = 9 (127
-    # residues) every 6, for e > 1 through unpack's reduction of each block
-    # mod the modulus; q = 131 and 251 reduce their two-byte slots (at most
-    # 504 and 262 residues) every 8.  A slot that overflowed would carry
-    # into the next one.  Random codes, and codes whose digits are all
-    # p - 1, which make the largest slot sums.
+    # Long prefix sums.  For p = 2 (q = 2, 4, 8, 16) the step XORs the codes
+    # as ints, with no slot to overflow.  The slot reductions are covered
+    # by odd p: q = 9 reduces its byte slots (at most 127 residues) every 6
+    # doublings, through unpack's reduction of each block mod the modulus,
+    # and q = 131 and 251 reduce their two-byte slots (at most 504 and 262
+    # residues) every 8.  A slot that overflowed would carry into the next
+    # one.  Random codes, and codes whose digits are all p - 1, which make
+    # the largest slot sums.
     from carlitzbases.carlitz import _bracket_step
     cfg = FieldConfig(*STEP_FIELDS[q])
     for y in (random_series(cfg, random.Random(prec), prec),
               TruncSeries(cfg, 0, bytes([q - 1]) * prec, prec)):
         assert _bracket_step(cfg, k, y) == bracket_step_by_digits(cfg, k, y)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_bracket_step_packs_nothing_for_p_2(monkeypatch, q):
+    # For p = 2 the step is an XOR scan on the codes: pack and unpack are
+    # never called, on a long series, an exact series and a polynomial.
+    from carlitzbases import algebra
+    from carlitzbases.carlitz import _bracket_step
+
+    def no_packing(*args):
+        raise AssertionError("the p = 2 step packed a value")
+
+    cfg = FieldConfig(*STEP_FIELDS[q])
+    rnd = random.Random(q)
+    values = (random_series(cfg, rnd, 3000), random_series(cfg, rnd, 40, 2),
+              eval_E(cfg, 1, random_poly(cfg, rnd, 5)))
+    want = [bracket_step_by_digits(cfg, 2, y) for y in values]
+    monkeypatch.setattr(algebra, "pack", no_packing)
+    monkeypatch.setattr(algebra, "unpack", no_packing)
+    assert [_bracket_step(cfg, 2, y) for y in values] == want
 
 
 def test_eval_E_poly_one_step_per_level(monkeypatch):

@@ -303,9 +303,9 @@ def test_csv_bytes_unchanged(capsys, argv, digest):
 
 
 # The JSON bytes of E_n paths that the benchmark's reference digests do not
-# reach: e = 3 and e = 4 fields, whose packed blocks are widest, and the
-# p > 128 fields, whose slots are two bytes wide.  Recorded before the
-# bracket step moved onto pack/unpack.
+# reach: fields with e > 1 (q = 8 and 16 take the XOR scan, q = 9 and 27
+# pack the widest blocks of odd p), and the p > 128 fields, whose slots are
+# two bytes wide.  Recorded before the bracket step moved onto pack/unpack.
 E_PATH_RUNS = [
     (("--q", "8", "matrix", "--which", "inverse", "--size", "4"),
      "9379039eb6b1bf1f727e4c2b7a1f02bef1d93603164f7e440ffe41f7cedf3aa9"),

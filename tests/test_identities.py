@@ -31,6 +31,7 @@ from carlitzbases import (
     parse_poly,
     poly_enumerate,
 )
+from carlitzbases import algebra
 from carlitzbases.algebra import random_poly
 from carlitzbases.identities import (
     BUDGET_EXHAUSTED,
@@ -466,6 +467,71 @@ def test_addition_convolution_at_slot_bound(q):
                                                x, u, support)([p - 1] * terms)
         assert got == addition_convolution(cfg, evaluate, False, terms - 1, x, u,
                                            lambda e: p - 1)
+
+
+@given(st.sampled_from([4, 8]), st.sampled_from(["G", "Gp", "D", "Dp"]),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_xor_convolution_matches_packed(q, family, data):
+    # For p = 2 the convolution XORs the products of odd weight: against
+    # the packed sum (``packed_sums``) of those products, for the binomial,
+    # signed and unit weights of the addition law (equal mod 2 on the
+    # support) and for an arbitrary weight per e, for j up to q**2 - 1 and
+    # every j = q**m - 1 among them.
+    cfg = FieldConfig(*FIELDS[q])
+    j = data.draw(st.one_of(st.sampled_from((q - 1, q * q - 1)),
+                            st.integers(0, q * q - 1)))
+    x = Poly(cfg, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
+    u = Poly(cfg, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
+    evaluate = eval_G if family[0] == "G" else eval_D
+    primed = family.endswith("p")
+    support = [e for e in range(j + 1) if identities.lucas_binom(j, e, 2)]
+    left = [evaluate(cfg, e, x).coeffs for e in support]
+    right = [evaluate(cfg, j - e, u, primed=primed).coeffs for e in support]
+    xor = algebra.product_sums(cfg, left, right, len(support))
+    arbitrary = data.draw(st.lists(st.integers(0, 1), min_size=len(support),
+                                   max_size=len(support)))
+    for weights in ([identities.lucas_binom(j, e, 2) for e in support],
+                    [cfg.sign(e) for e in support], [1] * len(support), arbitrary):
+        odd = [i for i, w in enumerate(weights) if w % 2]
+        packed = next(algebra.packed_sums(cfg, [[left[i] for i in odd]],
+                                          [[right[i] for i in odd]])) if odd else b""
+        assert xor(enumerate(weights)) == packed
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_addition_suite_catches_a_planted_value_in_the_xor_sum(monkeypatch, q):
+    # F_1(y) + 1 at every point y, unprimed only, in both families: each
+    # of the four addition reports is falsified.  For Gp and Dp the left
+    # side F'_j(x + u) is untouched and only the XOR sum of the products
+    # F_e(x) F'_{j-e}(u) carries the fault.  The clean suite packs nothing:
+    # its products take the row kernel and its sums XOR.
+    cfg = FieldConfig(*FIELDS[q])
+    packer, unpacker = algebra.pack, algebra.unpack
+
+    def no_packing(*args):
+        raise AssertionError("the p = 2 addition suite packed a value")
+
+    monkeypatch.setattr(algebra, "pack", no_packing)
+    monkeypatch.setattr(algebra, "unpack", no_packing)
+    clean = run_suite(cfg, "addition", seed=3, budget=16)
+    assert [r.status for r in clean] == [VERIFIED] * 4
+    monkeypatch.setattr(algebra, "pack", packer)
+    monkeypatch.setattr(algebra, "unpack", unpacker)
+
+    def planted(evaluate):
+        def wrapper(cfg, k, y, primed=False):
+            value = evaluate(cfg, k, y, primed=primed)
+            return value + Poly.one(cfg) if k == 1 and not primed else value
+        return wrapper
+
+    for name in ("eval_G", "eval_D"):
+        monkeypatch.setattr(identities, name, planted(getattr(identities, name)))
+    reports = run_suite(cfg, "addition", seed=3, budget=16)
+    assert [(r.config["family"], r.config["j"], r.identity, r.status)
+            for r in reports] == [(family, 1, "addition_law", FALSIFIED)
+                                  for family in ("G", "Gp", "D", "Dp")]
+    assert all(r.witness["lhs"] != r.witness["rhs"] for r in reports)
 
 
 # ---------------------------------------------------------------------------
