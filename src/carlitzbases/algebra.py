@@ -41,15 +41,11 @@ EXACT = math.inf
 
 MAX_Q = 256
 
-# Shipped irreducible moduli over F_p, little-endian coefficients.
-DEFAULT_MODULI = {
-    4: (1, 1, 1),        # u^2 + u + 1
-    8: (1, 1, 0, 1),     # u^3 + u + 1
-    9: (1, 0, 1),        # u^2 + 1
-    16: (1, 1, 0, 0, 1),  # u^4 + u + 1
-    25: (1, 1, 1),       # u^2 + u + 1
-    27: (1, 2, 0, 1),    # u^3 + 2u + 1
-}
+# The one shipped modulus, little-endian coefficients.  Every other q with
+# e > 1 takes the first irreducible monic polynomial (``_first_irreducible``),
+# which for q = 25 is u^2 + 2: shipping u^2 + u + 1 keeps every q = 25
+# output as it was.
+DEFAULT_MODULI = {25: (1, 1, 1)}
 
 
 def _is_prime(n: int) -> bool:

@@ -171,6 +171,12 @@ def cmd_expand(run: RunConfig, args) -> int:
     if basis is None:
         raise DomainError(f"unknown basis {args.basis!r}; choose from "
                           f"{sorted(BASIS_NAMES)}")
+    for flag, value, readers in (
+            ("--level", args.level, (Basis.CARLITZ_G, Basis.DIGIT_D)),
+            ("--m", args.m, (Basis.POWERED_D,))):
+        if value is not None and basis not in readers:
+            raise DomainError(f"{flag} is not read by the {args.basis} basis, "
+                              f"only by {' and '.join(b.value for b in readers)}")
     if basis in (Basis.LINEAR_E, Basis.LINEAR_D, Basis.POWERED_D):
         if not f.linear:
             raise DomainError(f"function {f.name!r} is not F_q-linear; "
@@ -180,7 +186,8 @@ def cmd_expand(run: RunConfig, args) -> int:
         elif basis is Basis.LINEAR_D:
             exp = transforms.digit_coeffs_linear(f, args.terms)
         else:
-            exp = transforms.powered_digit_coeffs(f, args.m, args.terms)
+            m = 1 if args.m is None else args.m
+            exp = transforms.powered_digit_coeffs(f, m, args.terms)
     else:
         analyze = (transforms.carlitz_coeffs if basis is Basis.CARLITZ_G
                    else transforms.digit_coeffs)
@@ -327,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of coefficients to recover")
     p_exp.add_argument("--level", type=int, default=None,
                        help="enumeration level n for the G/D bases")
-    p_exp.add_argument("--m", type=int, default=1,
-                       help="power exponent for the powered-D basis")
+    p_exp.add_argument("--m", type=int, default=None,
+                       help="power exponent for the powered-D basis (default 1)")
     p_exp.set_defaults(run=cmd_expand)
 
     p_mat = sub.add_parser("matrix", help="emit a basis-change matrix")

@@ -3,7 +3,8 @@
 Every check returns a VerdictReport; falsified reports carry a replayable
 witness.  Sup-norm style claims are certified on a finite range (recorded
 in the report) rather than proved.  The distance and reduced-basis checks
-read E_n(T^i) and D_n(T^i) mod T^P (``_E_mod``), not exactly.
+read E_n(T^i) and D_n(T^i) mod T^P, from the truncated point
+T^i + O(T^(n+P)), not exactly.
 """
 from __future__ import annotations
 
@@ -463,27 +464,16 @@ def basis_distance(cfg: FieldConfig, pair: str, n: int,
 
 def _pair_values(cfg, pair, n, m, i, P=None):
     """(f(T^i), g(T^i)) for a ``basis_distance`` pair: exact (P None), or
-    mod T^P, on T^i + O(T^(n+P)); for Eq_vs_E, the Frobenius of the first
-    ceil(P / q) digits of E_n."""
+    mod T^P, on T^i + O(T^(n+P)), since E_n and D_n lose n digits; for
+    Eq_vs_E, the Frobenius of the first ceil(P / q) digits of E_n."""
     x = (Poly.monomial(cfg, i) if P is None
          else TruncSeries.monomial(cfg, i, 1, n + P))
     if pair == "Dq_vs_D":
         return powered_D(cfg, n, m, x), hasse_derivative(cfg, n, x)
-    ev = eval_E(cfg, n, x) if P is None else _E_mod(cfg, n, i, P, eval_E)
+    ev = eval_E(cfg, n, x)
     if pair == "E_vs_D":
         return ev, hasse_derivative(cfg, n, x)
     return (ev if P is None else ev.truncate(-(-P // cfg.q))).frobenius(1), ev
-
-
-@lru_cache(maxsize=1024)
-def _E_mod(cfg: FieldConfig, n: int, i: int, P: int, evaluate) -> TruncSeries:
-    """E_n(T^i) mod T^P by ``evaluate`` (``eval_E`` or a stand-in), read
-    from T^i + O(T^(n+P)), since E_n loses n digits; kept for the next
-    reader, as E_vs_D and Eq_vs_E read the same values.  The tower of
-    T^i + O(T^(n+P)) holds them too, but a hit here also skips building
-    that point and looking it up: without this cache the distance job of
-    the benchmark's exact-tower workload took 16% longer."""
-    return evaluate(cfg, n, TruncSeries.monomial(cfg, i, 1, n + P))
 
 
 def _distance_failure(config, n, i, fv, gv, diff):
@@ -533,10 +523,10 @@ def check_reduced_basis(cfg: FieldConfig, n_max: int) -> VerdictReport:
     """The matrices [reduced E_i(T^j)] and [reduced D_i(T^j)] for i, j < n_max
     coincide and are unitriangular, so the reductions are independent over F_q.
 
-    E_i is read mod T (``_E_mod``), so no value of degree q**i j is formed
-    (no degree budget at any q)."""
+    E_i(T^j) is read mod T, from T^j + O(T^(i+1)), so no value of degree
+    q**i j is formed (no degree budget at any q)."""
     config = {"q": cfg.q, "n_max": n_max}
-    mat_E = [[_E_mod(cfg, i, j, 1, eval_E).coeff(0)
+    mat_E = [[eval_E(cfg, i, TruncSeries.monomial(cfg, j, 1, i + 1)).coeff(0)
               for j in range(n_max)] for i in range(n_max)]
     mat_D = [[hasse_derivative(cfg, i, Poly.monomial(cfg, j)).coeff(0)
               for j in range(n_max)] for i in range(n_max)]

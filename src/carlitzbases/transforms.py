@@ -4,14 +4,14 @@ Functions are represented by evaluators that accept exact polynomials
 (and usually truncated series as well).  Each value has one production
 path here; the textbook formulas behind them (triangular solves, literal
 operator iteration, the subset sums of the Voloch matrix, the per-pair
-enumeration sums) are the test suite's oracles, not second paths.  The
-values delta^(n) f(x), n < N, come from one difference table with N
-evaluations of f (the tower of closures makes 2**N - 1).  The inverse
-matrix B and the powered-D coefficients are derived from the D-basis
-coefficients of ``digit_coeffs_linear`` (B column by column from E_n, the
-powered ones by the binomial transform with the ``convert_powered``
-weights), so the closed sum b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n)
-is written once.
+enumeration sums, the term-by-term closed sums) are the test suite's
+oracles, not second paths.  The values delta^(n) f(x), n < N, come from
+one difference table with N evaluations of f (the tower of closures makes
+2**N - 1).  Every closed sum sum_m w(m) f(m) is one packed weighted sum
+(``_weighted_sums``): the G and D enumerations (w = F'_{q**n-1-j}), the
+D-basis coefficients b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n), all
+columns of the inverse matrix B at once (f = E_n), and the powered-D
+coefficients from b (the ``convert_powered`` weights).
 """
 from __future__ import annotations
 
@@ -288,21 +288,16 @@ def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
     if not f.linear:
         raise DomainError("D-basis expansion requires an F_q-linear function")
     _check_terms(N)
-    cfg = f.cfg
-    fvals = [f(Poly.monomial(cfg, i)) for i in range(N)]
-    coeffs = []
-    for n in range(N):
-        acc = None
-        for i in range(n + 1):
-            w = hasse_on_monomial(cfg, i, n)
-            if w.is_zero:
-                continue
-            term = fvals[i] * w
-            if (n - i) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        coeffs.append(acc if acc is not None else Poly.zero(cfg))
-    return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
+    return BasisExpansion(f.cfg, Basis.LINEAR_D, _digit_sums(f.cfg, [f], N)[0])
+
+
+def _digit_sums(cfg: FieldConfig, fs, N: int) -> List[List[Value]]:
+    """b_n, n < N, of each f in ``fs``: one weighted sum of the f(T**i),
+    i < N, with the weights (-1)**(n-i) D_i(T**n)."""
+    points = [Poly.monomial(cfg, i) for i in range(N)]
+    weights = [[hasse_on_monomial(cfg, i, n).scalar_mul(cfg.sign(n - i))
+                for i in range(N)] for n in range(N)]
+    return _weighted_sums(cfg, weights, [[f(x) for x in points] for f in fs])
 
 
 def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
@@ -320,11 +315,10 @@ def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
     b = digit_coeffs_linear(f, N).coeffs
     if m == 0:
         return BasisExpansion(cfg, Basis.POWERED_D, b, m=m)
-    # weights[j][i] = C(i+j, j) (-[m])**i; the j = n weight is 1.
-    weights = [convert_powered(cfg, j, m, N - j, "to_powered") for j in range(N)]
-    beta = [sum((w[n - j] * b[j] for j, w in enumerate(weights[:n])
-                 if not w[n - j].is_zero), b[n])
-            for n in range(N)]
+    # Column j holds the weights C(n, j) (-[m])**(n-j) of b_j in beta_n, n < N.
+    columns = [[Poly.zero(cfg)] * j + convert_powered(cfg, j, m, N - j, "to_powered")
+               for j in range(N)]
+    beta = _weighted_sums(cfg, list(zip(*columns)), [b])[0]
     return BasisExpansion(cfg, Basis.POWERED_D, beta, m=m)
 
 
@@ -356,15 +350,9 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
     """The expansion of each f in ``fs`` in ``basis`` (G or D):
 
     coeff_j = (-1)**n * sum over deg(m) < n of w_j(m) f(m), where
-    w_j = F'_{q**n - 1 - j} with F = G or D, as one packed sum per
-    (index, function).  The weights w_j(m) are evaluated once for all the
-    functions; every f(m) and every w_j(m) is packed once
-    (``algebra.packed_sums``, one column per function) and each
-    coefficient is one sum of integer products, unpacked once.  Series
-    values of a function are packed from their common valuation v, and
-    its coefficients are series when any of its f(m) is one, with the
-    precision of the per-pair sum: the least prec(f(m)) + v(w_j(m)) over
-    the truncated f(m) and nonzero w_j(m).
+    w_j = F'_{q**n - 1 - j} with F = G or D, as one weighted sum per
+    (index, function); the weights w_j(m) are evaluated once for all the
+    functions.
     """
     _check_terms(J)
     n = default_level(cfg, J) if level is None else level
@@ -372,32 +360,47 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
         raise DomainError(f"level n = {n} too small: q**n must cover all j < {J}")
     polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
     sign = cfg.sign(n)
-    values = []  # per function: f(m) for every m, and the valuation v
-    columns = []
-    for f in fs:
-        fvals = [f(mp) for mp in polys]
+    values = [[f(mp) for mp in polys] for f in fs]
+    evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
+    weights = [[evaluate(cfg, cfg.q ** n - 1 - j, mp, primed=True) for mp in polys]
+               for j in range(J)]
+    return [BasisExpansion(cfg, basis, [c.scalar_mul(sign) for c in sums])
+            for sums in _weighted_sums(cfg, weights, values)]
+
+
+def _weighted_sums(cfg: FieldConfig, weights, values) -> List[List[Value]]:
+    """For each function's values f(m) in ``values`` (one list per
+    function, one value per point m), the sums sum_m w(m) f(m), one for
+    each row w of the exact ``weights`` (one Poly per point m).
+
+    Every f(m) and every w(m) is packed once (``algebra.packed_sums``, one
+    column per function) and each sum is one sum of integer products,
+    unpacked once.  Series values of a function are packed from their
+    common valuation v, and its sums are series when any of its f(m) is
+    one, with the precision of the per-pair sum: the least
+    prec(f(m)) + v(w(m)) over the truncated f(m) and nonzero w(m).
+    """
+    columns, lows = [], []  # per function: its column and its valuation v
+    for fvals in values:
         starts = [x.v if isinstance(x, TruncSeries) else 0 for x in fvals]
         v = min((s for s, x in zip(starts, fvals) if x.coeffs), default=0)
-        values.append((fvals, v))
+        lows.append(v)
         columns.append([bytes(s - v) + x.coeffs if x.coeffs else b""
                         for s, x in zip(starts, fvals)])
-    evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
-    wvals = [[evaluate(cfg, cfg.q ** n - 1 - j, mp, primed=True) for mp in polys]
-             for j in range(J)]
-    sums = packed_sums(cfg, [[w.coeffs for w in row] for row in wvals], columns)
-    series = [any(isinstance(x, TruncSeries) for x in fvals) for fvals, _ in values]
-    coeffs = [[] for _ in fs]
-    for row in wvals:
-        for out, (fvals, v), is_series, digits in zip(coeffs, values, series, sums):
+    sums = packed_sums(cfg, [[w.coeffs for w in row] for row in weights], columns)
+    series = [any(isinstance(x, TruncSeries) for x in fvals) for fvals in values]
+    out = [[] for _ in values]
+    for row in weights:
+        for coeffs, fvals, v, is_series, digits in zip(out, values, lows, series,
+                                                       sums):
             if is_series:
                 prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
                             if isinstance(x, TruncSeries) and not w.is_zero),
                            default=EXACT)
-                value = TruncSeries(cfg, v, digits, prec)
+                coeffs.append(TruncSeries(cfg, v, digits, prec))
             else:
-                value = Poly(cfg, digits)
-            out.append(value.scalar_mul(sign))
-    return [BasisExpansion(cfg, basis, out) for out in coeffs]
+                coeffs.append(Poly(cfg, digits))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +463,15 @@ def voloch_matrix(cfg: FieldConfig, size: int, prec: int) -> BasisMatrix:
 
 def inverse_matrix(cfg: FieldConfig, size: int) -> BasisMatrix:
     """The exact inverse matrix B with E_n = sum_m B[m][n] D_m: column n is
-    the D-basis expansion of E_n (``digit_coeffs_linear``),
+    the D-basis expansion of E_n, all columns one weighted sum with the
+    ``digit_coeffs_linear`` weights (``_digit_sums``),
 
     B[m][n] = sum_{i<=m} (-1)**(m-i) D_i(T**m) E_n(T**i); zero for m < n,
     unit diagonal, and T divides every entry below the diagonal.
     """
     if size < 1:
         raise DomainError(f"inverse matrix needs size >= 1, got {size}")
-    columns = [digit_coeffs_linear(E_func(cfg, n), size).coeffs for n in range(size)]
+    columns = _digit_sums(cfg, [E_func(cfg, n) for n in range(size)], size)
     return BasisMatrix(cfg, "inverse", size, [list(row) for row in zip(*columns)])
 
 

@@ -3,8 +3,9 @@
 Each function computes a value the library computes faster another way:
 products by the full schoolbook double loop, sums, negation, scaling and
 Frobenius one digit at a time, the Voloch matrix by its
-defining subset sums, the E- and D-basis coefficients by triangular solve
-and by literal operator iteration, delta^(n) f by its tower of closures,
+defining subset sums, the E- and D-basis coefficients by triangular solve,
+by literal operator iteration and by their closed sums one term at a
+time (the inverse matrix column by column), delta^(n) f by its tower of closures,
 one step of the E_n recurrence by
 subtraction and a digit-by-digit prefix sum (and E_n by n such steps),
 D_n one Lucas binomial per digit, (delta - [m] I) f as a
@@ -50,7 +51,9 @@ from carlitzbases.identities import (
 )
 from carlitzbases.transforms import (
     DEFAULT_BUDGET,
+    E_func,
     LinearFunc,
+    convert_powered,
     default_level,
     delta,
 )
@@ -199,6 +202,50 @@ def digit_coeffs_linear_by_iteration(f: LinearFunc, N: int) -> BasisExpansion:
         coeffs.append(g(one))
         g = delta(g)
     return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
+
+
+def digit_coeffs_linear_by_terms(f: LinearFunc, N: int) -> BasisExpansion:
+    """b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n), one value product
+    and one addition per nonzero term."""
+    cfg = f.cfg
+    fvals = [f(Poly.monomial(cfg, i)) for i in range(N)]
+    coeffs = []
+    for n in range(N):
+        acc = None
+        for i in range(n + 1):
+            w = hasse_on_monomial(cfg, i, n)
+            if w.is_zero:
+                continue
+            term = fvals[i] * w
+            if (n - i) % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        coeffs.append(acc if acc is not None else Poly.zero(cfg))
+    return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
+
+
+def powered_digit_coeffs_by_terms(f: LinearFunc, m: int, N: int) -> BasisExpansion:
+    """beta_n = sum_{j<=n} C(n,j) (-[m])**(n-j) b_j over the b_j of
+    ``digit_coeffs_linear_by_terms``, one value product and one addition
+    per nonzero weight (the ``convert_powered`` to_powered ones)."""
+    cfg = f.cfg
+    b = digit_coeffs_linear_by_terms(f, N).coeffs
+    if m == 0:
+        return BasisExpansion(cfg, Basis.POWERED_D, b, m=m)
+    # weights[j][i] = C(i+j, j) (-[m])**i; the j = n weight is 1.
+    weights = [convert_powered(cfg, j, m, N - j, "to_powered") for j in range(N)]
+    beta = [sum((w[n - j] * b[j] for j, w in enumerate(weights[:n])
+                 if not w[n - j].is_zero), b[n])
+            for n in range(N)]
+    return BasisExpansion(cfg, Basis.POWERED_D, beta, m=m)
+
+
+def inverse_matrix_by_columns(cfg: FieldConfig, size: int) -> BasisMatrix:
+    """B column by column: column n is ``digit_coeffs_linear_by_terms``
+    of E_n."""
+    columns = [digit_coeffs_linear_by_terms(E_func(cfg, n), size).coeffs
+               for n in range(size)]
+    return BasisMatrix(cfg, "inverse", size, [list(row) for row in zip(*columns)])
 
 
 def powered_digit_coeffs_by_iteration(f: LinearFunc, m: int, N: int) -> BasisExpansion:

@@ -106,12 +106,26 @@ def test_shipped_moduli_kept():
         assert FieldConfig(p, len(modulus) - 1).modulus == modulus
 
 
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_default_modulus_is_the_first_irreducible_but_for_q25(p, e):
+    # q = 4, 8, 9, 16 and 27 need no shipped modulus: the first irreducible
+    # one is the modulus they always had.  q = 25 keeps u^2 + u + 1.
+    modulus = FieldConfig(p, e).modulus
+    if p ** e == 25:
+        assert modulus == (1, 1, 1) != algebra._first_irreducible(p, e)
+    else:
+        assert modulus == algebra._first_irreducible(p, e)
+
+
 def _table_fields():
-    """(p, e, modulus) of every shipped modulus and of the searched moduli
-    of q = 32 and 49."""
-    for q, modulus in algebra.DEFAULT_MODULI.items():
-        p = min(d for d in range(2, q + 1) if q % d == 0)
-        yield p, len(modulus) - 1, modulus
+    """(p, e, modulus) of q = 4, 8, 9, 16, 25 and 27, the moduli these
+    fields have always had, and of the searched moduli of q = 32 and 49."""
+    yield 2, 2, (1, 1, 1)
+    yield 2, 3, (1, 1, 0, 1)
+    yield 3, 2, (1, 0, 1)
+    yield 2, 4, (1, 1, 0, 0, 1)
+    yield 5, 2, (1, 1, 1)
+    yield 3, 3, (1, 2, 0, 1)
     yield 2, 5, (1, 0, 1, 0, 0, 1)
     yield 7, 2, (1, 0, 1)
 

@@ -201,6 +201,31 @@ def test_vacuous_requests_exit_two(capsys, argv):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("--f", "D:1", "--basis", "E", "--level", "3"), "--level"),
+    (("--f", "D:1", "--basis", "linear-D", "--level", "2"), "--level"),
+    (("--f", "D:1", "--basis", "powered-D", "--level", "2"), "--level"),
+    (("--f", "D:1", "--basis", "E", "--m", "2"), "--m"),
+    (("--f", "D:1", "--basis", "linear-D", "--m", "1"), "--m"),
+    (("--f", "G:3", "--basis", "G", "--m", "1"), "--m"),
+    (("--f", "G:3", "--basis", "D", "--level", "2", "--m", "2"), "--m"),
+])
+def test_expand_rejects_a_flag_its_basis_ignores(capsys, argv, flag):
+    # --level is read by the G and D bases only, --m by powered-D only: any
+    # other basis would silently ignore it.
+    code, out, err = run_cli(capsys, "--q", "2", "expand", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and f"{flag} is not read" in err
+
+
+def test_expand_powered_m_defaults_to_one(capsys):
+    argv = ("--q", "3", "expand", "--f", "E:1+D:2", "--basis", "powered-D",
+            "--terms", "5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["m"] == 1
+    assert run_cli(capsys, *argv, "--m", "1")[1] == out
+
+
 def test_matrix_inverse_rejects_prec(capsys):
     # The inverse matrix is exact: a --prec for it would be silently ignored.
     code, out, err = run_cli(capsys, "--q", "2", "matrix", "--which", "inverse",
@@ -306,6 +331,9 @@ def test_csv_bytes_unchanged(capsys, argv, digest):
 # reach: fields with e > 1 (q = 8 and 16 take the XOR scan, q = 9 and 27
 # pack the widest blocks of odd p), and the p > 128 fields, whose slots are
 # two bytes wide.  Recorded before the bracket step moved onto pack/unpack.
+# The last five pin the closed sums of the powered-D and linear-D bases and
+# of the inverse matrix (odd p with e = 1 and e > 1, q = 16, and q = 2 at
+# size 12), recorded while each still added its terms one at a time.
 E_PATH_RUNS = [
     (("--q", "8", "matrix", "--which", "inverse", "--size", "4"),
      "9379039eb6b1bf1f727e4c2b7a1f02bef1d93603164f7e440ffe41f7cedf3aa9"),
@@ -319,6 +347,19 @@ E_PATH_RUNS = [
      "8504c9e10c07a1cf657cb631ae57fa9be4ab4a0e0e37b61fd129a856d1a9e7d6"),
     (("--q", "251", "verify", "--suite", "reduced"),
      "9a39e1d68fbf59d5f2b798daee4bdf419050232874ca398ef998f26f3befe3a7"),
+    (("--q", "3", "expand", "--f", "E:2+frobenius:1", "--basis", "powered-D",
+      "--m", "2", "--terms", "7"),
+     "769b7574f09cec395d4c928492337862e8f8a02df74b0779ef3ae05c063ef275"),
+    (("--q", "5", "expand", "--f", "T*E:2+D:3", "--basis", "linear-D",
+      "--terms", "9"),
+     "7062ad1d91113ad2c1335b0162d45bb1ef7dc4fcf6d2ddfb9efb2ae9a52d5877"),
+    (("--q", "9", "expand", "--f", "E:1+D:2", "--basis", "linear-D",
+      "--terms", "16"),
+     "d7bc983319c8dfe40bb586b3b0ef8fe8dffcdefc7c5c1e29ea4c97216932fcad"),
+    (("--q", "16", "matrix", "--which", "inverse", "--size", "4"),
+     "88ecd4e2271eda1ee9a100a9525af2ba4cd69198fcaba36380658ba535baed38"),
+    (("--q", "2", "matrix", "--which", "inverse", "--size", "12"),
+     "bc84145ea2fcc1b592b886d726fffc591de86dd504347dbd5c73f6c6c14e70ab"),
 ]
 
 

@@ -66,8 +66,11 @@ from oracles import (
     delta_minus_power_at,
     delta_upper_by_closures,
     digit_coeffs_linear_by_iteration,
+    digit_coeffs_linear_by_terms,
     enumeration_coeffs_by_pairs,
+    inverse_matrix_by_columns,
     powered_digit_coeffs_by_iteration,
+    powered_digit_coeffs_by_terms,
     voloch_matrix_by_subsets,
     wagner_coeffs_by_solve,
 )
@@ -319,6 +322,87 @@ def test_digit_linear_closed_sum_vs_iteration(q):
         b = digit_coeffs_linear_by_iteration(f, 8)
         for x, y in zip(a.coeffs, b.coeffs):
             assert values_match(x, y)
+
+
+def _closed_sum_function(cfg, rnd, kind):
+    """Up to three basis functions with random scalars of degree <= 2,
+    summed: Poly-valued, or series-valued when scaled by a series of
+    valuation -2 known to T**10."""
+    terms = (identity_func(cfg), D_func(cfg, 1), D_func(cfg, 2), E_func(cfg, 1),
+             E_func(cfg, 2), frobenius_func(cfg, 1))
+    f = scale_func(random_poly(cfg, rnd, 2), rnd.choice(terms))
+    for _ in range(rnd.randrange(3)):
+        f = add_func(f, scale_func(random_poly(cfg, rnd, 2), rnd.choice(terms)))
+    if kind == "series":
+        s = TruncSeries(cfg, -2, [1] + [rnd.randrange(cfg.q) for _ in range(11)], 10)
+        f = scale_func(s, f)
+    return f
+
+
+def _assert_closed_sums_match_terms(f, N, m):
+    for got, want in ((digit_coeffs_linear(f, N), digit_coeffs_linear_by_terms(f, N)),
+                      (powered_digit_coeffs(f, m, N),
+                       powered_digit_coeffs_by_terms(f, m, N))):
+        assert got.coeffs == want.coeffs
+        _assert_same_expansion(got, want)
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_sums_match_term_by_term_oracles(q, data):
+    # b_n and beta_n as packed weighted sums against one product and one
+    # addition per term: equal in value, type and prec, for Poly-valued
+    # and series-valued functions (the iteration oracles can know fewer
+    # digits, so they only bound prec from below).
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    f = _closed_sum_function(cfg, rnd, data.draw(st.sampled_from(("poly", "series"))))
+    _assert_closed_sums_match_terms(f, data.draw(st.integers(1, 8)),
+                                    data.draw(st.integers(0, 2)))
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_inverse_matrix_matches_per_column_sums(q):
+    # All columns as one weighted sum against each column's closed sum one
+    # term at a time, sizes 1 to 6 while E_{size-1}(T**(size-1)) stays
+    # below degree 2**15.
+    cfg = FieldConfig(*FIELDS[q])
+    for size in range(1, 7):
+        if (size - 1) * q ** (size - 1) >= 2 ** 15:
+            break
+        assert (inverse_matrix(cfg, size).entries
+                == inverse_matrix_by_columns(cfg, size).entries)
+
+
+def test_closed_sums_catch_a_wrong_weight(monkeypatch):
+    # D_1(T**2) read as 2T + 1 in the production weights only: every
+    # comparison above must then fail.
+    cfg = FieldConfig(3)
+    right = transforms.hasse_on_monomial
+
+    def wrong(cfg, n, i):
+        w = right(cfg, n, i)
+        return w + Poly.one(cfg) if (n, i) == (1, 2) else w
+    monkeypatch.setattr(transforms, "hasse_on_monomial", wrong)
+    rnd = random.Random(5)
+    for kind in ("poly", "series"):
+        with pytest.raises(AssertionError):
+            _assert_closed_sums_match_terms(_closed_sum_function(cfg, rnd, kind), 4, 1)
+    assert inverse_matrix(cfg, 3).entries != inverse_matrix_by_columns(cfg, 3).entries
+
+
+def test_mixed_values_give_series_coefficients(f3):
+    # A function with Poly values at some points and series values at
+    # others has series coefficients throughout, as the G and D
+    # enumerations do; the term-by-term sum has a Poly b_0 here.
+    s = TruncSeries(f3, -1, [1, 2, 1], 6)
+    f = LinearFunc(f3, lambda x: x if x.degree == 0 else s * x)
+    for got, want in ((digit_coeffs_linear(f, 5), digit_coeffs_linear_by_terms(f, 5)),
+                      (powered_digit_coeffs(f, 1, 5),
+                       powered_digit_coeffs_by_terms(f, 1, 5))):
+        assert all(isinstance(c, TruncSeries) for c in got.coeffs)
+        assert isinstance(want.coeffs[0], Poly)
+        assert got.coeffs == want.coeffs
 
 
 # ---------------------------------------------------------------------------
