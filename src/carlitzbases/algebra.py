@@ -65,10 +65,11 @@ def _monic(code: int, d: int, p: int) -> tuple:
     return tuple((code // p ** i) % p for i in range(d)) + (1,)
 
 
-def _is_irreducible(m: tuple, p: int) -> bool:
+def _is_irreducible(m: tuple, p: int, fp: "FieldConfig" = None) -> bool:
     """Whether ``m`` (degree e >= 1) has no monic factor of degree 1..e//2
-    over F_p, by trial division in F_p[u]."""
-    fp = FieldConfig(p)
+    over F_p, by trial division in F_p[u]; ``fp`` is F_p, built here when
+    not given."""
+    fp = fp or FieldConfig(p)
     m = Poly(fp, m)
     return all(m.divmod(Poly(fp, _monic(code, d, p)))[1].coeffs
                for d in range(1, m.degree // 2 + 1) for code in range(p ** d))
@@ -77,8 +78,9 @@ def _is_irreducible(m: tuple, p: int) -> bool:
 def _first_irreducible(p: int, e: int) -> tuple:
     """The first irreducible monic polynomial of degree e over F_p, in the
     order of ``_monic`` codes: the modulus of a q with none shipped."""
+    fp = FieldConfig(p)
     return next(m for m in (_monic(code, e, p) for code in range(p ** e))
-                if _is_irreducible(m, p))
+                if _is_irreducible(m, p, fp))
 
 
 class FieldConfig:
@@ -101,12 +103,14 @@ class FieldConfig:
             self.modulus = None
         else:
             if modulus is None:
+                # Shipped or searched: irreducible already.
                 modulus = DEFAULT_MODULI.get(q) or _first_irreducible(p, e)
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] == 0:
-                raise DomainError("modulus must have degree e")
-            if not _is_irreducible(modulus, p):
-                raise DomainError("modulus is reducible over F_p")
+            else:
+                modulus = tuple(c % p for c in modulus)
+                if len(modulus) != e + 1 or modulus[-1] == 0:
+                    raise DomainError("modulus must have degree e")
+                if not _is_irreducible(modulus, p):
+                    raise DomainError("modulus is reducible over F_p")
             self.modulus = modulus
         # What identifies the field, as a plain tuple: cache keys built on
         # it hash and compare without a call into this class.  Every

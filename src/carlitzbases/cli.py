@@ -1,8 +1,8 @@
 """Command-line front end: expansions, basis matrices, identity verification.
 
-Exit status contract: 0 verified / success, 1 falsified, 2 budget or
-configuration error.  All sampling randomness comes from the --seed flag,
-so identical configurations produce byte-identical output.
+Exit status contract: 0 verified / success, 1 falsified, 2 budget,
+configuration or out-of-memory error.  All sampling randomness comes from
+the --seed flag, so identical configurations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -155,22 +155,14 @@ def parse_func(cfg: FieldConfig, spec: str) -> LinearFunc:
     return out
 
 
-BASIS_NAMES = {
-    "E": Basis.LINEAR_E,
-    "linear-D": Basis.LINEAR_D,
-    "G": Basis.CARLITZ_G,
-    "D": Basis.DIGIT_D,
-    "powered-D": Basis.POWERED_D,
-}
-
-
 def cmd_expand(run: RunConfig, args) -> int:
     cfg = run.field()
     f = parse_func(cfg, args.f)
-    basis = BASIS_NAMES.get(args.basis)
-    if basis is None:
+    try:
+        basis = Basis(args.basis)
+    except ValueError:
         raise DomainError(f"unknown basis {args.basis!r}; choose from "
-                          f"{sorted(BASIS_NAMES)}")
+                          f"{sorted(b.value for b in Basis)}") from None
     for flag, value, readers in (
             ("--level", args.level, (Basis.CARLITZ_G, Basis.DIGIT_D)),
             ("--m", args.m, (Basis.POWERED_D,))):
@@ -377,6 +369,9 @@ def main(argv=None) -> int:
         return args.run(run, args)
     except (DomainError, BudgetError, PrecisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the run ran out of memory", file=sys.stderr)
         return 2
 
 

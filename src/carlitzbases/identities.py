@@ -27,7 +27,6 @@ from .algebra import (
     poly_enumerate,
     product_sums,
     random_poly,
-    valuation_norm,
     values_match,
 )
 from .carlitz import DEGREE_BUDGET, eval_E, eval_G
@@ -96,14 +95,15 @@ def check_orthogonality(cfg: FieldConfig, family: str, variant: str,
 
     family CARLITZ uses G/G', DIGIT uses D/D'; variant deg_lt sums over
     deg(m) < n, monic over monic m of degree n (then k < q**n required).
+    Only the rows k and l are tabulated (``_tabulate``).
     """
     q = cfg.q
     if l < 0 or l >= q ** n:
         raise DomainError("orthogonality requires 0 <= l < q**n")
     if variant == "monic" and not (0 <= k < q ** n):
         raise DomainError("monic variant requires 0 <= k < q**n")
-    entries = _gram_entries(cfg, family, variant, n, (k,), (l,), budget)
-    _, _, total = next(entries)
+    values, primed = _tabulate(cfg, family, variant, n, budget, (k,), (l,))
+    _, _, total = next(_gram_entries(cfg, (k,), (l,), values, primed))
     return _orthogonality_verdict(cfg, family, variant, n, k, l, total)
 
 
@@ -114,9 +114,10 @@ def orthogonality_suite(cfg: FieldConfig, n: int,
     Per (family, variant), every F_k(m) and F'_l(m) is tabulated once, and
     the suite is verified when the primed values match their subset
     expansion (``_primed_values_match``) and every power sum matches its
-    closed form (``_power_sums_match``).  Any mismatch re-runs the Gram
-    product (``_gram_entries``), entry by entry in row-major (k, l) order
-    up to the first mismatch, which names the falsified entry.
+    closed form (``_power_sums_match``).  Any mismatch reads the Gram
+    product of the same tabulated values (``_gram_entries``), entry by
+    entry in row-major (k, l) order up to the first mismatch, which names
+    the falsified entry.
     """
     reports = []
     q = cfg.q
@@ -126,11 +127,12 @@ def orthogonality_suite(cfg: FieldConfig, n: int,
             config = {"family": family, "variant": variant, "q": q, "n": n}
             report = VerdictReport("orthogonality", config, VERIFIED)
             try:
-                values, primed = _tabulate(cfg, family, variant, n, budget)
+                values, primed = _tabulate(cfg, family, variant, n, budget,
+                                           indices, indices)
                 if not (_primed_values_match(cfg, n, values, primed)
                         and _power_sums_match(cfg, n, values)):
-                    for k, l, total in _gram_entries(cfg, family, variant, n,
-                                                     indices, indices, budget):
+                    for k, l, total in _gram_entries(cfg, indices, indices,
+                                                     values, primed):
                         if total != _orthogonality_expected(cfg, n, k, l):
                             report = _orthogonality_verdict(
                                 cfg, family, variant, n, k, l, total)
@@ -145,41 +147,32 @@ def orthogonality_suite(cfg: FieldConfig, n: int,
 _ENUMERATION = {"deg_lt": "deg_lt", "monic": "monic_deg_eq"}
 
 
-def _enumerated(cfg, family, variant, n, budget):
-    """The evaluator of ``family`` (eval_G or eval_D, looked up per call:
-    the module globals may be rebound) and the m that ``variant`` sums over."""
+def _tabulate(cfg, family, variant, n, budget, ks, ls):
+    """The codes of F_k(m) for k in ks and of F'_l(m) for l in ls, one row
+    per index, one entry per m that ``variant`` sums over; F is eval_G
+    (CARLITZ) or eval_D (DIGIT), looked up per call, as the module globals
+    may be rebound.  The values are evaluated one m at a time, so the
+    cache (``towers``) never has to hold more than one point's values."""
     f = {"CARLITZ": eval_G, "DIGIT": eval_D}.get(family)
     if f is None:
         raise DomainError(f"unknown family {family!r}")
     if variant not in _ENUMERATION:
         raise DomainError(f"unknown variant {variant!r}")
-    return f, poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
-
-
-def _tabulate(cfg, family, variant, n, budget):
-    """The codes of F_k(m) and of F'_k(m), one row per k < q**n, one entry
-    per enumerated m.  They are evaluated one m at a time, so the cache
-    (``towers``) never has to hold more than one point's values."""
-    f, polys = _enumerated(cfg, family, variant, n, budget)
-    indices = range(cfg.q ** n)
-    rows = list(zip(*([f(cfg, k, m, primed=primed).coeffs
-                       for primed in (False, True) for k in indices]
+    polys = poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
+    rows = list(zip(*([f(cfg, k, m).coeffs for k in ks]
+                      + [f(cfg, l, m, primed=True).coeffs for l in ls]
                       for m in polys)))
-    return rows[:len(indices)], rows[len(indices):]
+    return rows[:len(ks)], rows[len(ks):]
 
 
-def _gram_entries(cfg, family, variant, n, ks, ls, budget):
+def _gram_entries(cfg, ks, ls, values, primed):
     """Yield (k, l, sum over m of F_k(m) F'_l(m)) for k in ks, l in ls,
-    row-major, as one Gram product over the enumerated m.
-
-    Every F_k(m) and F'_l(m) is evaluated once and packed once
-    (``algebra.packed_sums``); each entry is then one sum of integer
+    row-major, from the tabulated rows ``values`` (one per k) and
+    ``primed`` (one per l): one Gram product, each tabulated value packed
+    once (``algebra.packed_sums``) and each entry one sum of integer
     products, unpacked once.
     """
-    f, polys = _enumerated(cfg, family, variant, n, budget)
-    rows = [[f(cfg, k, m).coeffs for m in polys] for k in ks]
-    cols = [[f(cfg, l, m, primed=True).coeffs for m in polys] for l in ls]
-    for (k, l), codes in zip(product(ks, ls), packed_sums(cfg, rows, cols)):
+    for (k, l), codes in zip(product(ks, ls), packed_sums(cfg, values, primed)):
         yield k, l, Poly(cfg, codes)
 
 
@@ -364,12 +357,8 @@ def classify_linearity(exp: BasisExpansion, evaluator: LinearFunc = None,
         raise DomainError("linearity classification needs a G- or D-basis expansion")
     cfg = exp.cfg
     config = {"basis": exp.basis.value, "q": cfg.q, "trunc": exp.trunc}
-    offenders = []
-    for j, c in enumerate(exp.coeffs):
-        if _is_q_power(j, cfg.q):
-            continue
-        if not _is_zero(c):
-            offenders.append(j)
+    offenders = [j for j, c in enumerate(exp.coeffs)
+                 if c.coeffs and not _is_q_power(j, cfg.q)]
     linear = not offenders
     notes = [f"classified {'linear' if linear else 'nonlinear'} "
              f"from {exp.trunc} retained coefficients"]
@@ -386,13 +375,6 @@ def classify_linearity(exp: BasisExpansion, evaluator: LinearFunc = None,
         notes.append("additivity sampling agrees")
     return VerdictReport("linearity", config, VERIFIED,
                          witness={"linear": linear}, notes=notes)
-
-
-def _is_zero(val) -> bool:
-    """Zero as a Poly, or zero to precision as a series."""
-    if isinstance(val, Poly):
-        return val.is_zero
-    return val.is_zero_to_prec
 
 
 def _sample_linear(cfg, f, rng, samples, max_deg) -> bool:
@@ -485,7 +467,7 @@ def _distance_failure(config, n, i, fv, gv, diff):
     if i == n and not values_match(gv, Poly.one(diff.cfg)):
         return _verdict("basis_distance_delta", config, False,
                         witness={"i": i, "value": str(gv)})
-    if i < n and not (_is_zero(fv) and _is_zero(gv)):
+    if i < n and (fv.coeffs or gv.coeffs):
         return _verdict("basis_distance_delta", config, False,
                         witness={"i": i, "f": str(fv), "g": str(gv)})
     return None
@@ -506,14 +488,12 @@ def check_power_criterion(cfg: FieldConfig, f, m: int,
     for s in range(samples):
         x = random_poly(cfg, rng, max_deg)
         v = f(x)
-        nv = valuation_norm(v)
-        if nv.v is not None and nv.v < 0:
+        if v.valuation is not None and v.valuation < 0:
             return _verdict("power_criterion", config, False,
                             witness={"x": str(x), "f(x)": str(v),
                                      "reason": "value escapes O"})
         diff = v.frobenius(m) - v
-        nd = valuation_norm(diff)
-        if nd.v is not None and nd.v < 1:
+        if diff.valuation is not None and diff.valuation < 1:
             return _verdict("power_criterion", config, False,
                             witness={"x": str(x), "difference": str(diff)})
     return VerdictReport("power_criterion", config, VERIFIED)

@@ -101,8 +101,10 @@ def test_default_modulus_searched_when_none_shipped(q, p, e, modulus):
 def test_shipped_moduli_kept():
     # The search is only for a q with none shipped: for q = 25 it would pick
     # u^2 + 2, not the shipped u^2 + u + 1, and change every q = 25 output.
+    # A shipped modulus is not tested when a field is built: test it here.
     for q, modulus in algebra.DEFAULT_MODULI.items():
         p = min(d for d in range(2, q + 1) if q % d == 0)
+        assert algebra._is_irreducible(modulus, p)
         assert FieldConfig(p, len(modulus) - 1).modulus == modulus
 
 
@@ -115,6 +117,31 @@ def test_default_modulus_is_the_first_irreducible_but_for_q25(p, e):
         assert modulus == (1, 1, 1) != algebra._first_irreducible(p, e)
     else:
         assert modulus == algebra._first_irreducible(p, e)
+
+
+@pytest.mark.parametrize("p,e,modulus", [(3, 3, None), (2, 4, None),
+                                         (2, 2, (1, 1, 1)), (3, 2, (2, 2, 1))])
+def test_field_tests_each_modulus_once(monkeypatch, p, e, modulus):
+    # A searched modulus is tested as a candidate only, a given one once,
+    # each over the one F_p that its search or test builds.
+    tested, built = [], []
+    is_irreducible = algebra._is_irreducible
+
+    def counted(m, p, fp=None):
+        tested.append(m)
+        return is_irreducible(m, p, fp)
+
+    class Counted(FieldConfig):
+        def __init__(self, p, e=1, modulus=None):
+            built.append((p, e))
+            super().__init__(p, e, modulus)
+    monkeypatch.setattr(algebra, "_is_irreducible", counted)
+    monkeypatch.setattr(algebra, "FieldConfig", Counted)
+    cfg = Counted(p, e, modulus)
+    code = sum(c * p ** i for i, c in enumerate(cfg.modulus[:-1]))
+    searched = [algebra._monic(k, e, p) for k in range(code + 1)]
+    assert tested == (searched if modulus is None else [modulus])
+    assert built == [(p, e), (p, 1)]
 
 
 def _table_fields():

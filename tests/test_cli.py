@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -516,3 +520,28 @@ def test_negative_index_exits_two(capsys, spec, basis, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_unknown_basis_exits_two(capsys):
+    code, out, err = run_cli(capsys, "--q", "2", "expand", "--f", "D:1",
+                             "--basis", "H")
+    assert code == 2 and out == ""
+    assert err == ("error: unknown basis 'H'; choose from "
+                   "['D', 'E', 'G', 'linear-D', 'powered-D']\n")
+
+
+def test_out_of_memory_exits_two():
+    # A Voloch matrix of size 20000 outgrows 1 GiB of address space within
+    # seconds: exit 2 with one error line, not 1 (falsified) with a traceback.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "carlitzbases.cli", "--q", "2", "matrix",
+         "--which", "voloch", "--size", "20000", "--prec", "4"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: the run ran out of memory\n"

@@ -39,6 +39,7 @@ from carlitzbases.identities import (
     VERIFIED,
     VerdictReport,
     _gram_entries,
+    _tabulate,
     basis_distance,
     orthogonality_suite,
     reports_to_csv,
@@ -154,8 +155,8 @@ def test_power_sums_closed_form(q, n, base, kind):
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 @settings(max_examples=40, deadline=None)
 def test_gram_entries_match_per_pair_sums(q, data):
-    # Any (k, l) subset, any order, k past q**n on deg_lt: every entry is the
-    # per-pair sum.
+    # Any (k, l) subset, any order, k past q**n on deg_lt: every entry of
+    # the Gram product of the tabulated rows is the per-pair sum.
     cfg = FieldConfig(*FIELDS[q])
     n = data.draw(st.integers(1, 2 if q <= 4 else 1))
     family = data.draw(st.sampled_from(["CARLITZ", "DIGIT"]))
@@ -166,7 +167,9 @@ def test_gram_entries_match_per_pair_sums(q, data):
     f = eval_G if family == "CARLITZ" else eval_D
     kind = "deg_lt" if variant == "deg_lt" else "monic_deg_eq"
     polys = poly_enumerate(cfg, n, kind)
-    got = list(_gram_entries(cfg, family, variant, n, ks, ls, 256))
+    values, primed = _tabulate(cfg, family, variant, n, 256, ks, ls)
+    assert (len(values), len(primed)) == (len(ks), len(ls))
+    got = list(_gram_entries(cfg, ks, ls, values, primed))
     assert got == [(k, l, orthogonality_sum_by_pairs(cfg, f, polys, k, l))
                    for k in ks for l in ls]
 
@@ -185,7 +188,8 @@ def test_gram_entries_at_slot_bound(monkeypatch, q):
         return full
     monkeypatch.setattr(identities, "eval_G", f)
     polys = poly_enumerate(cfg, n, "deg_lt")
-    got = list(_gram_entries(cfg, "CARLITZ", "deg_lt", n, [0, 1], [0], 256))
+    values, primed = _tabulate(cfg, "CARLITZ", "deg_lt", n, 256, [0, 1], [0])
+    got = list(_gram_entries(cfg, [0, 1], [0], values, primed))
     assert got == [(k, 0, orthogonality_sum_by_pairs(cfg, f, polys, k, 0))
                    for k in (0, 1)]
 
@@ -224,6 +228,32 @@ def test_orthogonality_falsified_report_matches_oracle(monkeypatch, family,
     assert bad.witness["sum"] != bad.witness["expected"]
     single = check_orthogonality(cfg, family, "deg_lt", 2, 2, bad.config["l"])
     assert single.to_json() == bad.to_json()
+
+
+@pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
+                                         ("DIGIT", "eval_D")])
+def test_falsified_suite_evaluates_each_value_once(monkeypatch, family, name):
+    # The witness of a falsified suite is read from the values the suite
+    # tabulated: each (index, m, primed) is evaluated once per (family,
+    # variant), 2 q**(2n) calls each.
+    cfg = FieldConfig(3)
+    n = 2
+    planted = _patched({"CARLITZ": eval_G, "DIGIT": eval_D}[family], 2,
+                       Poly(cfg, (1, 1)), Poly.T(cfg))
+    calls = []
+
+    def counted(cfg, j, x, primed=False):
+        calls.append((j, x, primed))
+        return planted(cfg, j, x, primed=primed)
+    monkeypatch.setattr(identities, name, counted)
+    reports = orthogonality_suite(cfg, n)
+    assert [r.status for r in reports if r.config["family"] == family] == \
+        [FALSIFIED, VERIFIED]
+    want = {(j, m.coeffs, primed) for kind in ("deg_lt", "monic_deg_eq")
+            for m in poly_enumerate(cfg, n, kind)
+            for j in range(3 ** n) for primed in (False, True)}
+    assert len(calls) == len(want) == 2 * 2 * 3 ** (2 * n)
+    assert {(j, x.coeffs, primed) for j, x, primed in calls} == want
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 1)])
