@@ -451,12 +451,13 @@ def packed_sums(cfg: FieldConfig, rows, cols, pairs=None):
 # length (both loops skip zero coefficients), exceeds this constant times
 # the packed slot count (2e - 1) * (len a + len b).  One constant per class
 # (p == 2, e > 1), as measured by ``scripts/mul_crossover.py --grid full``.
-# The loop is the schoolbook one for odd p, whose constants are kept from
-# when q = 2 shared their grid, and the row kernel for p = 2: at e = 1 it
-# loses to Kronecker from ratio 2.05 on, and at e > 1 Kronecker was never
-# more than 11% faster on any cell up to 8192 by 32768 coefficients, and
-# up to 108 times slower, so those products never pack.
-KRONECKER_CROSSOVER = {(False, False): 2.05, (False, True): 1.20,
+# The loop is the schoolbook one for odd p, which loses to Kronecker from
+# ratio 0.73 on at e = 1 (e > 1 keeps the constant measured when q = 2
+# shared the grid), and the row kernel for p = 2: at e = 1 it loses to
+# Kronecker from ratio 2.05 on, and at e > 1 Kronecker was never more than
+# 11% faster on any cell up to 8192 by 32768 coefficients, and up to 108
+# times slower, so those products never pack and skip the size test.
+KRONECKER_CROSSOVER = {(False, False): 0.73, (False, True): 1.20,
                        (True, False): 2.05, (True, True): math.inf}
 
 
@@ -470,9 +471,10 @@ def _mul(cfg: FieldConfig, a: bytes, b: bytes, size: int) -> bytes:
     a, b = a[:size], b[:size]
     if len(a) > len(b):
         a, b = b, a
-    slots = (2 * cfg.e - 1) * (len(a) + len(b))
     char2 = cfg.p == 2
-    if (len(a) - a.count(0)) * len(b) > KRONECKER_CROSSOVER[char2, cfg.e > 1] * slots:
+    crossover = KRONECKER_CROSSOVER[char2, cfg.e > 1]
+    if crossover < math.inf and (len(a) - a.count(0)) * len(b) > (
+            crossover * (2 * cfg.e - 1) * (len(a) + len(b))):
         return _mul_kronecker(cfg, a, b, size)
     if char2:
         return _mul_rows(cfg, a, b, size)

@@ -29,8 +29,8 @@ from .algebra import (
     random_poly,
     values_match,
 )
-from .carlitz import DEGREE_BUDGET, eval_E, eval_G
-from .hasse import eval_D, hasse_derivative, powered_D
+from .carlitz import DEGREE_BUDGET, _digit_box, eval_E, eval_G, eval_G_rows
+from .hasse import eval_D, eval_D_rows, hasse_derivative, powered_D
 from .transforms import (
     Basis,
     BasisExpansion,
@@ -95,7 +95,8 @@ def check_orthogonality(cfg: FieldConfig, family: str, variant: str,
 
     family CARLITZ uses G/G', DIGIT uses D/D'; variant deg_lt sums over
     deg(m) < n, monic over monic m of degree n (then k < q**n required).
-    Only the rows k and l are tabulated (``_tabulate``).
+    Only k and l are tabulated, each over the box of its own digits
+    (``_tabulate``), so a deg_lt k >= q**n costs one prefix chain.
     """
     q = cfg.q
     if l < 0 or l >= q ** n:
@@ -149,19 +150,24 @@ _ENUMERATION = {"deg_lt": "deg_lt", "monic": "monic_deg_eq"}
 
 def _tabulate(cfg, family, variant, n, budget, ks, ls):
     """The codes of F_k(m) for k in ks and of F'_l(m) for l in ls, one row
-    per index, one entry per m that ``variant`` sums over; F is eval_G
-    (CARLITZ) or eval_D (DIGIT), looked up per call, as the module globals
-    may be rebound.  The values are evaluated one m at a time, so the
-    cache (``towers``) never has to hold more than one point's values."""
-    f = {"CARLITZ": eval_G, "DIGIT": eval_D}.get(family)
-    if f is None:
+    per index, one entry per m that ``variant`` sums over, F being G
+    (CARLITZ) or D (DIGIT): at each m in turn, one row over the digit box
+    of ks and one primed row over that of ls (``eval_G_rows`` or
+    ``eval_D_rows``, looked up per call, as the module globals may be
+    rebound)."""
+    rows_at = {"CARLITZ": eval_G_rows, "DIGIT": eval_D_rows}.get(family)
+    if rows_at is None:
         raise DomainError(f"unknown family {family!r}")
     if variant not in _ENUMERATION:
         raise DomainError(f"unknown variant {variant!r}")
     polys = poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
-    rows = list(zip(*([f(cfg, k, m).coeffs for k in ks]
-                      + [f(cfg, l, m, primed=True).coeffs for l in ls]
-                      for m in polys)))
+    kbox, kplaces = _digit_box(cfg.q, ks)
+    lbox, lplaces = _digit_box(cfg.q, ls)
+    columns = []
+    for m in polys:
+        plain, primed = rows_at(cfg, kbox, m), rows_at(cfg, lbox, m, primed=True)
+        columns.append([plain[i] for i in kplaces] + [primed[i] for i in lplaces])
+    rows = list(zip(*columns))
     return rows[:len(ks)], rows[len(ks):]
 
 
@@ -220,10 +226,11 @@ def _power_sums_match(cfg, n, values):
     both unprimed, with k_t = min(s_t, q - 1) and l_t = s_t - k_t.
     Expanding F' by its definition, each Gram entry sum_m F_k(m) F'_l(m)
     is a signed sum of the S(k + l - (q - 1) 1_D), D a subset of max(l),
-    as F_a F_b depends on the digitwise sum a + b only for the digit
-    products of eval_G and eval_D.  That map from the S to the Gram entries is unitriangular over
-    subsets: with the primed values checked, all S match their closed
-    form exactly when all q**(2n) Gram entries match theirs.
+    as F_a F_b depends on the digitwise sum a + b only for digit products,
+    which every value of a digit row is.  That map from the S to the Gram
+    entries is unitriangular over subsets: with the primed values checked,
+    all S match their closed form exactly when all q**(2n) Gram entries
+    match theirs.
     """
     q = cfg.q
     one = bytes([cfg.sign(n)])

@@ -35,8 +35,8 @@ from .algebra import (
     _spread,
     valuation_norm,
 )
-from .carlitz import bracket, eval_E, eval_G
-from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
+from .carlitz import _digit_box, bracket, eval_E, eval_G, eval_G_rows
+from .hasse import eval_D, eval_D_rows, hasse_derivative, hasse_on_monomial, powered_D
 
 DEFAULT_BUDGET = 256
 
@@ -351,8 +351,8 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
 
     coeff_j = (-1)**n * sum over deg(m) < n of w_j(m) f(m), where
     w_j = F'_{q**n - 1 - j} with F = G or D, as one weighted sum per
-    (index, function); the weights w_j(m) are evaluated once for all the
-    functions.
+    (index, function); the weights are evaluated once for all the
+    functions, one primed digit row per m over the box of the J indices.
     """
     _check_terms(J)
     n = default_level(cfg, J) if level is None else level
@@ -361,9 +361,10 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
     polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
     sign = cfg.sign(n)
     values = [[f(mp) for mp in polys] for f in fs]
-    evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
-    weights = [[evaluate(cfg, cfg.q ** n - 1 - j, mp, primed=True) for mp in polys]
-               for j in range(J)]
+    rows_at = eval_G_rows if basis is Basis.CARLITZ_G else eval_D_rows
+    boxes, places = _digit_box(cfg.q, range(cfg.q ** n - 1, cfg.q ** n - 1 - J, -1))
+    rows = [rows_at(cfg, boxes, mp, primed=True) for mp in polys]
+    weights = [[Poly(cfg, row[i]) for row in rows] for i in places]
     return [BasisExpansion(cfg, basis, [c.scalar_mul(sign) for c in sums])
             for sums in _weighted_sums(cfg, weights, values)]
 

@@ -308,6 +308,24 @@ def orthogonality_sum_by_pairs(cfg, f, polys, k: int, l: int) -> Poly:
     return total
 
 
+def box_indices(q: int, boxes) -> List[int]:
+    """The indices whose base-q digit at position t lies in boxes[t], in
+    ascending order: the order of a row of eval_G_rows or eval_D_rows."""
+    indices = [0]
+    for t, box in enumerate(boxes):
+        indices = [low + a * q ** t for a in sorted(box) for low in indices]
+    return indices
+
+
+def rows_by_index(f):
+    """A row evaluator, as eval_G_rows or eval_D_rows, made of the
+    single-index evaluator f: one call of f per index of the box, in row
+    order."""
+    def rows(cfg, boxes, x, primed=False):
+        return [f(cfg, k, x, primed=primed).coeffs for k in box_indices(cfg.q, boxes)]
+    return rows
+
+
 def orthogonality_suite_by_pairs(cfg, n: int, budget: int = DEFAULT_BUDGET,
                                  evaluators=None) -> List[VerdictReport]:
     """orthogonality_suite as q**(2n) separate sums, one per (k, l) in

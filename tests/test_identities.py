@@ -63,6 +63,7 @@ from oracles import (
     basis_distance_exact,
     orthogonality_suite_by_pairs,
     orthogonality_sum_by_pairs,
+    rows_by_index,
 )
 
 
@@ -186,7 +187,7 @@ def test_gram_entries_at_slot_bound(monkeypatch, q):
 
     def f(cfg, j, x, primed=False):
         return full
-    monkeypatch.setattr(identities, "eval_G", f)
+    monkeypatch.setattr(identities, "eval_G_rows", rows_by_index(f))
     polys = poly_enumerate(cfg, n, "deg_lt")
     values, primed = _tabulate(cfg, "CARLITZ", "deg_lt", n, 256, [0, 1], [0])
     got = list(_gram_entries(cfg, [0, 1], [0], values, primed))
@@ -218,7 +219,7 @@ def test_orthogonality_falsified_report_matches_oracle(monkeypatch, family,
     evaluators = {"CARLITZ": eval_G, "DIGIT": eval_D}
     evaluators[family] = _patched(evaluators[family], 2, Poly(cfg, (1, 1)),
                                   Poly.T(cfg))
-    monkeypatch.setattr(identities, name, evaluators[family])
+    monkeypatch.setattr(identities, name + "_rows", rows_by_index(evaluators[family]))
     got = orthogonality_suite(cfg, 2)
     want = orthogonality_suite_by_pairs(cfg, 2, evaluators=evaluators)
     assert reports_to_json_text(got) == reports_to_json_text(want)
@@ -234,26 +235,26 @@ def test_orthogonality_falsified_report_matches_oracle(monkeypatch, family,
                                          ("DIGIT", "eval_D")])
 def test_falsified_suite_evaluates_each_value_once(monkeypatch, family, name):
     # The witness of a falsified suite is read from the values the suite
-    # tabulated: each (index, m, primed) is evaluated once per (family,
-    # variant), 2 q**(2n) calls each.
+    # tabulated: each point's two rows, unprimed and primed, over the full
+    # digit box, are evaluated once per (family, variant), 2 q**n calls each.
     cfg = FieldConfig(3)
     n = 2
-    planted = _patched({"CARLITZ": eval_G, "DIGIT": eval_D}[family], 2,
-                       Poly(cfg, (1, 1)), Poly.T(cfg))
+    planted = rows_by_index(_patched({"CARLITZ": eval_G, "DIGIT": eval_D}[family],
+                                     2, Poly(cfg, (1, 1)), Poly.T(cfg)))
     calls = []
 
-    def counted(cfg, j, x, primed=False):
-        calls.append((j, x, primed))
-        return planted(cfg, j, x, primed=primed)
-    monkeypatch.setattr(identities, name, counted)
+    def counted(cfg, boxes, x, primed=False):
+        calls.append((tuple(map(tuple, boxes)), x.coeffs, primed))
+        return planted(cfg, boxes, x, primed=primed)
+    monkeypatch.setattr(identities, name + "_rows", counted)
     reports = orthogonality_suite(cfg, n)
     assert [r.status for r in reports if r.config["family"] == family] == \
         [FALSIFIED, VERIFIED]
-    want = {(j, m.coeffs, primed) for kind in ("deg_lt", "monic_deg_eq")
-            for m in poly_enumerate(cfg, n, kind)
-            for j in range(3 ** n) for primed in (False, True)}
-    assert len(calls) == len(want) == 2 * 2 * 3 ** (2 * n)
-    assert {(j, x.coeffs, primed) for j, x, primed in calls} == want
+    full = ((0, 1, 2),) * n
+    want = {(full, m.coeffs, primed) for kind in ("deg_lt", "monic_deg_eq")
+            for m in poly_enumerate(cfg, n, kind) for primed in (False, True)}
+    assert len(calls) == len(want) == 2 * 2 * 3 ** n
+    assert set(calls) == want
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 1)])
@@ -277,7 +278,7 @@ def test_orthogonality_planted_faults_match_oracle(monkeypatch, q, n, family,
     for flag in ((False, True) if primed == "both" else (primed,)):
         f = _patched(f, j, m, Poly.one(cfg), primed=flag)
     evaluators[family] = f
-    monkeypatch.setattr(identities, name, evaluators[family])
+    monkeypatch.setattr(identities, name + "_rows", rows_by_index(f))
     got = orthogonality_suite(cfg, n)
     want = orthogonality_suite_by_pairs(cfg, n, evaluators=evaluators)
     assert reports_to_json_text(got) == reports_to_json_text(want)
@@ -307,7 +308,7 @@ def test_orthogonality_budget_error_while_tabulating(monkeypatch, f2):
     # would) makes only that family's reports budget_exhausted.
     def over_budget(cfg, j, x, primed=False):
         raise BudgetError(f"E_{j} degree budget exceeded")
-    monkeypatch.setattr(identities, "eval_D", over_budget)
+    monkeypatch.setattr(identities, "eval_D_rows", rows_by_index(over_budget))
     got = orthogonality_suite(f2, 2)
     want = orthogonality_suite_by_pairs(
         f2, 2, evaluators={"CARLITZ": eval_G, "DIGIT": over_budget})
@@ -325,7 +326,7 @@ def test_orthogonality_budget_error_late_in_tabulation(monkeypatch, f2, raises):
         if primed if raises == "primed" else j == 3:
             raise BudgetError(f"E_{j} degree budget exceeded")
         return eval_D(cfg, j, x, primed=primed)
-    monkeypatch.setattr(identities, "eval_D", over_budget)
+    monkeypatch.setattr(identities, "eval_D_rows", rows_by_index(over_budget))
     got = orthogonality_suite(f2, 2)
     want = orthogonality_suite_by_pairs(
         f2, 2, evaluators={"CARLITZ": eval_G, "DIGIT": over_budget})

@@ -71,6 +71,7 @@ from oracles import (
     inverse_matrix_by_columns,
     powered_digit_coeffs_by_iteration,
     powered_digit_coeffs_by_terms,
+    rows_by_index,
     voloch_matrix_by_subsets,
     wagner_coeffs_by_solve,
 )
@@ -569,7 +570,7 @@ def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
             return full(lengths["f"] - cut("f", m))
         widths = []
         packer = algebra.pack
-        monkeypatch.setattr(transforms, "eval_G", w)
+        monkeypatch.setattr(transforms, "eval_G_rows", rows_by_index(w))
         monkeypatch.setattr(algebra, "pack",
                             lambda cfg, coeffs, width: widths.append(width)
                             or packer(cfg, coeffs, width))
