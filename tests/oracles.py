@@ -10,7 +10,9 @@ one step of the E_n recurrence by
 subtraction and a digit-by-digit prefix sum (and E_n by n such steps),
 D_n one Lucas binomial per digit, (delta - [m] I) f as a
 closure and ((delta - [m] I)**n f)(x) by its closed double sum, the
-distance certificates on exact values, the orthogonality sums one (k, l) pair at a time, the
+distance certificates on exact values, the orthogonality sums one (k, l) pair at a time
+(and, from tabulated values, the primed values by their subset sums and
+every power sum of the levels by brute force), the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
 enumeration coefficients one (j, m) pair at a time, the addition law's
 convolutions one product at a time, Kronecker packing one slot at a
@@ -20,7 +22,7 @@ The tests compare the production results with these.
 """
 import sys
 from array import array
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import List
 
 from carlitzbases import (
@@ -40,7 +42,14 @@ from carlitzbases import (
     lucas_binom,
     poly_enumerate,
 )
-from carlitzbases.algebra import EXACT, Value, as_series, valuation_norm
+from carlitzbases.algebra import (
+    EXACT,
+    Value,
+    as_series,
+    packed_sums,
+    product_sums,
+    valuation_norm,
+)
 from carlitzbases.hasse import hasse_on_monomial
 from carlitzbases import identities
 from carlitzbases.identities import (
@@ -355,6 +364,77 @@ def orthogonality_suite_by_pairs(cfg, n: int, budget: int = DEFAULT_BUDGET,
                                        notes=[str(exc)])
             reports.append(report)
     return reports
+
+
+def primed_values_match(cfg, n, values, primed):
+    """Whether F'_l = sum over D a subset of max(l) of
+    (-1)**|D| F_{l - (q-1) 1_D} at every m, where max(l) is the set of
+    positions of l's digits equal to q - 1: F' by its definition, from the
+    tabulated F.
+
+    Each row of codes is one string, every value padded to a common
+    length; a subset sum, a negative term p - 1 times its string, is one
+    weighted sum (``algebra.product_sums``, each string times the constant
+    1, so 2**n terms bound its slots).  An l with no maximal digit is
+    compared with its unprimed string byte for byte.
+    """
+    q, p = cfg.q, cfg.p
+    length = max(map(len, chain.from_iterable(chain(values, primed))), default=0)
+
+    def string(row):
+        return b"".join(bytes(c).ljust(length, b"\0") for c in row)
+
+    strings = [string(row) for row in values]
+    sums = product_sums(cfg, strings, [b"\1"] * len(strings), 2 ** n)
+    for l, row in enumerate(primed):
+        terms = [(l, 1)]
+        for t in range(n):
+            unit = q ** t
+            if l // unit % q == q - 1:
+                terms += [(i - (q - 1) * unit, p - w) for i, w in terms]
+        want = string(row)
+        if len(terms) == 1:
+            if want != strings[l]:
+                return False
+        elif sums(terms) != want.rstrip(b"\0"):
+            return False
+    return True
+
+
+def power_sums_match(cfg, n, values):
+    """Whether every power sum S(s) = sum over m of prod_t b_t(m)**s_t,
+    s in [0, 2q - 2]**n, is (-1)**n when every s_t is q - 1 or 2q - 2
+    and 0 otherwise; b_t is E_t (CARLITZ) or D_t (DIGIT).  That is the
+    closed form which the suite's certificate (``identities._levels_certified``)
+    proves from the levels alone; here each S is summed by brute force.
+
+    S(s) is the packed sum (``algebra.packed_sums``) of F_k(m) F_l(m),
+    both unprimed, with k_t = min(s_t, q - 1) and l_t = s_t - k_t.
+    Expanding F' by its definition, each Gram entry sum_m F_k(m) F'_l(m)
+    is a signed sum of the S(k + l - (q - 1) 1_D), D a subset of max(l),
+    as F_a F_b depends on the digitwise sum a + b only for digit products,
+    which every value of a digit row is.  That map from the S to the Gram
+    entries is unitriangular over subsets: with the primed values checked,
+    all S match their closed form exactly when all q**(2n) Gram entries
+    match theirs.
+    """
+    q = cfg.q
+    one = bytes([cfg.sign(n)])
+    pairs, forms = [], []
+    for s in product(range(2 * q - 1), repeat=n):
+        k = l = 0
+        closed = True
+        for t, st in enumerate(s):
+            kt = min(st, q - 1)
+            k += kt * q ** t
+            l += (st - kt) * q ** t
+            closed = closed and st % (q - 1) == 0 and st > 0
+        pairs.append((k, l))
+        forms.append(one if closed else b"")
+    for total, form in zip(packed_sums(cfg, values, values, pairs), forms):
+        if total != form:
+            return False
+    return True
 
 
 def bracket_step_by_digits(cfg, k: int, y: Value) -> Value:

@@ -61,8 +61,11 @@ from oracles import (
     FIELDS,
     addition_convolution,
     basis_distance_exact,
+    digit_product_by_digits,
     orthogonality_suite_by_pairs,
     orthogonality_sum_by_pairs,
+    power_sums_match,
+    primed_values_match,
     rows_by_index,
 )
 
@@ -105,7 +108,7 @@ def test_orthogonality_suite_budget(f2):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 1), (4, 1), (2, 1), (2, 3), (3, 2),
                                  (4, 2), (5, 1), (8, 1), (9, 1), (2, 4)])
 def test_orthogonality_exhaustive_small(q, n):
-    # The power-sum suite gives the reports of the per-pair oracle, byte
+    # The certified suite gives the reports of the per-pair oracle, byte
     # for byte.
     cfg = FieldConfig(*FIELDS[q])
     reports = orthogonality_suite(cfg, n)
@@ -116,11 +119,12 @@ def test_orthogonality_exhaustive_small(q, n):
 
 
 def test_verified_orthogonality_forms_no_gram_entry(monkeypatch):
-    # A verified suite rests on the primed check and the power sums alone:
-    # the Gram product runs only after a mismatch.
-    def no_gram(*args):
-        raise AssertionError("Gram product formed")
-    monkeypatch.setattr(identities, "_gram_entries", no_gram)
+    # A verified suite rests on the level certificate alone: no row is
+    # evaluated, nothing is tabulated and no Gram product is formed.
+    def unused(*args, **kwargs):
+        raise AssertionError("the suite left its certificate")
+    for name in ("_gram_entries", "_tabulate", "eval_G_rows", "eval_D_rows"):
+        monkeypatch.setattr(identities, name, unused)
     for q, n in ((2, 5), (3, 2), (4, 1), (9, 1)):
         cfg = FieldConfig(*FIELDS[q])
         assert all(r.ok for r in orthogonality_suite(cfg, n))
@@ -144,7 +148,7 @@ def _power_sum(cfg, base, polys, s):
 def test_power_sums_closed_form(q, n, base, kind):
     # S(s) = sum_m prod_t b_t(m)**s_t is (-1)**n when every s_t is q - 1 or
     # 2q - 2, and 0 otherwise, for b_t = E_t and b_t = D_t: the closed form
-    # that the orthogonality suite compares its power sums with.
+    # that the orthogonality suite's level certificate proves.
     cfg = FieldConfig(*FIELDS[q])
     polys = poly_enumerate(cfg, n, kind)
     for s in itertools.product(range(2 * q - 1), repeat=n):
@@ -208,39 +212,74 @@ def _patched(f, j, m, delta, primed=False):
     return wrapper
 
 
+# The level of each family, and its name in ``identities``.
+LEVELS = {"CARLITZ": ("eval_E", eval_E),
+          "DIGIT": ("hasse_derivative", hasse_derivative)}
+
+
+def _level_fault(family, t, m, delta):
+    """The level b_t of ``family`` (E_t or D_t) with b_t(m) moved by
+    delta: a planted level fault."""
+    base = LEVELS[family][1]
+
+    def level(cfg, i, x):
+        value = base(cfg, i, x)
+        if i == t and x == m:
+            value = value + delta
+        return value
+    return level
+
+
+def _plant_level(monkeypatch, family, name, level):
+    """Make ``level`` the level of ``family`` wherever the suite reads it:
+    in its certificate, and in its tabulated rows (``name``_rows, name
+    being eval_G or eval_D), as digit products of ``level`` formed one
+    digit at a time (nothing kept in a tower).  Returns the evaluators of
+    the per-pair oracle."""
+    monkeypatch.setattr(identities, LEVELS[family][0], level)
+
+    def f(cfg, j, x, primed=False):
+        return digit_product_by_digits(cfg, j, x, primed, level)
+    monkeypatch.setattr(identities, name + "_rows", rows_by_index(f))
+    evaluators = {"CARLITZ": eval_G, "DIGIT": eval_D}
+    evaluators[family] = f
+    return evaluators
+
+
 @pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
                                          ("DIGIT", "eval_D")])
 def test_orthogonality_falsified_report_matches_oracle(monkeypatch, family,
                                                        name):
-    # Moving F_2(T + 1) by T breaks the deg_lt sums of row k = 2 (T + 1 is
-    # not monic of degree 2); the suite and the oracle must name the same
-    # first (k, l), sum and expected value.
+    # Moving b_1(T + 1) by T fails the certificate of deg_lt only (T + 1
+    # is not monic of degree 2); the Gram product read after it must name
+    # the oracle's first (k, l), sum and expected value.
     cfg = FieldConfig(3)
-    evaluators = {"CARLITZ": eval_G, "DIGIT": eval_D}
-    evaluators[family] = _patched(evaluators[family], 2, Poly(cfg, (1, 1)),
-                                  Poly.T(cfg))
-    monkeypatch.setattr(identities, name + "_rows", rows_by_index(evaluators[family]))
+    level = _level_fault(family, 1, Poly(cfg, (1, 1)), Poly.T(cfg))
+    evaluators = _plant_level(monkeypatch, family, name, level)
     got = orthogonality_suite(cfg, 2)
     want = orthogonality_suite_by_pairs(cfg, 2, evaluators=evaluators)
     assert reports_to_json_text(got) == reports_to_json_text(want)
     bad, = [r for r in got if r.status == FALSIFIED]
-    assert (bad.config["family"], bad.config["variant"], bad.config["k"]) == \
-        (family, "deg_lt", 2)
+    assert (bad.config["family"], bad.config["variant"]) == (family, "deg_lt")
     assert bad.witness["sum"] != bad.witness["expected"]
-    single = check_orthogonality(cfg, family, "deg_lt", 2, 2, bad.config["l"])
+    single = check_orthogonality(cfg, family, "deg_lt", 2, bad.config["k"],
+                                 bad.config["l"])
     assert single.to_json() == bad.to_json()
 
 
 @pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
                                          ("DIGIT", "eval_D")])
 def test_falsified_suite_evaluates_each_value_once(monkeypatch, family, name):
-    # The witness of a falsified suite is read from the values the suite
-    # tabulated: each point's two rows, unprimed and primed, over the full
-    # digit box, are evaluated once per (family, variant), 2 q**n calls each.
+    # Only a (family, variant) whose certificate fails tabulates, and the
+    # witness is read from the values it tabulated: each point's two rows,
+    # unprimed and primed, over the full digit box, are evaluated once,
+    # 2 q**n calls.  A level moved at T + 1 fails the certificate of
+    # deg_lt only, so monic evaluates no row.
     cfg = FieldConfig(3)
     n = 2
-    planted = rows_by_index(_patched({"CARLITZ": eval_G, "DIGIT": eval_D}[family],
-                                     2, Poly(cfg, (1, 1)), Poly.T(cfg)))
+    _plant_level(monkeypatch, family, name,
+                 _level_fault(family, 1, Poly(cfg, (1, 1)), Poly.T(cfg)))
+    planted = getattr(identities, name + "_rows")
     calls = []
 
     def counted(cfg, boxes, x, primed=False):
@@ -251,10 +290,101 @@ def test_falsified_suite_evaluates_each_value_once(monkeypatch, family, name):
     assert [r.status for r in reports if r.config["family"] == family] == \
         [FALSIFIED, VERIFIED]
     full = ((0, 1, 2),) * n
-    want = {(full, m.coeffs, primed) for kind in ("deg_lt", "monic_deg_eq")
-            for m in poly_enumerate(cfg, n, kind) for primed in (False, True)}
-    assert len(calls) == len(want) == 2 * 2 * 3 ** n
+    want = {(full, m.coeffs, primed) for m in poly_enumerate(cfg, n, "deg_lt")
+            for primed in (False, True)}
+    assert len(calls) == len(want) == 2 * 3 ** n
     assert set(calls) == want
+
+
+@pytest.mark.parametrize("q,n,t", [(3, 2, 0), (3, 2, 1), (4, 2, 1), (5, 1, 0),
+                                   (2, 3, 2)])
+@pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
+                                         ("DIGIT", "eval_D")])
+@pytest.mark.parametrize("where", ["deg_lt", "monic", "base", "monomial"])
+def test_orthogonality_planted_level_faults_match_oracle(monkeypatch, q, n, t,
+                                                         family, name, where):
+    # b_t(m) moved by 1, at the top level or below it, at a point of degree
+    # < n, at a monic point, at the monic base T**n, or at T**t: the suite
+    # names the same first (k, l), sum and expected value as the oracle.
+    # At T**t, a point of deg_lt that the monic sums never read, the monic
+    # certificate fails (its affine sums read b_t(T**t)) and the Gram
+    # product, read after it, verifies.
+    cfg = FieldConfig(*FIELDS[q])
+    m = {"deg_lt": Poly(cfg, [q - 1] + [1] * (n - 1)),  # no monomial
+         "monic": Poly(cfg, [q - 1] + [0] * (n - 1) + [1]),
+         "base": Poly.monomial(cfg, n),
+         "monomial": Poly.monomial(cfg, t)}[where]
+    evaluators = _plant_level(monkeypatch, family, name,
+                              _level_fault(family, t, m, Poly.one(cfg)))
+    got = orthogonality_suite(cfg, n)
+    want = orthogonality_suite_by_pairs(cfg, n, evaluators=evaluators)
+    assert reports_to_json_text(got) == reports_to_json_text(want)
+    variant = "deg_lt" if where in ("deg_lt", "monomial") else "monic"
+    assert [(r.config["family"], r.config["variant"])
+            for r in got if r.status == FALSIFIED] == [(family, variant)]
+
+
+@pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
+                                         ("DIGIT", "eval_D")])
+def test_orthogonality_fault_at_the_unit_level_value(monkeypatch, family, name):
+    # At q = 2, n = 1, b_0(1) moved by 1 to 0 keeps b_0 affine on the
+    # points 0 and 1 of deg_lt, yet the Gram sums break: only the check
+    # b_t(T**t) = 1 sees it.  The monic certificate fails too (its affine
+    # sums read b_0(1)), and its Gram product verifies.
+    cfg = FieldConfig(2)
+    evaluators = _plant_level(monkeypatch, family, name,
+                              _level_fault(family, 0, Poly.one(cfg), Poly.one(cfg)))
+    got = orthogonality_suite(cfg, 1)
+    want = orthogonality_suite_by_pairs(cfg, 1, evaluators=evaluators)
+    assert reports_to_json_text(got) == reports_to_json_text(want)
+    assert [(r.config["family"], r.config["variant"])
+            for r in got if r.status == FALSIFIED] == [(family, "deg_lt")]
+
+
+@pytest.mark.parametrize("family", ["CARLITZ", "DIGIT"])
+def test_level_certificate_checks_the_delta_pattern(monkeypatch, family):
+    # b_1(1) moved to 1 at q = 3, n = 2: the monic sums never read the point
+    # 1 and its affine sums read b_1(T**i) for i >= 1 only, so only the
+    # check b_t(T**i) = 0, i < t, rejects the levels.
+    cfg = FieldConfig(3)
+    monkeypatch.setattr(identities, LEVELS[family][0],
+                        _level_fault(family, 1, Poly.one(cfg), Poly.one(cfg)))
+    assert not identities._levels_certified(cfg, family, "monic", 2, 256)
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=25, deadline=None)
+def test_certified_levels_imply_the_oracle(q, data):
+    # One random level fault (t, m, delta), delta possibly 0, m a point of
+    # either variant (so also any T**i, i <= n): wherever the certificate
+    # accepts, the tabulated values pass the primed check and every power
+    # sum, and the per-pair Gram sums verify; and the suite always gives
+    # the per-pair oracle's reports, byte for byte.
+    cfg = FieldConfig(*FIELDS[q])
+    n = data.draw(st.integers(1, {2: 3, 3: 2, 4: 2}.get(q, 1)), label="n")
+    family, name = data.draw(st.sampled_from([("CARLITZ", "eval_G"),
+                                              ("DIGIT", "eval_D")]), label="family")
+    t = data.draw(st.integers(0, n - 1), label="t")
+    points = (poly_enumerate(cfg, n, "deg_lt")
+              + poly_enumerate(cfg, n, "monic_deg_eq"))
+    m = data.draw(st.sampled_from(points), label="m")
+    delta = Poly(cfg, data.draw(st.lists(st.integers(0, q - 1), max_size=2),
+                                label="delta"))
+    with pytest.MonkeyPatch.context() as mp:
+        evaluators = _plant_level(mp, family, name,
+                                  _level_fault(family, t, m, delta))
+        got = orthogonality_suite(cfg, n)
+        want = orthogonality_suite_by_pairs(cfg, n, evaluators=evaluators)
+        assert reports_to_json_text(got) == reports_to_json_text(want)
+        indices = range(q ** n)
+        for variant, report in zip(("deg_lt", "monic"),
+                                   [r for r in want if r.config["family"] == family]):
+            if identities._levels_certified(cfg, family, variant, n, 256):
+                values, primed = _tabulate(cfg, family, variant, n, 256,
+                                           indices, indices)
+                assert primed_values_match(cfg, n, values, primed)
+                assert power_sums_match(cfg, n, values)
+                assert report.status == VERIFIED
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 1)])
@@ -264,12 +394,14 @@ def test_falsified_suite_evaluates_each_value_once(monkeypatch, family, name):
 @pytest.mark.parametrize("where", ["top", "plain", "monic"])
 def test_orthogonality_planted_faults_match_oracle(monkeypatch, q, n, family,
                                                    name, primed, where):
-    # One value moved by 1, unprimed, primed or both, at an index whose top
-    # digit is maximal (q**n - 1) or that has no maximal digit (1), at a
-    # point of degree < n or monic of degree n: the suite names the same
-    # first (k, l), sum and expected value as the oracle.  Moved both ways
-    # at q**n - 1, the primed values still match their subset expansion,
-    # and only the power sums see the fault.
+    # One value moved by 1 through the rows only, unprimed, primed or both,
+    # at an index whose top digit is maximal (q**n - 1) or that has no
+    # maximal digit (1), at a point of degree < n or monic of degree n.
+    # No level moves, so the suite, which rests on the levels, verifies:
+    # such a fault is the oracle's to catch.  The per-pair sums name the
+    # falsified (family, variant), and the tabulated values fail the
+    # primed check or, moved both ways where the primed values still match
+    # their subset expansion, a power sum.
     cfg = FieldConfig(*FIELDS[q])
     j = 1 if where == "plain" else q ** n - 1
     m = Poly.monomial(cfg, n) if where == "monic" else Poly.one(cfg)
@@ -279,60 +411,71 @@ def test_orthogonality_planted_faults_match_oracle(monkeypatch, q, n, family,
         f = _patched(f, j, m, Poly.one(cfg), primed=flag)
     evaluators[family] = f
     monkeypatch.setattr(identities, name + "_rows", rows_by_index(f))
-    got = orthogonality_suite(cfg, n)
+    assert all(r.ok for r in orthogonality_suite(cfg, n))
     want = orthogonality_suite_by_pairs(cfg, n, evaluators=evaluators)
-    assert reports_to_json_text(got) == reports_to_json_text(want)
     variant = "monic" if where == "monic" else "deg_lt"
     assert [(r.config["family"], r.config["variant"])
-            for r in got if r.status == FALSIFIED] == [(family, variant)]
+            for r in want if r.status == FALSIFIED] == [(family, variant)]
+    indices = range(q ** n)
+    values, primed_values = _tabulate(cfg, family, variant, n, 256, indices,
+                                      indices)
+    # At n > 1, F_1 is a term of the subset expansion of F'_l for every
+    # l = 1 + (q - 1) q**t, so the primed check sees any move at 1.
+    consistent = primed == "both" and (where != "plain" or n == 1)
+    assert primed_values_match(cfg, n, values, primed_values) == consistent
+    if consistent:
+        assert not power_sums_match(cfg, n, values)
 
 
 @pytest.mark.parametrize("q,n", [(2, 9), (3, 7)])
 def test_primed_check_at_slot_bound(q, n):
     # Constant tables, F = q - 1 and F' = 0 wherever l has a maximal digit:
     # the subset sum of l = q**n - 1 has 2**n terms, half of them times
-    # p - 1, and overflows an 8-bit slot, so the width must follow 2**n.
+    # p - 1, and overflows an 8-bit slot, so the oracle's width must
+    # follow 2**n.
     cfg = FieldConfig(*FIELDS[q])
     full = (q - 1,) * 3
     size = q ** n
     values = [[full] for _ in range(size)]
     primed = [[full if all(l // q ** t % q != q - 1 for t in range(n)) else ()]
               for l in range(size)]
-    assert identities._primed_values_match(cfg, n, values, primed)
+    assert primed_values_match(cfg, n, values, primed)
     primed[-1] = [(1,)]
-    assert not identities._primed_values_match(cfg, n, values, primed)
+    assert not primed_values_match(cfg, n, values, primed)
 
 
 def test_orthogonality_budget_error_while_tabulating(monkeypatch, f2):
-    # A BudgetError raised by an evaluator (as the degree budget of E_n
-    # would) makes only that family's reports budget_exhausted.
-    def over_budget(cfg, j, x, primed=False):
-        raise BudgetError(f"E_{j} degree budget exceeded")
-    monkeypatch.setattr(identities, "eval_D_rows", rows_by_index(over_budget))
+    # A BudgetError raised by a level evaluator (as the degree budget of
+    # E_n would) makes only that family's reports budget_exhausted.
+    def over_budget(cfg, t, x):
+        raise BudgetError(f"D_{t} degree budget exceeded")
+    evaluators = _plant_level(monkeypatch, "DIGIT", "eval_D", over_budget)
     got = orthogonality_suite(f2, 2)
-    want = orthogonality_suite_by_pairs(
-        f2, 2, evaluators={"CARLITZ": eval_G, "DIGIT": over_budget})
+    want = orthogonality_suite_by_pairs(f2, 2, evaluators=evaluators)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
     assert [r.status for r in got] == [VERIFIED, VERIFIED,
                                        BUDGET_EXHAUSTED, BUDGET_EXHAUSTED]
 
 
-@pytest.mark.parametrize("raises", ["primed", "top index"])
+@pytest.mark.parametrize("raises", ["last point", "top index"])
 def test_orthogonality_budget_error_late_in_tabulation(monkeypatch, f2, raises):
-    # A BudgetError raised only by primed values, or only at the last index,
-    # after other values were tabulated, still gives budget_exhausted with
-    # the oracle's note.
-    def over_budget(cfg, j, x, primed=False):
-        if primed if raises == "primed" else j == 3:
-            raise BudgetError(f"E_{j} degree budget exceeded")
-        return eval_D(cfg, j, x, primed=primed)
-    monkeypatch.setattr(identities, "eval_D_rows", rows_by_index(over_budget))
+    # A BudgetError raised only at the last point of deg_lt, or only by the
+    # top level, after other level values were read, still gives
+    # budget_exhausted with the oracle's note; the monic sums never read
+    # the last point of deg_lt.
+    last = Poly(f2, (1, 1))
+
+    def over_budget(cfg, t, x):
+        if x == last if raises == "last point" else t == 1:
+            raise BudgetError(f"D_{t} degree budget exceeded")
+        return hasse_derivative(cfg, t, x)
+    evaluators = _plant_level(monkeypatch, "DIGIT", "eval_D", over_budget)
     got = orthogonality_suite(f2, 2)
-    want = orthogonality_suite_by_pairs(
-        f2, 2, evaluators={"CARLITZ": eval_G, "DIGIT": over_budget})
+    want = orthogonality_suite_by_pairs(f2, 2, evaluators=evaluators)
     assert reports_to_json_text(got) == reports_to_json_text(want)
+    monic = VERIFIED if raises == "last point" else BUDGET_EXHAUSTED
     assert [r.status for r in got] == [VERIFIED, VERIFIED,
-                                       BUDGET_EXHAUSTED, BUDGET_EXHAUSTED]
+                                       BUDGET_EXHAUSTED, monic]
 
 
 # ---------------------------------------------------------------------------
