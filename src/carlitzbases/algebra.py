@@ -424,18 +424,18 @@ def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
     return code.to_bytes(count, "little").rstrip(b"\0")
 
 
-def packed_sums(cfg: FieldConfig, rows, cols, pairs=None):
+def packed_sums(cfg: FieldConfig, rows, cols, pairs=None, length=None):
     """For each (i, j) in ``pairs`` (default: every row and col,
     row-major), the codes (``unpack``) of sum_m rows[i][m] * cols[j][m],
     every entry a coefficient sequence.
 
     Every sequence is packed once (once in all when ``cols`` is ``rows``),
-    at the width ``slot_width`` gives for len(row) terms whose shorter
-    factor is at most the lesser of the longest row entry and the longest
-    col entry; each sum is a sum of integer products, unpacked once.
-    Sums are formed as they are read.
+    at the width ``slot_width`` gives for len(row) terms with at most
+    ``length`` digit pairs to a slot (by default the lesser of the longest
+    row and col entries); each sum is a sum of integer products, unpacked
+    once.  Sums are formed as they are read.
     """
-    length = min(max(map(len, chain.from_iterable(t))) for t in (rows, cols))
+    length = length or min(max(map(len, chain.from_iterable(t))) for t in (rows, cols))
     width = slot_width(cfg, len(rows[0]), length)
     packed = [[pack(cfg, c, width) for c in row] for row in rows]
     cols = packed if cols is rows else [[pack(cfg, c, width) for c in col]

@@ -7,18 +7,18 @@ operator iteration, the subset sums of the Voloch matrix, the per-pair
 enumeration sums, the term-by-term closed sums) are the test suite's
 oracles, not second paths.  The values delta^(n) f(x), n < N, come from
 one difference table with N evaluations of f (the tower of closures makes
-2**N - 1).  Every closed sum sum_m w(m) f(m) is one packed weighted sum
-(``_weighted_sums``): the G and D enumerations (w = F'_{q**n-1-j}), the
-D-basis coefficients b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n), all
-columns of the inverse matrix B at once (f = E_n), and the powered-D
-coefficients from b (the ``convert_powered`` weights).
+2**N - 1).  The G and D enumerations sum out the digits of m one at a
+time; every other closed sum sum_m w(m) f(m) is one packed weighted sum
+(``_weighted_sums``): the D-basis coefficients b_n = sum_{i<=n} (-1)**(n-i)
+f(T**i) D_i(T**n), all columns of the inverse matrix B at once (f = E_n),
+and the powered-D coefficients from b (the ``convert_powered`` weights).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, List, Optional
 
 from .algebra import (
@@ -35,8 +35,8 @@ from .algebra import (
     _spread,
     valuation_norm,
 )
-from .carlitz import _digit_box, bracket, eval_E, eval_G, eval_G_rows
-from .hasse import eval_D, eval_D_rows, hasse_derivative, hasse_on_monomial, powered_D
+from .carlitz import _digit_box, bracket, eval_E, eval_G
+from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
 
 DEFAULT_BUDGET = 256
 
@@ -347,26 +347,76 @@ def digit_coeffs(f: Callable[[Poly], Value], J: int, cfg: FieldConfig,
 
 
 def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion]:
-    """The expansion of each f in ``fs`` in ``basis`` (G or D):
-
-    coeff_j = (-1)**n * sum over deg(m) < n of w_j(m) f(m), where
-    w_j = F'_{q**n - 1 - j} with F = G or D, as one weighted sum per
-    (index, function); the weights are evaluated once for all the
-    functions, one primed digit row per m over the box of the J indices.
+    """The expansion of each f in ``fs`` in ``basis`` (G or D): coeff_j is
+    (-1)**n H(q**n - 1 - j), H(K) = sum over deg(m) < n of F'_K(m) f(m),
+    F = G or D.  F'_K(m) is the product over t of the one-digit values
+    F'_{K_t q**t}(m), which read only the digits c_t, c_{t+1}, ... of m (the
+    digit principle), so H is summed out one digit at a time from H_0 = f:
+    H_{t+1}(a_0..a_t; c_{t+1}..) = sum over c_t of H_t(a_0..a_{t-1}; c_t,
+    c_{t+1}..) F'_{a_t q**t}(c_t T**t + ...), a_t over the digit box of the
+    needed K (``_digit_box``), one fibre sum per suffix (``_fibre_sums``):
+    sum over t of |box_{<t}| |box_t| q**(n-t) <= n q**(n+1) products per
+    function, not J q**n.  The precision rule of ``_weighted_sums`` is
+    summed out the same way, by min and +.
     """
     _check_terms(J)
+    q = cfg.q
     n = default_level(cfg, J) if level is None else level
-    if cfg.q ** n < J:
+    if q ** n < J:
         raise DomainError(f"level n = {n} too small: q**n must cover all j < {J}")
     polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
-    sign = cfg.sign(n)
-    values = [[f(mp) for mp in polys] for f in fs]
-    rows_at = eval_G_rows if basis is Basis.CARLITZ_G else eval_D_rows
-    boxes, places = _digit_box(cfg.q, range(cfg.q ** n - 1, cfg.q ** n - 1 - J, -1))
-    rows = [rows_at(cfg, boxes, mp, primed=True) for mp in polys]
-    weights = [[Poly(cfg, row[i]) for row in rows] for i in places]
-    return [BasisExpansion(cfg, basis, [c.scalar_mul(sign) for c in sums])
-            for sums in _weighted_sums(cfg, weights, values)]
+    evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
+    boxes, places = _digit_box(q, range(q ** n - 1, q ** n - 1 - J, -1))
+    values = [[f(m) for m in polys] for f in fs]
+    lows, columns, series = zip(*map(_held, values))
+    blocks = list(zip(*columns))  # per point, one entry per function
+    precs = [[getattr(x, "prec", EXACT) for x in block] for block in zip(*values)]
+    track = any(p != EXACT for block in precs for p in block)
+    for t, box in enumerate(boxes):
+        unit, stepped, held = q ** t, [], []
+        for s in range(0, len(blocks), q):
+            weights = [[evaluate(cfg, a * unit, polys[(s + c) * unit], primed=True)
+                        for c in range(q)] for a in box]
+            stepped.append(_fibre_sums(cfg, weights, blocks[s:s + q]))
+            held.append(track and [
+                min((p[e] + w.valuation for p, w in zip(precs[s:s + q], row)
+                     if w.coeffs), default=EXACT)
+                for row in weights for e in range(len(blocks[s]))])
+        blocks, precs = stepped, held
+    count, sign = len(fs), cfg.sign(n)
+    return [BasisExpansion(cfg, basis, [
+        _sum_value(cfg, is_series, v, blocks[0][i + count * place],
+                   precs[0][i + count * place] if track else EXACT).scalar_mul(sign)
+        for place in places]) for i, (is_series, v) in enumerate(zip(series, lows))]
+
+
+def _fibre_sums(cfg: FieldConfig, weights, fibre) -> List[bytes]:
+    """The codes of sum over c of weights[a][c] * fibre[c][e] for each row
+    a of the exact ``weights`` and each entry e of the equal-length lists
+    of codes fibre[c], a-major: one packed sum per row, each list laid end
+    to end at a stride at which a slot meets the digits of one entry only."""
+    longest = max(map(len, chain.from_iterable(fibre)))
+    wide = max(len(w.coeffs) for row in weights for w in row)
+    count, stride = len(fibre[0]), max(longest + wide - 1, 1)
+    lines = [b"".join(x.ljust(stride, b"\0") for x in block) for block in fibre]
+    rows = [[w.coeffs for w in row] for row in weights]
+    return [sums[i:i + stride].rstrip(b"\0")
+            for sums in packed_sums(cfg, rows, [lines], length=min(longest, wide))
+            for i in range(0, count * stride, stride)]
+
+
+def _held(fvals):
+    """A function's values held for a sum: the least valuation v of its
+    nonzero series values (else 0), their codes from T**v, and if any is one."""
+    starts = [x.v if isinstance(x, TruncSeries) else 0 for x in fvals]
+    v = min((s for s, x in zip(starts, fvals) if x.coeffs), default=0)
+    codes = [bytes(s - v) + x.coeffs if x.coeffs else b"" for s, x in zip(starts, fvals)]
+    return v, codes, any(isinstance(x, TruncSeries) for x in fvals)
+
+
+def _sum_value(cfg: FieldConfig, series: bool, v: int, digits: bytes, prec) -> Value:
+    """A sum of held values (``_held``), of precision ``prec`` if a series."""
+    return TruncSeries(cfg, v, digits, prec) if series else Poly(cfg, digits)
 
 
 def _weighted_sums(cfg: FieldConfig, weights, values) -> List[List[Value]]:
@@ -377,30 +427,20 @@ def _weighted_sums(cfg: FieldConfig, weights, values) -> List[List[Value]]:
     Every f(m) and every w(m) is packed once (``algebra.packed_sums``, one
     column per function) and each sum is one sum of integer products,
     unpacked once.  Series values of a function are packed from their
-    common valuation v, and its sums are series when any of its f(m) is
-    one, with the precision of the per-pair sum: the least
+    common valuation v (``_held``), and its sums are series when any of its
+    f(m) is one, with the precision of the per-pair sum: the least
     prec(f(m)) + v(w(m)) over the truncated f(m) and nonzero w(m).
     """
-    columns, lows = [], []  # per function: its column and its valuation v
-    for fvals in values:
-        starts = [x.v if isinstance(x, TruncSeries) else 0 for x in fvals]
-        v = min((s for s, x in zip(starts, fvals) if x.coeffs), default=0)
-        lows.append(v)
-        columns.append([bytes(s - v) + x.coeffs if x.coeffs else b""
-                        for s, x in zip(starts, fvals)])
+    lows, columns, series = zip(*map(_held, values))
     sums = packed_sums(cfg, [[w.coeffs for w in row] for row in weights], columns)
-    series = [any(isinstance(x, TruncSeries) for x in fvals) for fvals in values]
     out = [[] for _ in values]
     for row in weights:
         for coeffs, fvals, v, is_series, digits in zip(out, values, lows, series,
                                                        sums):
-            if is_series:
-                prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
-                            if isinstance(x, TruncSeries) and not w.is_zero),
-                           default=EXACT)
-                coeffs.append(TruncSeries(cfg, v, digits, prec))
-            else:
-                coeffs.append(Poly(cfg, digits))
+            prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
+                        if isinstance(x, TruncSeries) and not w.is_zero),
+                       default=EXACT) if is_series else EXACT
+            coeffs.append(_sum_value(cfg, is_series, v, digits, prec))
     return out
 
 

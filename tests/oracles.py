@@ -14,7 +14,8 @@ distance certificates on exact values, the orthogonality sums one (k, l) pair at
 (and, from tabulated values, the primed values by their subset sums and
 every power sum of the levels by brute force), the
 digit products G_j and D_j one digit at a time, and the G- and D-basis
-enumeration coefficients one (j, m) pair at a time, the addition law's
+enumeration coefficients one (j, m) pair at a time and as one weighted
+sum per index over primed digit rows, the addition law's
 convolutions one product at a time, Kronecker packing one slot at a
 time, and the F_q tables and the modulus search by F_p digit-list
 arithmetic and by Poly products over F_p.
@@ -50,7 +51,8 @@ from carlitzbases.algebra import (
     product_sums,
     valuation_norm,
 )
-from carlitzbases.hasse import hasse_on_monomial
+from carlitzbases.carlitz import _digit_box, eval_G_rows
+from carlitzbases.hasse import eval_D_rows, hasse_on_monomial
 from carlitzbases import identities
 from carlitzbases.identities import (
     BUDGET_EXHAUSTED,
@@ -62,6 +64,7 @@ from carlitzbases.transforms import (
     DEFAULT_BUDGET,
     E_func,
     LinearFunc,
+    _weighted_sums,
     convert_powered,
     default_level,
     delta,
@@ -523,6 +526,26 @@ def enumeration_coeffs_by_pairs(f, J: int, cfg, basis: Basis, level=None,
             acc = term if acc is None else acc + term
         coeffs.append(acc.scalar_mul(cfg.sign(n)))
     return BasisExpansion(cfg, basis, coeffs)
+
+
+def enumeration_coeffs_by_rows(fs, J: int, cfg, basis: Basis, level=None,
+                               budget: int = DEFAULT_BUDGET) -> List[BasisExpansion]:
+    """The enumeration expansions of every f in ``fs`` (basis G or D) as
+    one weighted sum per (index, function), over every point m at once:
+    the weights F'_{q**n - 1 - j}(m) read from one primed digit row per m
+    over the box of the J indices (``eval_G_rows``/``eval_D_rows``), and
+    the sums formed by ``transforms._weighted_sums``, whose precision rule
+    is the contract of every enumeration path.
+    """
+    n = default_level(cfg, J) if level is None else level
+    polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
+    values = [[f(m) for m in polys] for f in fs]
+    rows_at = eval_G_rows if basis is Basis.CARLITZ_G else eval_D_rows
+    boxes, places = _digit_box(cfg.q, range(cfg.q ** n - 1, cfg.q ** n - 1 - J, -1))
+    rows = [rows_at(cfg, boxes, m, primed=True) for m in polys]
+    weights = [[Poly(cfg, row[i]) for row in rows] for i in places]
+    return [BasisExpansion(cfg, basis, [c.scalar_mul(cfg.sign(n)) for c in sums])
+            for sums in _weighted_sums(cfg, weights, values)]
 
 
 def _fp_poly_mul(a, b, p: int) -> list:

@@ -38,6 +38,7 @@ from carlitzbases import (
     wagner_coeffs,
 )
 from carlitzbases import algebra, transforms
+from carlitzbases.carlitz import _digit_box
 from carlitzbases.algebra import (
     EXACT,
     as_series,
@@ -68,10 +69,10 @@ from oracles import (
     digit_coeffs_linear_by_iteration,
     digit_coeffs_linear_by_terms,
     enumeration_coeffs_by_pairs,
+    enumeration_coeffs_by_rows,
     inverse_matrix_by_columns,
     powered_digit_coeffs_by_iteration,
     powered_digit_coeffs_by_terms,
-    rows_by_index,
     voloch_matrix_by_subsets,
     wagner_coeffs_by_solve,
 )
@@ -480,7 +481,9 @@ def _enumeration_value(cfg, kind, rnd):
 
 
 def _assert_same_expansion(got, want):
+    # Type, valuation, digits and precision of every coefficient.
     assert got.to_json() == want.to_json()
+    assert got.coeffs == want.coeffs
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
     assert ([getattr(c, "prec", None) for c in got.coeffs]
             == [getattr(c, "prec", None) for c in want.coeffs])
@@ -489,8 +492,8 @@ def _assert_same_expansion(got, want):
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 @settings(max_examples=80, deadline=None)
 def test_enumeration_coeffs_match_per_pair_sums(q, data):
-    # The packed sum per index against one product and one addition per
-    # (j, m): Poly, series (negative valuations, mixed and exact
+    # The digit-by-digit transform against one product and one addition
+    # per (j, m): Poly, series (negative valuations, mixed and exact
     # precisions) and zero values; J = 1, J = q**n, and levels above the
     # default.
     cfg = FieldConfig(*FIELDS[q])
@@ -516,8 +519,8 @@ def test_enumeration_coeffs_match_per_pair_sums(q, data):
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 @settings(max_examples=60, deadline=None)
 def test_enumeration_coeffs_of_a_list_match_one_function_at_a_time(q, data):
-    # One weight table and one packed sum per (index, function) for a list
-    # of functions, against one expansion per function: Poly-valued,
+    # One transform for a list of functions, laid side by side in every
+    # fibre sum, against one expansion per function: Poly-valued,
     # series-valued (each function its own valuations and precisions),
     # mixed and zero functions side by side.
     cfg = FieldConfig(*FIELDS[q])
@@ -544,14 +547,50 @@ def test_enumeration_coeffs_of_a_list_match_one_function_at_a_time(q, data):
         _assert_same_expansion(expansion, analyze(f, J, cfg))
 
 
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_enumeration_transform_matches_rows_and_pairs(q, data):
+    # The digit-by-digit transform against the weighted sums over primed
+    # digit rows (a list of functions at once) and against one product per
+    # (j, m) (one function at a time): 1 <= J <= q**n, levels at and above
+    # the default, and functions of Poly values, of series values with
+    # negative valuations and mixed precisions, of both mixed, and zero.
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    n = data.draw(st.integers(0, max(k for k in range(5) if q ** k <= 27)))
+    J = data.draw(st.integers(1, q ** n))
+    level = data.draw(st.sampled_from(
+        (None, n + 1) if q ** (n + 1) <= 81 else (None, n)))
+    kinds = data.draw(st.lists(st.sampled_from(("poly", "trunc", "exact", "zero",
+                                                "mixed")), min_size=1, max_size=4))
+
+    def function(kind):
+        table = {}
+
+        def f(m):
+            pick = rnd.choice(("poly", "trunc", "exact")) if kind == "mixed" else kind
+            return table.setdefault(m.coeffs, _enumeration_value(cfg, pick, rnd))
+        return f
+    fs = [function(kind) for kind in kinds]
+    basis = data.draw(st.sampled_from((Basis.CARLITZ_G, Basis.DIGIT_D)))
+    got = transforms._enumeration_coeffs(fs, J, cfg, level, 81, basis)
+    rows = enumeration_coeffs_by_rows(fs, J, cfg, basis, level, 81)
+    assert len(got) == len(rows) == len(fs)
+    for f, expansion, want in zip(fs, got, rows):
+        _assert_same_expansion(expansion, want)
+        _assert_same_expansion(expansion,
+                               enumeration_coeffs_by_pairs(f, J, cfg, basis, level))
+
+
 @pytest.mark.parametrize("q", sorted(FIELDS))
 @pytest.mark.parametrize("shorter", ["f", "w"])
 def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
-    # All-(q-1) values, the shorter side as long as the 8-bit slot can just
-    # hold (the longer side past that) and then one longer: the width must
+    # All-(q-1) values and one-digit weights at level 1, the shorter side as
+    # long as the 8-bit slot of the step's fibre sum (q terms) can just
+    # hold, the longer side past that, and then one longer: the width must
     # follow the shorter side, 8 and then 16 bits, or a slot carries.  The
     # longer side is one digit short at m = 0, so the sums are not zero,
-    # and w's length depends on its index q - 1 - j.
+    # and the weight's length depends on its digit q - 1 - j.
     cfg = FieldConfig(*FIELDS[q])
     per_digit = q * cfg.e * (cfg.p - 1) ** 2  # slot bound per unit length, n = 1
     for width, low in ((8, 255 // per_digit), (16, 255 // per_digit + 1)):
@@ -570,7 +609,7 @@ def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
             return full(lengths["f"] - cut("f", m))
         widths = []
         packer = algebra.pack
-        monkeypatch.setattr(transforms, "eval_G_rows", rows_by_index(w))
+        monkeypatch.setattr(transforms, "eval_G", w)
         monkeypatch.setattr(algebra, "pack",
                             lambda cfg, coeffs, width: widths.append(width)
                             or packer(cfg, coeffs, width))
@@ -581,6 +620,45 @@ def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
                                            evaluate=w)
         _assert_same_expansion(got, want)
         assert not any(c.is_zero for c in want.coeffs)
+
+
+@pytest.mark.parametrize("J,level", [(256, None), (4, 8)])
+@pytest.mark.parametrize("basis", [Basis.CARLITZ_G, Basis.DIGIT_D])
+def test_enumeration_transform_cost(monkeypatch, J, level, basis):
+    # At q = 2, n = 8, step t multiplies each of the |box_t| weights of a
+    # fibre by each of its q |box_{<t}| entries, for each of the q**(n-t-1)
+    # suffixes: sum over t of |box_{<t}| |box_t| q**(n-t) products, at most
+    # n q**(n+1), where one product per (j, m) takes J q**n.  The weights are
+    # the one-digit values F'_{a q**t}, read only at the q**(n-t) points with
+    # no digit below t.
+    cfg = FieldConfig(2)
+    n, q = 8, 2
+    boxes, _ = _digit_box(q, range(q ** n - 1, q ** n - 1 - J, -1))
+    want, lower = 0, 1
+    for t, box in enumerate(boxes):
+        want += lower * len(box) * q ** (n - t)
+        lower *= len(box)
+    products, reads = [], []
+    fibre_sums = transforms._fibre_sums
+    monkeypatch.setattr(transforms, "_fibre_sums", lambda cfg, weights, fibre: (
+        products.append(len(weights) * sum(map(len, fibre)))
+        or fibre_sums(cfg, weights, fibre)))
+    name = "eval_G" if basis is Basis.CARLITZ_G else "eval_D"
+    evaluate = getattr(transforms, name)
+
+    def read(cfg, j, x, primed=False):
+        reads.append((j, x.coeffs))
+        return evaluate(cfg, j, x, primed=primed)
+    monkeypatch.setattr(transforms, name, read)
+    f = add_func(D_func(cfg, 4), monomial_func(cfg, 3))
+    got = transforms._enumeration_coeffs([f], J, cfg, level, q ** n, basis)[0]
+    assert len(got.coeffs) == J
+    assert sum(products) == want <= n * q ** (n + 1)
+    assert want == {256: n * q ** (n + 1), 4: 1528}[J]
+    assert len(reads) == sum(len(box) * q ** (n - t) for t, box in enumerate(boxes))
+    for j, coeffs in reads:
+        t = j.bit_length() - 1 if j else 0
+        assert j in (0, q ** t) and not any(coeffs[:t])
 
 
 # ---------------------------------------------------------------------------
