@@ -5,9 +5,10 @@ witness.  Sup-norm style claims are certified on a finite range (recorded
 in the report) rather than proved.  The orthogonality suite is verified
 by a certificate on the levels E_t and D_t alone, which proves every Gram
 entry of their digit products (``_levels_certified``); G_j and D_j are
-tabulated only when it fails.  The distance and reduced-basis checks
-read E_n(T^i) and D_n(T^i) mod T^P, from the truncated point
-T^i + O(T^(n+P)), not exactly.
+tabulated only when it fails.  An addition law compares multi-digit
+values F_j(x + u) with a product of one-digit sums at x and u.  The
+distance and reduced-basis checks read E_n(T^i) and D_n(T^i) mod T^P,
+from the truncated point T^i + O(T^(n+P)), not exactly.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import List, Optional
 
 from .algebra import (
@@ -270,62 +271,52 @@ def _addition_failure(cfg, family, j, x, u) -> Optional[VerdictReport]:
     if evaluate is None:
         raise DomainError(f"unknown family {family!r}")
 
-    def falsified(identity, **witness):
-        return _verdict(identity, _addition_config(cfg, family, j, x, u), False,
-                        witness=witness)
-
     f = lambda y: evaluate(cfg, j, y, primed=primed)
-    binomials, support = _binomial_row(j, cfg.p)
-    convolution = _addition_convolution(cfg, evaluate, primed, j, x, u, support)
+    convolution = _addition_convolution(cfg, evaluate, primed, j, x, u)
     lhs = f(x + u)
-    rhs = convolution(binomials)
-    if not values_match(lhs, rhs):
-        return falsified("addition_law", lhs=str(lhs), rhs=str(rhs))
-    fx = f(x)
-    for alpha in range(1, cfg.q):
-        left = f(x.scalar_mul(alpha))
-        right = fx.scalar_mul(cfg.pow(alpha, j))
+
+    def laws():  # (identity, witness, left, right), each formed when read
+        yield "addition_law", {}, lhs, convolution(
+            lambda d, a: lucas_binom(d, a, cfg.p))
+        for alpha in range(2, cfg.q):
+            yield ("addition_scaling", {"alpha": alpha}, f(x.scalar_mul(alpha)),
+                   f(x).scalar_mul(cfg.pow(alpha, j)))
+        if j > 0 and _is_q_power(j + 1, cfg.q):
+            yield "addition_sign_form", {}, lhs, convolution(lambda d, a: cfg.sign(a))
+            yield "addition_diff_form", {}, f(x - u), convolution(lambda d, a: 1)
+
+    for identity, witness, left, right in laws():
         if not values_match(left, right):
-            return falsified("addition_scaling", alpha=alpha, lhs=str(left),
-                             rhs=str(right))
-    if j > 0 and _is_q_power(j + 1, cfg.q):
-        signed = convolution([cfg.sign(e) for e in support])
-        if not values_match(lhs, signed):
-            return falsified("addition_sign_form", lhs=str(lhs), rhs=str(signed))
-        diff_lhs = f(x - u)
-        diff_rhs = convolution([1] * len(support))
-        if not values_match(diff_lhs, diff_rhs):
-            return falsified("addition_diff_form", lhs=str(diff_lhs),
-                             rhs=str(diff_rhs))
+            return _verdict(identity, _addition_config(cfg, family, j, x, u), False,
+                            witness=dict(witness, lhs=str(left), rhs=str(right)))
     return None
 
 
-@lru_cache(maxsize=None)
-def _binomial_row(j, p):
-    """The binomials C(j, e) mod p that are nonzero, and their e <= j, in
-    order of e: F_e(x) F'_{j-e}(u) is formed for each such e.  At
-    j = q**m - 1 that is every e <= j, as the signed and x - u forms need.
+def _addition_convolution(cfg, evaluate, primed, j, x, u):
+    """The map from a digit weight w(d, a) in [0, p) (read in F_p) to the
+    Poly sum over e of prod_t w(d_t, e_t) F_e(x) F'_{j-e}(u), F being
+    ``evaluate`` (eval_G or eval_D), primed on u as asked, each e_t in the
+    box of the a <= d_t with C(d_t, a) != 0 mod p: as F_e and F'_{j-e} are
+    digit products, the product over the digits d_t != 0 of j of the sums
+    of w(d_t, a) F_{a q**t}(x) F'_{(d_t - a) q**t}(u), F_0 = 1 unread, each
+    one ``product_sums`` formed once for every w.  The weights C(d, a),
+    (-1)**a and 1 give C(j, e) (Lucas), (-1)**e (q**t odd, or p = 2) and 1.
     """
-    binomials = [lucas_binom(j, e, p) for e in range(j + 1)]
-    support = tuple(e for e, c in enumerate(binomials) if c)
-    return tuple(binomials[e] for e in support), support
+    factors, unit = [], 1
+    while j:
+        j, d = divmod(j, cfg.q)
+        if d:
+            box = [a for a in range(d + 1) if lucas_binom(d, a, cfg.p)]
+            left = [evaluate(cfg, a * unit, x).coeffs if a else b"\1" for a in box]
+            right = [evaluate(cfg, (d - a) * unit, u, primed=primed).coeffs
+                     if a < d else b"\1" for a in box]
+            factors.append((d, box, product_sums(cfg, left, right,
+                                                 len(box) * (cfg.p - 1))))
+        unit *= cfg.q
 
-
-def _addition_convolution(cfg, evaluate, primed, j, x, u, support):
-    """The map from weights w (one integer in [0, p) per e in ``support``,
-    read as an element of F_p) to sum over e of w_e F_e(x) F'_{j-e}(u), a
-    Poly; F is ``evaluate`` (eval_G or eval_D), primed on u as asked.
-
-    Each product F_e(x) F'_{j-e}(u) is formed once, and each sum is one
-    weighted sum of those products (``algebra.product_sums``).  A weight
-    is at most p - 1, so a sum has at most len(support) * (p - 1) terms.
-    """
-    left = [evaluate(cfg, e, x).coeffs for e in support]
-    right = [evaluate(cfg, j - e, u, primed=primed).coeffs for e in support]
-    sums = product_sums(cfg, left, right, len(support) * (cfg.p - 1))
-
-    def convolution(weights):
-        return Poly(cfg, sums(enumerate(weights)))
+    def convolution(weight):
+        return prod((Poly(cfg, sums([(i, weight(d, a)) for i, a in enumerate(box)]))
+                     for d, box, sums in factors), start=Poly.one(cfg))
 
     return convolution
 
@@ -534,16 +525,11 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
         elif sel == "addition":
             j_max = min(cfg.q ** 3, budget)
             for family in ("G", "Gp", "D", "Dp"):
-                bad = None
-                for j in range(j_max):
-                    for _ in range(3):
-                        x = random_poly(cfg, rng, 3)
-                        u = random_poly(cfg, rng, 3)
-                        bad = _addition_failure(cfg, family, j, x, u)
-                        if bad:
-                            break
-                    if bad:
-                        break
+                # Three (x, u) per j, drawn as checked, up to the first failure.
+                bad = next(filter(None, (
+                    _addition_failure(cfg, family, j, random_poly(cfg, rng, 3),
+                                      random_poly(cfg, rng, 3))
+                    for j in range(j_max) for _ in range(3))), None)
                 reports.append(bad or VerdictReport(
                     "addition_law", {"family": family, "q": cfg.q,
                                      "j_max": j_max, "seed": seed}, VERIFIED))

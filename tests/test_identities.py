@@ -554,93 +554,143 @@ def test_addition_law_planted_faults(monkeypatch, f3, identity, family, j, fault
         parse_poly(f3, report.config["u"])).to_json()
 
 
+def _digit_boxes(q, p, j):
+    # Per base-q digit d_t != 0 of j: (t, d_t, the a <= d_t with C(d_t, a)
+    # != 0 mod p).  j has at most bit_length(j) digits.
+    digits = []
+    for t in range(j.bit_length()):
+        d = j // q ** t % q
+        if d:
+            digits.append((t, d, [a for a in range(d + 1)
+                                  if identities.lucas_binom(d, a, p)]))
+    return digits
+
+
 @pytest.mark.parametrize("family", ["Gp", "Dp"])
-def test_addition_law_forms_each_product_once(monkeypatch, f3, family):
-    # Every F_e(x) F'_{j-e}(u) is formed once per check, also when the
-    # signed and x - u forms of j = q^m - 1 reuse it; the verdicts agree.
-    x, u = parse_poly(f3, "T^2+1"), parse_poly(f3, "2*T+2")
-    evaluate = eval_G if family == "Gp" else eval_D
-    calls = []
+def test_addition_law_reads_each_one_digit_value_once(monkeypatch, family):
+    # Within one check the right sides read x and u only at one-digit
+    # indices a q**t, a in the box of the digit d_t of j (F_0 = 1 is not
+    # read): F_{a q**t}(x) for a != 0 and F'_{(d_t - a) q**t}(u) for
+    # a != d_t, each once, also when the signed and x - u forms of
+    # j = q**m - 1 reuse the sums.  The primed families read F'_j(x) for
+    # the scaling law, so the right side's reads at x are the unprimed ones.
+    # q = 4 and 9 have digits whose box leaves out some a <= d_t.
+    for q in (3, 4, 9):
+        cfg = FieldConfig(*FIELDS[q])
+        x, u = Poly(cfg, [1, 0, 1]), Poly(cfg, [1, 1])
+        evaluate = eval_G if family == "Gp" else eval_D
+        calls = []
 
-    def counting(cfg, k, y, primed=False):
-        calls.append((k, y, primed))
-        return evaluate(cfg, k, y, primed=primed)
+        def counting(cfg, k, y, primed=False):
+            calls.append((k, y, primed))
+            return evaluate(cfg, k, y, primed=primed)
 
-    monkeypatch.setattr(identities, "eval_" + family[0], counting)
-    for j in (2, 5, 8):
-        calls.clear()
-        assert check_addition_law(f3, family, j, x, u).status == VERIFIED
-        weighted = [e for e in range(j + 1) if identities.lucas_binom(j, e, 3)]
-        assert [k for k, y, primed in calls if y == x and not primed] == weighted
-        assert [j - k for k, y, primed in calls if y == u] == weighted
-
-
-def test_binomial_rows_formed_once(monkeypatch, f3, rng):
-    # Each (j, p) row of binomials is formed once, whatever the number of
-    # checks at j, and holds the nonzero C(j, e) mod p in order of e.
-    identities._binomial_row.cache_clear()
-    calls = []
-    binom = identities.lucas_binom
-    monkeypatch.setattr(identities, "lucas_binom",
-                        lambda *args: calls.append(args) or binom(*args))
-    for j in range(9):
-        for _ in range(3):
-            x, u = random_poly(f3, rng, 3), random_poly(f3, rng, 3)
-            assert check_addition_law(f3, "G", j, x, u).ok
-            assert check_addition_law(f3, "Dp", j, x, u).ok
-        weights, support = identities._binomial_row(j, 3)
-        assert support == tuple(e for e in range(j + 1) if binom(j, e, 3))
-        assert weights == tuple(binom(j, e, 3) for e in support)
-    assert sorted(calls) == sorted((j, e, 3) for j in range(9)
-                                   for e in range(j + 1))
-    identities._binomial_row.cache_clear()
+        monkeypatch.setattr(identities, "eval_" + family[0], counting)
+        for j in sorted({0, 1, q - 1, q, 2 * q + 1, q * q - 1, q * q + q - 1,
+                         2 * q * q, q ** 3 - 1}):
+            calls.clear()
+            assert check_addition_law(cfg, family, j, x, u).status == VERIFIED
+            boxes = _digit_boxes(q, cfg.p, j)
+            at_x = sorted(a * q ** t for t, d, box in boxes for a in box if a)
+            at_u = sorted((d - a) * q ** t for t, d, box in boxes for a in box
+                          if a < d)
+            assert sorted(k for k, y, primed in calls if y == x and not primed) == at_x
+            assert sorted(k for k, y, primed in calls if y == u and primed) == at_u
+            assert not [k for k, y, primed in calls if y == u and not primed]
+            assert all(k == j for k, y, primed in calls
+                       if y != u and (y != x or primed))
+        monkeypatch.undo()
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.sampled_from(["G", "Gp", "D", "Dp"]),
        st.data())
-@settings(max_examples=60, deadline=None)
-def test_addition_convolutions_match_per_product_sums(q, family, data):
-    # The packed convolutions of the addition law against one product,
-    # scalar multiple and addition per e: binomial, signed, unit and
-    # all-(p - 1) weights, the last at the slot bound's weight factor, for
-    # j up to q**2 - 1 and every j = q**m - 1 among them.
+@settings(max_examples=100, deadline=None)
+def test_factored_convolution_matches_per_product_sums(q, family, data):
+    # The product of one-digit sums against one product, scalar multiple
+    # and addition per e (``oracles.addition_convolution``), with the
+    # binomial, signed and unit weights read per e: C(j, e) mod p, and
+    # (-1)**e and 1 on the e with C(j, e) != 0 mod p; for j < q**3 and
+    # every j = q**m - 1, at points that may be 0.
     cfg = FieldConfig(*FIELDS[q])
     p = cfg.p
-    j = data.draw(st.one_of(st.sampled_from((q - 1, q * q - 1)),
-                            st.integers(0, q * q - 1)))
-    x = Poly(cfg, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
-    u = Poly(cfg, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
+    j = data.draw(st.one_of(st.sampled_from((0, q - 1, q * q - 1, q ** 3 - 1)),
+                            st.integers(0, q ** 3 - 1)))
+    point = st.one_of(st.just([]), st.lists(st.integers(0, q - 1), max_size=3))
+    x, u = Poly(cfg, data.draw(point)), Poly(cfg, data.draw(point))
     evaluate = eval_G if family[0] == "G" else eval_D
     primed = family.endswith("p")
-    support = [e for e in range(j + 1) if identities.lucas_binom(j, e, p)]
-    convolution = identities._addition_convolution(cfg, evaluate, primed, j, x, u,
-                                                   support)
-    for weight in (lambda e: identities.lucas_binom(j, e, p), cfg.sign,
-                   lambda e: 1, lambda e: p - 1):
-        want = addition_convolution(cfg, evaluate, primed, j, x, u,
-                                    lambda e: weight(e) if e in support else 0)
-        assert convolution([weight(e) for e in support]) == want
+    convolution = identities._addition_convolution(cfg, evaluate, primed, j, x, u)
+    support = lambda e: identities.lucas_binom(j, e, p)
+    for digit_weight, weight in (
+            (lambda d, a: identities.lucas_binom(d, a, p), support),
+            (lambda d, a: cfg.sign(a), lambda e: support(e) and cfg.sign(e)),
+            (lambda d, a: 1, lambda e: support(e) and 1)):
+        want = addition_convolution(cfg, evaluate, primed, j, x, u, weight)
+        assert convolution(digit_weight) == want
 
 
-@pytest.mark.parametrize("q", sorted(FIELDS))
-def test_addition_convolution_at_slot_bound(q):
-    # All-(q-1) factors of length 3 and all-(p-1) weights fill the middle
-    # slot to terms * (p-1) * 3 * e * (p-1)**2, the slot bound: with the
-    # most terms that 8 bits hold and then one more, the sums must equal
-    # the per-product ones, or a slot has carried.
+@pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q % 2])
+def test_addition_convolution_at_slot_width_step(monkeypatch, q):
+    # A one-digit j = d, all-(q - 1) values of length L and all-(p - 1)
+    # weights: the one-digit sum over the box of d has |box| (p - 1) terms,
+    # so its slot bound is |box| (p - 1) L e (p - 1)**2.  At the longest L
+    # that 8 bits hold and at one longer the factors must be packed at 8
+    # and then 16 bits, and the sum must equal the per-product one.  d is
+    # the largest digit for which L = 1 fits 8 bits.  For p = 2 the sums
+    # XOR and pack nothing (``test_xor_convolution_matches_packed``).
     cfg = FieldConfig(*FIELDS[q])
     p, e = cfg.p, cfg.e
+    per_length = {d: len(_digit_boxes(q, p, d)[0][2]) * (p - 1) ** 3 * e
+                  for d in range(1, q)}
+    d = max(d for d, c in per_length.items() if c <= 255)
+    low = 255 // per_length[d]
+    x = u = Poly.one(cfg)
+    for length, width in ((low, 8), (low + 1, 16)):
+        def evaluate(cfg, k, y, primed=False):
+            return Poly(cfg, [q - 1] * length) if k else Poly.one(cfg)
+        widths = []
+        packer = algebra.pack
+        monkeypatch.setattr(algebra, "pack", lambda cfg, coeffs, w: widths.append(w)
+                            or packer(cfg, coeffs, w))
+        convolution = identities._addition_convolution(cfg, evaluate, False, d,
+                                                       x, u)
+        monkeypatch.undo()
+        assert set(widths) == {width}
+        got = convolution(lambda d, a: p - 1)
+        want = addition_convolution(cfg, evaluate, False, d, x, u,
+                                    lambda a: identities.lucas_binom(d, a, p)
+                                    and p - 1)
+        assert got == want and not got.is_zero
 
-    def evaluate(cfg, k, y, primed=False):
-        return Poly(cfg, [q - 1] * 3)
-    per_term = (p - 1) * 3 * e * (p - 1) ** 2
-    for terms in (255 // per_term, 255 // per_term + 1):
-        support = list(range(terms))
-        x = u = Poly.one(cfg)
-        got = identities._addition_convolution(cfg, evaluate, False, terms - 1,
-                                               x, u, support)([p - 1] * terms)
-        assert got == addition_convolution(cfg, evaluate, False, terms - 1, x, u,
-                                           lambda e: p - 1)
+
+@pytest.mark.parametrize("q,a,t", [(2, 1, 2), (3, 2, 1), (4, 3, 1), (5, 4, 0),
+                                   (8, 3, 1), (9, 5, 1)])
+@pytest.mark.parametrize("family", ["G", "Gp", "D", "Dp"])
+def test_addition_law_fault_in_one_one_digit_value(monkeypatch, q, a, t, family):
+    # F_{a q**t}(x) + 1 at x only, unprimed only: the checks at j in order
+    # verify until the first j whose box at t holds a, which is a q**t,
+    # and that one is falsified as the addition law, with the planted value
+    # on its right side only.
+    cfg = FieldConfig(*FIELDS[q])
+    x, u = Poly(cfg, [1, 0, 1]), Poly(cfg, [0, 1, 1])
+    name = "eval_" + family[0]
+    evaluate = getattr(identities, name)
+
+    def planted(cfg, k, y, primed=False):
+        value = evaluate(cfg, k, y, primed=primed)
+        return value + Poly.one(cfg) if (k, y, primed) == (a * q ** t, x, False) else value
+
+    monkeypatch.setattr(identities, name, planted)
+    def holds(j):  # the box of the digit of j at t holds a
+        return any(s == t and a in box for s, _, box in _digit_boxes(q, cfg.p, j))
+
+    first = next(j for j in range(q ** 3) if holds(j))
+    assert first == a * q ** t
+    for j in range(first):
+        assert check_addition_law(cfg, family, j, x, u).status == VERIFIED
+    r = check_addition_law(cfg, family, first, x, u)
+    assert (r.identity, r.status) == ("addition_law", FALSIFIED)
+    assert r.witness["lhs"] != r.witness["rhs"]
 
 
 @given(st.sampled_from([4, 8]), st.sampled_from(["G", "Gp", "D", "Dp"]),

@@ -603,6 +603,8 @@ def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
             return int(side != shorter and m.is_zero)
 
         def w(cfg, idx, m, primed=False):
+            if not idx:  # F'_0 = 1, which the transform does not read
+                return Poly.one(cfg)
             return full(lengths["w"] - (idx != q - 1) - cut("w", m))
 
         def f(m):
@@ -619,29 +621,49 @@ def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
         want = enumeration_coeffs_by_pairs(f, 2, cfg, Basis.CARLITZ_G, 1,
                                            evaluate=w)
         _assert_same_expansion(got, want)
-        assert not any(c.is_zero for c in want.coeffs)
+        # At q = 2 the coefficient j = 1 (K = 0) is the plain sum of the
+        # values of f, zero when f is not cut; every other is a product sum.
+        assert not any(c.is_zero for c in want.coeffs[:1 if q == 2 else 2])
+
+
+@pytest.mark.parametrize("q", [17, 131])
+def test_enumeration_plain_row_past_8_bit_slots(q):
+    # The row a_t = 0 (weight F'_0 = 1) sums the q values of each fibre
+    # with no product.  With every digit p - 1 a slot of that sum reaches
+    # q (p - 1) > 255 for q >= 17, so it must be packed wider than 8 bits;
+    # f is one digit short at m = 0, so no sum is zero.
+    cfg = FieldConfig(q)
+
+    def f(m):
+        return Poly(cfg, [q - 1] * (3 - m.is_zero))
+    got = carlitz_coeffs(f, q, cfg, level=1)
+    want = enumeration_coeffs_by_pairs(f, q, cfg, Basis.CARLITZ_G, 1)
+    _assert_same_expansion(got, want)
+    assert not want.coeffs[q - 1].is_zero
 
 
 @pytest.mark.parametrize("J,level", [(256, None), (4, 8)])
 @pytest.mark.parametrize("basis", [Basis.CARLITZ_G, Basis.DIGIT_D])
 def test_enumeration_transform_cost(monkeypatch, J, level, basis):
-    # At q = 2, n = 8, step t multiplies each of the |box_t| weights of a
-    # fibre by each of its q |box_{<t}| entries, for each of the q**(n-t-1)
-    # suffixes: sum over t of |box_{<t}| |box_t| q**(n-t) products, at most
-    # n q**(n+1), where one product per (j, m) takes J q**n.  The weights are
-    # the one-digit values F'_{a q**t}, read only at the q**(n-t) points with
-    # no digit below t.
+    # At q = 2, n = 8, step t multiplies each of the weights F'_{a q**t},
+    # a != 0 in box_t, of a fibre by each of its q |box_{<t}| entries, for
+    # each of the q**(n-t-1) suffixes: sum over t of
+    # |box_{<t}| |box_t \ {0}| q**(n-t) products, at most n (q - 1) q**n,
+    # where one product per (j, m) takes J q**n.  The row a = 0 has the
+    # weight F'_0 = 1 at every point: a plain sum, no product and no read.
+    # The weights are read only at the q**(n-t) points with no digit below t.
     cfg = FieldConfig(2)
     n, q = 8, 2
     boxes, _ = _digit_box(q, range(q ** n - 1, q ** n - 1 - J, -1))
     want, lower = 0, 1
     for t, box in enumerate(boxes):
-        want += lower * len(box) * q ** (n - t)
+        want += lower * (len(box) - (0 in box)) * q ** (n - t)
         lower *= len(box)
     products, reads = [], []
     fibre_sums = transforms._fibre_sums
     monkeypatch.setattr(transforms, "_fibre_sums", lambda cfg, weights, fibre: (
-        products.append(len(weights) * sum(map(len, fibre)))
+        products.append(sum(any(w != Poly.one(cfg) for w in row) for row in weights)
+                        * sum(map(len, fibre)))
         or fibre_sums(cfg, weights, fibre)))
     name = "eval_G" if basis is Basis.CARLITZ_G else "eval_D"
     evaluate = getattr(transforms, name)
@@ -653,12 +675,13 @@ def test_enumeration_transform_cost(monkeypatch, J, level, basis):
     f = add_func(D_func(cfg, 4), monomial_func(cfg, 3))
     got = transforms._enumeration_coeffs([f], J, cfg, level, q ** n, basis)[0]
     assert len(got.coeffs) == J
-    assert sum(products) == want <= n * q ** (n + 1)
-    assert want == {256: n * q ** (n + 1), 4: 1528}[J]
-    assert len(reads) == sum(len(box) * q ** (n - t) for t, box in enumerate(boxes))
+    assert sum(products) == want <= n * (q - 1) * q ** n
+    assert want == {256: n * (q - 1) * q ** n, 4: 1016}[J]
+    assert len(reads) == sum((len(box) - (0 in box)) * q ** (n - t)
+                             for t, box in enumerate(boxes))
     for j, coeffs in reads:
-        t = j.bit_length() - 1 if j else 0
-        assert j in (0, q ** t) and not any(coeffs[:t])
+        t = j.bit_length() - 1
+        assert j == q ** t and not any(coeffs[:t])
 
 
 # ---------------------------------------------------------------------------
