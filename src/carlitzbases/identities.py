@@ -5,10 +5,9 @@ witness.  Sup-norm style claims are certified on a finite range (recorded
 in the report) rather than proved.  The orthogonality suite is verified
 by a certificate on the levels E_t and D_t alone, which proves every Gram
 entry of their digit products (``_levels_certified``); G_j and D_j are
-tabulated only when it fails.  An addition law compares multi-digit
-values F_j(x + u) with a product of one-digit sums at x and u.  The
-distance and reduced-basis checks read E_n(T^i) and D_n(T^i) mod T^P,
-from the truncated point T^i + O(T^(n+P)), not exactly.
+tabulated only when it fails.  An addition law's right side is a product
+of one-digit sums.  The distance and reduced-basis checks read E_n(T^i)
+and D_n(T^i) mod T^P, from the truncated point T^i + O(T^(n+P)), not exactly.
 """
 from __future__ import annotations
 
@@ -271,24 +270,31 @@ def _addition_failure(cfg, family, j, x, u) -> Optional[VerdictReport]:
     if evaluate is None:
         raise DomainError(f"unknown family {family!r}")
 
+    def falsified(identity, **witness):
+        return _verdict(identity, _addition_config(cfg, family, j, x, u), False,
+                        witness=witness)
+
     f = lambda y: evaluate(cfg, j, y, primed=primed)
     convolution = _addition_convolution(cfg, evaluate, primed, j, x, u)
     lhs = f(x + u)
-
-    def laws():  # (identity, witness, left, right), each formed when read
-        yield "addition_law", {}, lhs, convolution(
-            lambda d, a: lucas_binom(d, a, cfg.p))
-        for alpha in range(2, cfg.q):
-            yield ("addition_scaling", {"alpha": alpha}, f(x.scalar_mul(alpha)),
-                   f(x).scalar_mul(cfg.pow(alpha, j)))
-        if j > 0 and _is_q_power(j + 1, cfg.q):
-            yield "addition_sign_form", {}, lhs, convolution(lambda d, a: cfg.sign(a))
-            yield "addition_diff_form", {}, f(x - u), convolution(lambda d, a: 1)
-
-    for identity, witness, left, right in laws():
+    rhs = convolution(lambda d, a: lucas_binom(d, a, cfg.p))
+    if not values_match(lhs, rhs):
+        return falsified("addition_law", lhs=str(lhs), rhs=str(rhs))
+    for alpha in range(2, cfg.q):
+        left = f(x.scalar_mul(alpha))
+        right = f(x).scalar_mul(cfg.pow(alpha, j))
         if not values_match(left, right):
-            return _verdict(identity, _addition_config(cfg, family, j, x, u), False,
-                            witness=dict(witness, lhs=str(left), rhs=str(right)))
+            return falsified("addition_scaling", alpha=alpha, lhs=str(left),
+                             rhs=str(right))
+    if j > 0 and _is_q_power(j + 1, cfg.q):
+        signed = convolution(lambda d, a: cfg.sign(a))
+        if not values_match(lhs, signed):
+            return falsified("addition_sign_form", lhs=str(lhs), rhs=str(signed))
+        diff_lhs = f(x - u)
+        diff_rhs = convolution(lambda d, a: 1)
+        if not values_match(diff_lhs, diff_rhs):
+            return falsified("addition_diff_form", lhs=str(diff_lhs),
+                             rhs=str(diff_rhs))
     return None
 
 
@@ -296,12 +302,11 @@ def _addition_convolution(cfg, evaluate, primed, j, x, u):
     """The map from a digit weight w(d, a) in [0, p) (read in F_p) to the
     Poly sum over e of prod_t w(d_t, e_t) F_e(x) F'_{j-e}(u), F being
     ``evaluate`` (eval_G or eval_D), primed on u as asked, each e_t in the
-    box of the a <= d_t with C(d_t, a) != 0 mod p: as F_e and F'_{j-e} are
-    digit products, the product over the digits d_t != 0 of j of the sums
-    of w(d_t, a) F_{a q**t}(x) F'_{(d_t - a) q**t}(u), F_0 = 1 unread, each
-    one ``product_sums`` formed once for every w.  The weights C(d, a),
-    (-1)**a and 1 give C(j, e) (Lucas), (-1)**e (q**t odd, or p = 2) and 1.
-    """
+    box of the a with C(d_t, a) != 0 mod p.  As F_e and F'_{j-e} are digit
+    products, it is the product over the digits d_t != 0 of j of the sums of
+    w(d_t, a) F_{a q**t}(x) F'_{(d_t - a) q**t}(u), F_0 = 1 unread, each one
+    ``product_sums`` formed once for every w.  The weights C(d, a), (-1)**a
+    and 1 give C(j, e) (Lucas), (-1)**e (q**t odd, or p = 2) and 1."""
     factors, unit = [], 1
     while j:
         j, d = divmod(j, cfg.q)
@@ -525,11 +530,16 @@ def run_suite(cfg: FieldConfig, selector: str, *, n: int = 2,
         elif sel == "addition":
             j_max = min(cfg.q ** 3, budget)
             for family in ("G", "Gp", "D", "Dp"):
-                # Three (x, u) per j, drawn as checked, up to the first failure.
-                bad = next(filter(None, (
-                    _addition_failure(cfg, family, j, random_poly(cfg, rng, 3),
-                                      random_poly(cfg, rng, 3))
-                    for j in range(j_max) for _ in range(3))), None)
+                bad = None
+                for j in range(j_max):
+                    for _ in range(3):
+                        x = random_poly(cfg, rng, 3)
+                        u = random_poly(cfg, rng, 3)
+                        bad = _addition_failure(cfg, family, j, x, u)
+                        if bad:
+                            break
+                    if bad:
+                        break
                 reports.append(bad or VerdictReport(
                     "addition_law", {"family": family, "q": cfg.q,
                                      "j_max": j_max, "seed": seed}, VERIFIED))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial, reduce
 from itertools import chain, islice
 from typing import Callable, List, Optional
 
@@ -30,13 +29,9 @@ from .algebra import (
     PrecisionError,
     TruncSeries,
     Value,
-    _add,
     lucas_binom,
-    pack,
     packed_sums,
     poly_enumerate,
-    slot_width,
-    unpack,
     _spread,
     valuation_norm,
 )
@@ -360,9 +355,9 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
     H_{t+1}(a_0..a_t; c_{t+1}..) = sum over c_t of H_t(a_0..a_{t-1}; c_t,
     c_{t+1}..) F'_{a_t q**t}(c_t T**t + ...), a_t over the digit box of the
     needed K (``_digit_box``), one fibre sum per suffix (``_fibre_sums``),
-    F'_0 = 1 unread: sum over t of |box_{<t}| |box_t - {0}| q**(n-t) <=
-    n (q - 1) q**n products per function, not J q**n.  The precision rule
-    of ``_weighted_sums`` is summed out the same way, by min and +.
+    F'_0 = 1 unread: sum over t of |box_{<t}| |box_t| q**(n-t) <= n q**(n+1)
+    products per function, not J q**n, the a_t = 0 row an XOR for p = 2.
+    The precision rule of ``_weighted_sums`` is summed out alike, by min and +.
     """
     _check_terms(J)
     q = cfg.q
@@ -399,23 +394,18 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
 def _fibre_sums(cfg: FieldConfig, weights, fibre) -> List[bytes]:
     """The codes of sum over c of weights[a][c] * fibre[c][e] for each row
     a of the exact ``weights`` and each entry e of the equal-length lists
-    of codes fibre[c], a-major: one packed sum per row, each list laid end
-    to end at a stride at which a slot meets the digits of one entry only;
-    a row of unit weights is the plain sum of the lists, with no product."""
+    of codes fibre[c], a-major: one packed sum per row (an XOR for unit rows
+    if p = 2), the lists laid end to end so a slot meets one entry only."""
     rows = [[w.coeffs for w in row] for row in weights]
-    unit = [b"\1"] * len(fibre)
-    products = [row for row in rows if row != unit]
+    products = [row for row in rows if cfg.p != 2 or row != [b"\1"] * len(fibre)]
     longest = max(map(len, chain.from_iterable(fibre)))
     wide = max((len(c) for row in products for c in row), default=1)
     count, stride = len(fibre[0]), max(longest + wide - 1, longest, 1)
     lines = [b"".join(x.ljust(stride, b"\0") for x in block) for block in fibre]
     sums = packed_sums(cfg, products, [lines], length=min(longest, wide))
-    if unit in rows:  # an XOR of the lines for p = 2, else one packed sum
-        width = slot_width(cfg, len(lines), 1)
-        plain = reduce(partial(_add, cfg), lines) if cfg.p == 2 else unpack(
-            cfg, sum(pack(cfg, line, width) for line in lines), width)
+    plain = lambda: sum((Poly(cfg, line) for line in lines), Poly.zero(cfg)).coeffs
     return [total[i:i + stride].rstrip(b"\0")
-            for total in (plain if row == unit else next(sums) for row in rows)
+            for total in (next(sums) if row in products else plain() for row in rows)
             for i in range(0, count * stride, stride)]
 
 

@@ -626,22 +626,6 @@ def test_enumeration_coeffs_at_slot_width_step(monkeypatch, q, shorter):
         assert not any(c.is_zero for c in want.coeffs[:1 if q == 2 else 2])
 
 
-@pytest.mark.parametrize("q", [17, 131])
-def test_enumeration_plain_row_past_8_bit_slots(q):
-    # The row a_t = 0 (weight F'_0 = 1) sums the q values of each fibre
-    # with no product.  With every digit p - 1 a slot of that sum reaches
-    # q (p - 1) > 255 for q >= 17, so it must be packed wider than 8 bits;
-    # f is one digit short at m = 0, so no sum is zero.
-    cfg = FieldConfig(q)
-
-    def f(m):
-        return Poly(cfg, [q - 1] * (3 - m.is_zero))
-    got = carlitz_coeffs(f, q, cfg, level=1)
-    want = enumeration_coeffs_by_pairs(f, q, cfg, Basis.CARLITZ_G, 1)
-    _assert_same_expansion(got, want)
-    assert not want.coeffs[q - 1].is_zero
-
-
 @pytest.mark.parametrize("J,level", [(256, None), (4, 8)])
 @pytest.mark.parametrize("basis", [Basis.CARLITZ_G, Basis.DIGIT_D])
 def test_enumeration_transform_cost(monkeypatch, J, level, basis):
@@ -650,7 +634,7 @@ def test_enumeration_transform_cost(monkeypatch, J, level, basis):
     # each of the q**(n-t-1) suffixes: sum over t of
     # |box_{<t}| |box_t \ {0}| q**(n-t) products, at most n (q - 1) q**n,
     # where one product per (j, m) takes J q**n.  The row a = 0 has the
-    # weight F'_0 = 1 at every point: a plain sum, no product and no read.
+    # weight F'_0 = 1 at every point: for p = 2 an XOR, no product and no read.
     # The weights are read only at the q**(n-t) points with no digit below t.
     cfg = FieldConfig(2)
     n, q = 8, 2
