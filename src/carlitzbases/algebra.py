@@ -162,9 +162,11 @@ class FieldConfig:
             self.fold_table = [self.mul_table[h][u_e] for h in range(p ** (e - 1))]
         self.inv_table = [None] + [row.index(1) for row in self.mul_table[1:]]
         # The same maps as 256-byte rows of ``bytes.translate``: mul_rows[c]
-        # takes each code x to c x, neg_row takes it to -x.
+        # takes each code x to c x, neg_row takes it to -x, and pow_p_row
+        # to x**p (the identity for e = 1).
         self.mul_rows = [bytes(row).ljust(256, b"\0") for row in self.mul_table]
         self.neg_row = bytes(self.neg_table).ljust(256, b"\0")
+        self.pow_p_row = bytes(self.pow(x, p) for x in range(q)).ljust(256, b"\0")
         # Byte tables of pack and unpack, built by the first call at a width.
         self._slot_tables = {}
 
@@ -464,13 +466,16 @@ KRONECKER_CROSSOVER = {(False, False): 0.73, (False, True): 1.20,
 def _mul(cfg: FieldConfig, a: bytes, b: bytes, size: int) -> bytes:
     """The first ``size`` coefficients of the product of the code strings
     ``a`` and ``b``, as ``size`` bytes: the one multiplication kernel of
-    Poly and TruncSeries.  Dense long products take the Kronecker path
-    (see KRONECKER_CROSSOVER), the rest the row kernel for p = 2 and the
+    Poly and TruncSeries.  A product by the constant 1 is the other
+    factor; dense long products take the Kronecker path (see
+    KRONECKER_CROSSOVER), the rest the row kernel for p = 2 and the
     schoolbook loop for odd p.
     """
     a, b = a[:size], b[:size]
     if len(a) > len(b):
         a, b = b, a
+    if a == b"\1":
+        return b.ljust(size, b"\0")
     char2 = cfg.p == 2
     crossover = KRONECKER_CROSSOVER[char2, cfg.e > 1]
     if crossover < math.inf and (len(a) - a.count(0)) * len(b) > (

@@ -25,6 +25,7 @@ from .algebra import (
     TruncSeries,
     Value,
     _mul,
+    _spread,
     difference_scan,
 )
 from .towers import TOWERS
@@ -244,14 +245,20 @@ def _digit_product(cfg, tower, tables, base, j, primed):
     the tower's point x, base being eval_E or hasse_derivative, primed as
     in ``eval_G`` (``primed`` only when j has a maximal digit), in prefix
     form F_j = F_{j - a q**t} * F_{a q**t}: a is the top digit of j, at
-    position t, and the one-digit value F_{a q**t} is the digit power
-    base(cfg, t, x)**a, less 1 for a primed maximal digit.  The factors
-    multiply from the lowest digit up, ((F_{a_0} * F_{a_1 q}) * F_{a_2 q**2})
-    ..., one product per digit past the first.
+    position t.  The factors multiply from the lowest digit up,
+    ((F_{a_0} * F_{a_1 q}) * F_{a_2 q**2}) ..., one product per digit past
+    the first.
+
+    The one-digit value F_{a q**t} = base(cfg, t, x)**a, less 1 for a
+    primed maximal digit, is formed from a lower one (``_one_digit``): a
+    digit at a fresh point costs at most the a.bit_length() + popcount(a)
+    - 2 products of binary powering, and the digits 1 .. q - 1 in
+    ascending order one product for each a >= 2 with p not dividing a.
+    Values and precisions are those of base(cfg, t, x)**a.
 
     ``tables`` (the tower's unprimed and primed values of the family)
-    supply both factors and keep the result, so each index costs one
-    product and each digit power is formed once per point.
+    supply the factors and keep the result, so each index costs at most
+    one product and each one-digit value is formed once per point.
     """
     table = tables[primed]
     out = table.get(j)
@@ -272,13 +279,52 @@ def _digit_product(cfg, tower, tables, base, j, primed):
                                   primed and _maximal(q, rest))
                    * _digit_product(cfg, tower, tables, base, j - rest,
                                     primed and a == q - 1))
-        elif not primed:
-            out = base(cfg, t, tower.x) ** a
-        else:  # a == q - 1
+        elif primed:  # a == q - 1
             out = _digit_product(cfg, tower, tables, base, j, False) - Poly.one(cfg)
+        else:
+            out = _one_digit(cfg, tower, table, base, t, unit, a)
     table[j] = out
     TOWERS.charge(tower, out)
     return out
+
+
+def _one_digit(cfg, tower, table, base, t, unit, a):
+    """The unprimed one-digit value F_{a q**t}, unit = q**t, not in
+    ``table``: down the chain a -> a/p (p | a), a/2 (other even a), a - 1
+    (odd a) to the first value the table holds, or to 1 (F_{q**t}, from
+    the table or base(cfg, t, x)), then up by a Frobenius (``_pow_p``, no
+    product), a square or a product by F_{q**t}.  The values between are
+    not kept: at a fresh point no later call reads them, and keeping them
+    cost more than it saved."""
+    p, chain = cfg.p, []
+    while a > 1 and a * unit not in table:
+        chain.append(a)
+        a = a // p if a % p == 0 else a // 2 if a % 2 == 0 else a - 1
+    one = table.get(unit)
+    if one is None:
+        one = base(cfg, t, tower.x)
+    out = table[a * unit] if a > 1 else one
+    for a in reversed(chain):
+        if a % p == 0:
+            out = _pow_p(cfg, out)
+        elif a % 2 == 0:
+            out = out * out
+        else:
+            out = out * one
+    return out
+
+
+def _pow_p(cfg, y: Value) -> Value:
+    """y**p by the Frobenius: each code c taken to c**p and moved from
+    T**i to T**(p i).  A truncated series keeps the precision of the
+    product rule, prec(y) + (p - 1) v(y) (v(y) read as prec(y) when y is
+    zero to precision), that of y * y * ... * y, not p prec(y)."""
+    p = cfg.p
+    coeffs = _spread(y.coeffs.translate(cfg.pow_p_row), p)
+    if isinstance(y, Poly):
+        return Poly(cfg, coeffs)
+    prec = y.prec + (p - 1) * (y.v if y.coeffs else y.prec)
+    return TruncSeries(cfg, p * y.v, coeffs, prec)
 
 
 def _digit_rows(cfg, tower, tables, base, boxes, primed):

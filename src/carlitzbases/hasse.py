@@ -38,8 +38,10 @@ def hasse_derivative(cfg: FieldConfig, n: int, x: Value) -> Value:
             return x
         if x.prec <= n:  # never for an exact series
             raise PrecisionError(f"D_{n} needs input precision > {n}, got {x.prec}")
-        # Digits below T**n vanish by Lucas; the constructor strips them.
-        value = TruncSeries(cfg, x.v - n, _hasse_digits(cfg, n, x.v, x.coeffs),
+        # Digits below T**n vanish by Lucas: the window starts at T**n at
+        # the lowest.
+        v = max(x.v, n)
+        value = TruncSeries(cfg, v - n, _hasse_digits(cfg, n, v, x.coeffs[v - x.v:]),
                             x.prec - n)
     tower.D[n] = value
     TOWERS.charge(tower, value)
@@ -47,22 +49,25 @@ def hasse_derivative(cfg: FieldConfig, n: int, x: Value) -> Value:
 
 
 def _hasse_digits(cfg: FieldConfig, n: int, v: int, coeffs) -> list:
-    """D_n on the window sum_k coeffs[k] T**(v+k): the digit C(i, n) a_i of
-    T**(i-n) for each i = v + k, binomials mod p from ``_binomial_row``."""
+    """D_n on the window sum_k coeffs[k] T**(v+k), v >= n: the digit
+    C(i, n) a_i of T**(i-n) for each i = v + k, binomials mod p from
+    ``_binomial_row``; an empty window (a value of degree < n) builds no
+    row."""
     mul = cfg.mul_table
-    row = _binomial_row(n, cfg.p, v + len(coeffs))
-    return [mul[b][a] for b, a in zip(row[v:], coeffs)]
+    row = _binomial_row(n, cfg.p, v - n + len(coeffs))
+    return [mul[b][a] for b, a in zip(row[v - n:], coeffs)]
 
 
 _BINOMIAL_ROWS = {}
 
 
 def _binomial_row(n: int, p: int, size: int) -> bytes:
-    """C(i, n) mod p for i < size (at least), by Lucas: one row per (n, p),
-    extended when a longer window asks for it."""
+    """C(n + k, n) mod p for k < size (at least), by Lucas: one row per
+    (n, p), from i = n on (C(i, n) = 0 below), extended when a longer
+    window asks for it."""
     row = _BINOMIAL_ROWS.get((n, p), b"")
     if len(row) < size:
-        row += bytes(lucas_binom(i, n, p) for i in range(len(row), size))
+        row += bytes(lucas_binom(n + k, n, p) for k in range(len(row), size))
         _BINOMIAL_ROWS[n, p] = row
     return row
 

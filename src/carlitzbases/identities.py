@@ -313,8 +313,10 @@ def _addition_convolution(cfg, evaluate, primed, j, x, u):
         if d:
             box = [a for a in range(d + 1) if lucas_binom(d, a, cfg.p)]
             left = [evaluate(cfg, a * unit, x).coeffs if a else b"\1" for a in box]
-            right = [evaluate(cfg, (d - a) * unit, u, primed=primed).coeffs
-                     if a < d else b"\1" for a in box]
+            # d - a runs over the box backwards (Lucas: no borrow), so the
+            # one-digit values at u are formed upwards, as at x.
+            right = [evaluate(cfg, a * unit, u, primed=primed).coeffs
+                     if a else b"\1" for a in box][::-1]
             factors.append((d, box, product_sums(cfg, left, right,
                                                  len(box) * (cfg.p - 1))))
         unit *= cfg.q

@@ -13,7 +13,8 @@ closure and ((delta - [m] I)**n f)(x) by its closed double sum, the
 distance certificates on exact values, the orthogonality sums one (k, l) pair at a time
 (and, from tabulated values, the primed values by their subset sums and
 every power sum of the levels by brute force), the
-digit products G_j and D_j one digit at a time, and the G- and D-basis
+digit products G_j and D_j one digit at a time (each one-digit value
+by binary powering), and the G- and D-basis
 enumeration coefficients one (j, m) pair at a time and as one weighted
 sum per index over primed digit rows, the addition law's
 convolutions one product at a time, Kronecker packing one slot at a
@@ -486,18 +487,25 @@ def hasse_by_digits(cfg, n: int, x: Value) -> Value:
     return _from_digits(cfg, out, s.prec - n, isinstance(x, Poly))
 
 
+def one_digit_by_power(cfg, a: int, t: int, x: Value, primed: bool, base) -> Value:
+    """The one-digit value F_{a q**t}(x) = base(cfg, t, x)**a, a >= 1, by
+    binary powering (``**``), less 1 for a primed maximal digit a = q - 1."""
+    out = base(cfg, t, x) ** a
+    if primed and a == cfg.q - 1:
+        out = out - Poly.one(cfg)
+    return out
+
+
 def digit_product_by_digits(cfg, j: int, x: Value, primed: bool, base) -> Value:
     """prod base(cfg, n, x)**a_n over the base-q digits a_n of j, one digit
-    at a time from the lowest, each power formed afresh; a primed maximal
-    digit contributes base(cfg, n, x)**a_n - 1.  base is eval_E (G_j) or
+    at a time from the lowest, each power formed afresh
+    (``one_digit_by_power``, primed as asked).  base is eval_E (G_j) or
     hasse_derivative (D_j)."""
     out = None
     for n, a in enumerate(DigitIndex.of(j, cfg.q).digits):
         if a == 0:
             continue
-        factor = base(cfg, n, x) ** a
-        if primed and a == cfg.q - 1:
-            factor = factor - Poly.one(cfg)
+        factor = one_digit_by_power(cfg, a, n, x, primed, base)
         out = factor if out is None else out * factor
     if out is None:
         one = Poly.one(cfg)

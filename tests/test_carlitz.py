@@ -25,7 +25,15 @@ from carlitzbases import (
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
 from carlitzbases.carlitz import eval_G_rows
 from carlitzbases.hasse import eval_D, eval_D_rows, hasse_derivative
-from oracles import FIELDS, box_indices, bracket_step_by_digits, digit_product_by_digits
+from oracles import (
+    FIELDS,
+    box_indices,
+    bracket_step_by_digits,
+    digit_product_by_digits,
+    eval_E_by_steps,
+    hasse_by_digits,
+    one_digit_by_power,
+)
 
 
 def brute_force_e(cfg, n, x):
@@ -437,13 +445,26 @@ def test_negative_digit_index_is_domain_error(monkeypatch, f3, evaluate):
     assert calls == []
 
 
+def _chain_products(a: int, p: int) -> int:
+    """The products that form a one-digit value base**a from a cold point:
+    a = 1 is the base, a multiple of p the Frobenius of a / p (none),
+    another even a the square of a / 2 and an odd a the product of a - 1
+    and 1 (one each)."""
+    if a == 1:
+        return 0
+    if a % p == 0:
+        return _chain_products(a // p, p)
+    return 1 + _chain_products(a // 2 if a % 2 == 0 else a - 1, p)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_digit_product_products(monkeypatch, q):
-    # G_j multiplies its digit powers from the first factor on: with E_n
-    # itself product-free, G_j costs the binary powers of its digits plus
-    # one product per further nonzero digit, and G_{q^n} = E_n costs none.
-    # The cache is cleared before each call, so each count is that of a
-    # cold point.  Values equal the product from 1 of the oracle's powers.
+    # G_j multiplies its one-digit values from the first factor on: with
+    # E_n itself product-free, G_j costs the products of its digits'
+    # chains (``_chain_products``) plus one product per further nonzero
+    # digit, and G_{q^n} = E_n costs none.  The cache is cleared before
+    # each call, so each count is that of a cold point.  Values equal the
+    # product from 1 of the oracle's powers.
     from carlitzbases import algebra
     from oracles import schoolbook_mul
 
@@ -460,7 +481,7 @@ def test_digit_product_products(monkeypatch, q):
             calls.clear()
             got = eval_G(cfg, j, x, primed=primed)
             digits = [a for a in DigitIndex.of(j, q).digits if a]
-            assert len(calls) == sum(a.bit_length() + bin(a).count("1") - 2
+            assert len(calls) == sum(_chain_products(a, cfg.p)
                                      for a in digits) + max(len(digits) - 1, 0)
             expected = Poly.one(cfg)
             for n, a in enumerate(DigitIndex.of(j, q).digits):
@@ -505,6 +526,80 @@ def test_digit_products_match_digit_oracle(q, data):
         assert got == want
 
 
+# The differential fields and two with e = 4 and e = 3, where c -> c**p
+# moves every code that is not in F_p.
+ONE_DIGIT_FIELDS = {**FIELDS, 16: (2, 4), 27: (3, 3)}
+
+
+def _one_digit_point(cfg, t, data, rnd):
+    """A point where E_t and D_t are defined: a Poly or an exact series of
+    degree < 4, or a truncated series of valuation 0..3 whose precision is
+    t + 1 (the least allowed), t + 2 or up to 24; a valuation at or past
+    the precision gives a series that is zero to precision."""
+    kind = data.draw(st.sampled_from(("poly", "exact", "trunc")))
+    if kind != "trunc":
+        x = random_poly(cfg, rnd, rnd.randrange(4))
+        return x if kind == "poly" else x.to_series()
+    v = data.draw(st.integers(0, 3))
+    prec = data.draw(st.sampled_from((t + 1, t + 2, rnd.randrange(t + 1, 25))))
+    return TruncSeries(cfg, v, [rnd.randrange(cfg.q) for _ in range(max(prec - v, 0))],
+                       prec)
+
+
+@given(st.sampled_from(sorted(ONE_DIGIT_FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_digit_values_match_binary_powers(q, data):
+    # Every one-digit value F_{a q**t}(x), plain and primed, G and D, formed
+    # from the lower values of its chain (a Frobenius for p | a, a square
+    # or a product by F_{q**t}), in any order from cold towers: the value,
+    # type, valuation and precision of base(cfg, t, x)**a (less 1 for a
+    # primed maximal digit), by binary powering from the uncached oracles.
+    cfg = FieldConfig(*ONE_DIGIT_FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    t = data.draw(st.integers(0, 1 if q >= 16 else 2))
+    x = _one_digit_point(cfg, t, data, rnd)
+    calls = [(evaluate, base, a, primed) for evaluate, base in (
+        (eval_G, eval_E_by_steps), (eval_D, hasse_by_digits))
+        for a in range(1, q) for primed in (False, True)]
+    want = [one_digit_by_power(cfg, a, t, x, primed, base)
+            for _, base, a, primed in calls]
+    order = list(range(len(calls)))
+    rnd.shuffle(order)
+    _clear_towers()
+    for i in order:
+        evaluate, _, a, primed = calls[i]
+        got = evaluate(cfg, a * q ** t, x, primed=primed)
+        assert type(got) is type(want[i])
+        assert got == want[i]
+        if isinstance(got, TruncSeries):
+            assert (got.v, got.coeffs, got.prec) == (want[i].v, want[i].coeffs,
+                                                     want[i].prec)
+
+
+@pytest.mark.parametrize("q", [131, 251, 256])
+def test_fresh_one_digit_costs_no_more_than_binary_powering(monkeypatch, q):
+    # At a fresh point (cold towers), one one-digit value F_a(x), G or D,
+    # costs at most the a.bit_length() + popcount(a) - 2 products of
+    # binary powering (fewer for p = 2, where an even a is a Frobenius):
+    # a = q - 1 and random a.  Values equal x**a.
+    from carlitzbases import algebra
+
+    cfg = FieldConfig(*{131: (131,), 251: (251,), 256: (2, 8)}[q])
+    rnd = random.Random(q)
+    calls = []
+    kernel = algebra._mul
+    monkeypatch.setattr(algebra, "_mul",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for a in [q - 1] + [rnd.randrange(2, q) for _ in range(8)]:
+        for evaluate in (eval_G, eval_D):
+            x = random_poly(cfg, rnd, 2) + Poly.monomial(cfg, 3)
+            _clear_towers()
+            calls.clear()
+            got = evaluate(cfg, a, x)
+            assert len(calls) <= a.bit_length() + bin(a).count("1") - 2
+            assert got == x ** a
+
+
 def _clear_towers():
     from carlitzbases.towers import TOWERS
     TOWERS.cache_clear()
@@ -517,9 +612,11 @@ def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order
     # From cold caches, F_k(x) and F'_k(x) for every k < q**n, in either
     # order, cost one product per index with two or more nonzero digits,
     # and F'_k one more only when k has a maximal digit q - 1 (otherwise
-    # F'_k = F_k, taken from the cache), plus the binary powers
-    # base_t(x)**a of each one-digit index a q**t, formed once per point
-    # for both.  Every E_t(x) and D_t(x), t < n, is
+    # F'_k = F_k, taken from the cache), plus the one-digit values
+    # base_t(x)**a, formed once per point for both: one product per
+    # position for each digit 2 <= a < q with p not dividing a (a square
+    # or a product by base_t(x); p | a is a Frobenius), n times 1, 3 and 5
+    # products at q = 4, 5 and 9.  Every E_t(x) and D_t(x), t < n, is
     # nonconstant, so no product meets a zero: E_t(x) has degree
     # q**t (deg x - t) for deg x = n, and D_t(x) the top term
     # C(q**n - 1, t) T**(q**n - 1 - t), nonzero by Lucas, for deg x = q**n - 1.
@@ -540,7 +637,7 @@ def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order
     prefixed = [DigitIndex.of(k, q).digits for k in range(q ** n)
                 if sum(map(bool, DigitIndex.of(k, q).digits)) >= 2]
     maximal = sum(1 for digits in prefixed if q - 1 in digits)
-    powers = n * sum(a.bit_length() + bin(a).count("1") - 2 for a in range(1, q))
+    powers = n * sum(1 for a in range(2, q) if a % cfg.p)
     assert len(calls) == len(prefixed) + maximal + powers
     monkeypatch.undo()
     base = eval_E if family == "G" else hasse_derivative
@@ -584,8 +681,10 @@ def test_digit_rows_match_prefix_form(q, data):
 def test_digit_rows_products(monkeypatch, q, n, family):
     # A full row of level n costs one block product per position and
     # nonzero digit, n(q - 1) in all, cold or warm, primed or not, plus,
-    # cold, the binary powers base_t(x)**a of the one-digit values, formed
-    # once for both; the tower keeps those one-digit values and no row
+    # cold, the one-digit values base_t(x)**a, formed once for both: one
+    # product per position for each digit 2 <= a < q with p not dividing a
+    # (n times 1, 3 and 5 at q = 4, 5 and 9); the tower keeps those
+    # one-digit values and no row
     # entry.  The point is that of test_digit_product_poly_tabulation_products,
     # where no one-digit value vanishes.
     from carlitzbases import algebra, carlitz, towers
@@ -602,7 +701,7 @@ def test_digit_rows_products(monkeypatch, q, n, family):
                         lambda *args: blocks.append(1) or kernel(*args))
     monkeypatch.setattr(algebra, "_mul",
                         lambda *args: calls.append(1) or kernel(*args))
-    powers = n * sum(a.bit_length() + bin(a).count("1") - 2 for a in range(1, q))
+    powers = n * sum(1 for a in range(2, q) if a % cfg.p)
     for step, primed in enumerate((False, True, False), 1):
         rows_at(cfg, [range(q)] * n, x, primed)
         assert len(blocks) == step * n * (q - 1)
@@ -712,7 +811,9 @@ def test_one_lookup_per_evaluation(monkeypatch):
         for n in range(3):
             carlitz.eval_E(cfg, n, x)
             hasse.hasse_derivative(cfg, n, x)
-    assert len(calls) == 2 * (2 * 27 * 2 + 2 * 3) + 2 * 3 * 2
+    # The bases: E_t(x) and D_t(x) once each for t < 3; F_{2 q**t} is the
+    # square of F_{q**t}, with no call of its own.
+    assert len(calls) == 2 * (2 * 27 * 2 + 2 * 3) + 2 * 3
     assert len(lookups) == len(calls)
 
 

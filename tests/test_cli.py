@@ -545,3 +545,17 @@ def test_out_of_memory_exits_two():
                                               (limit, limit)))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: the run ran out of memory\n"
+
+
+def test_derivative_past_the_degree_prints_zeros_at_once():
+    # D_n of a polynomial of degree < n is zero without a binomial row:
+    # order 10**8 prints its zero coefficients within the timeout, where an
+    # n-byte row of the zeros C(i, n), i < n, ran past a minute.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "carlitzbases.cli", "--q", "2", "expand",
+         "--f", "D:100000000", "--basis", "linear-D", "--terms", "2"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["entries"] == ["0", "0"]

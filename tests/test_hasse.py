@@ -190,9 +190,10 @@ def test_powered_D_is_frobenius_of_D(f3, rng):
 
 @pytest.mark.parametrize("q", [3, 4, 9])
 def test_binomial_row_per_order(monkeypatch, q):
-    # D_n reads its binomials C(i, n) mod p from one row per (n, p): a longer
-    # window computes only the new ones, and later windows, Poly or series,
-    # compute none.  Values equal the one-Lucas-binomial-per-digit oracle.
+    # D_n reads its binomials C(i, n) mod p from one row per (n, p), from
+    # i = n on (below, C(i, n) = 0): a longer window computes only the new
+    # ones, and later windows, Poly or series, compute none.  Values equal
+    # the one-Lucas-binomial-per-digit oracle.
     from carlitzbases import hasse
     from oracles import hasse_by_digits
 
@@ -204,7 +205,7 @@ def test_binomial_row_per_order(monkeypatch, q):
                         lambda *args: calls.append(args) or binom(*args))
     hasse._BINOMIAL_ROWS.clear()
     hasse.TOWERS.cache_clear()
-    for prec, expected in ((20, 20), (12, 0), (41, 21), (30, 0)):
+    for prec, expected in ((20, 18), (12, 0), (41, 21), (30, 0)):
         calls.clear()
         x = TruncSeries(cfg, 0, [rnd.randrange(q) for _ in range(prec - 1)] + [1], prec)
         assert hasse_derivative(cfg, n, x) == hasse_by_digits(cfg, n, x)
@@ -213,3 +214,26 @@ def test_binomial_row_per_order(monkeypatch, q):
     x = random_poly(cfg, rnd, 40)
     assert hasse_derivative(cfg, n, x) == hasse_by_digits(cfg, n, x)
     assert calls == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_derivative_past_the_degree_builds_no_row(q):
+    # D_n vanishes on every digit below T**n, so a Poly of degree < n, or a
+    # series whose window ends below T**n, gives zero (to precision
+    # prec - n) without a binomial row; a window from T**v, v >= n, builds
+    # the row of C(i, n) from i = n up to its top only.
+    from carlitzbases import hasse
+    from oracles import hasse_by_digits
+
+    cfg, n = FieldConfig(*FIELDS[q]), 10 ** 6
+    rnd = random.Random(q)
+    hasse._BINOMIAL_ROWS.clear()
+    hasse.TOWERS.cache_clear()
+    x = random_poly(cfg, rnd, 5)
+    assert hasse_derivative(cfg, n, x) == Poly.zero(cfg)
+    low = TruncSeries(cfg, 2, [1, 2 % q, 1], n + 7)
+    assert hasse_derivative(cfg, n, low) == TruncSeries.zero(cfg, 7)
+    assert not hasse._BINOMIAL_ROWS.get((n, cfg.p))
+    high = TruncSeries(cfg, n + 3, [rnd.randrange(q) for _ in range(4)] + [1], EXACT)
+    assert hasse_derivative(cfg, n, high) == hasse_by_digits(cfg, n, high)
+    assert len(hasse._BINOMIAL_ROWS[n, cfg.p]) == 3 + 5
