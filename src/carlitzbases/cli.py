@@ -222,7 +222,10 @@ def cmd_verify(run: RunConfig, args) -> int:
     if selector != "all" and selector not in identities.SUITES:
         raise DomainError(f"unknown suite {selector!r}; choose from "
                           f"{('all',) + identities.SUITES}")
-    reports = identities.run_suite(cfg, selector, n=args.n,
+    if args.n is not None and selector not in ("ortho", "distance", "all"):
+        raise DomainError(f"--n is not read by the {selector} suite, "
+                          "only by ortho, distance and all")
+    reports = identities.run_suite(cfg, selector, n=2 if args.n is None else args.n,
                                    budget=run.budget, seed=run.seed)
     payload = {
         "schema": transforms.SCHEMA,
@@ -341,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True,
                        help="ortho | addition | linearity | distance | power "
                             "| reduced | all")
-    p_ver.add_argument("--n", type=int, default=2,
-                       help="enumeration level for levelled suites")
+    p_ver.add_argument("--n", type=int, default=None,
+                       help="level of the ortho and distance suites (default 2)")
     p_ver.set_defaults(run=cmd_verify)
 
     p_info = sub.add_parser("info", help="print the resolved field configuration")

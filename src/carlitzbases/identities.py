@@ -15,9 +15,9 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import prod
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .algebra import (
     BudgetError,
@@ -25,6 +25,7 @@ from .algebra import (
     FieldConfig,
     Poly,
     TruncSeries,
+    _mul,
     lucas_binom,
     packed_sums,
     poly_enumerate,
@@ -32,7 +33,7 @@ from .algebra import (
     random_poly,
     values_match,
 )
-from .carlitz import DEGREE_BUDGET, _digit_box, eval_E, eval_G, eval_G_rows
+from .carlitz import DEGREE_BUDGET, DigitIndex, _digit_box, eval_E, eval_G, eval_G_rows
 from .hasse import eval_D, eval_D_rows, hasse_derivative, powered_D
 from .transforms import (
     Basis,
@@ -275,55 +276,71 @@ def _addition_failure(cfg, family, j, x, u) -> Optional[VerdictReport]:
                         witness=witness)
 
     f = lambda y: evaluate(cfg, j, y, primed=primed)
+    text = lambda codes: str(Poly(cfg, codes))
     convolution = _addition_convolution(cfg, evaluate, primed, j, x, u)
     lhs = f(x + u)
-    rhs = convolution(lambda d, a: lucas_binom(d, a, cfg.p))
-    if not values_match(lhs, rhs):
-        return falsified("addition_law", lhs=str(lhs), rhs=str(rhs))
+    rhs = convolution(lambda w: w.binomial)
+    if lhs.coeffs != rhs:
+        return falsified("addition_law", lhs=str(lhs), rhs=text(rhs))
+    fx = f(x).coeffs if cfg.q > 2 else None
     for alpha in range(2, cfg.q):
         left = f(x.scalar_mul(alpha))
-        right = f(x).scalar_mul(cfg.pow(alpha, j))
-        if not values_match(left, right):
+        right = fx.translate(cfg.mul_rows[cfg.pow(alpha, j)])  # alpha**j != 0
+        if left.coeffs != right:
             return falsified("addition_scaling", alpha=alpha, lhs=str(left),
-                             rhs=str(right))
+                             rhs=text(right))
     if j > 0 and _is_q_power(j + 1, cfg.q):
-        signed = convolution(lambda d, a: cfg.sign(a))
-        if not values_match(lhs, signed):
-            return falsified("addition_sign_form", lhs=str(lhs), rhs=str(signed))
+        signed = convolution(lambda w: w.signed)
+        if lhs.coeffs != signed:
+            return falsified("addition_sign_form", lhs=str(lhs), rhs=text(signed))
         diff_lhs = f(x - u)
-        diff_rhs = convolution(lambda d, a: 1)
-        if not values_match(diff_lhs, diff_rhs):
-            return falsified("addition_diff_form", lhs=str(diff_lhs),
-                             rhs=str(diff_rhs))
+        diff_rhs = convolution(lambda w: w.unit)
+        if diff_lhs.coeffs != diff_rhs:
+            return falsified("addition_diff_form", lhs=str(diff_lhs), rhs=text(diff_rhs))
     return None
 
 
+class _DigitWeights(NamedTuple):  # a digit d's box and weight rows over it
+    box: tuple  # the a <= d with C(d, a) != 0 mod p
+    binomial: tuple  # C(d, a) mod p per a in the box
+    signed: tuple  # (-1)**a mod p
+    unit: tuple  # 1
+
+
+@lru_cache(maxsize=None)  # at most q - 1 digits d per field
+def _digit_weights(d, p) -> _DigitWeights:
+    binomials = [lucas_binom(d, a, p) for a in range(d + 1)]
+    box = tuple(a for a, c in enumerate(binomials) if c)
+    return _DigitWeights(box, tuple(binomials[a] for a in box),
+                         tuple((-1) ** a % p for a in box), (1,) * len(box))
+
+
 def _addition_convolution(cfg, evaluate, primed, j, x, u):
-    """The map from a digit weight w(d, a) in [0, p) (read in F_p) to the
-    Poly sum over e of prod_t w(d_t, e_t) F_e(x) F'_{j-e}(u), F being
-    ``evaluate`` (eval_G or eval_D), primed on u as asked, each e_t in the
-    box of the a with C(d_t, a) != 0 mod p.  As F_e and F'_{j-e} are digit
-    products, it is the product over the digits d_t != 0 of j of the sums of
-    w(d_t, a) F_{a q**t}(x) F'_{(d_t - a) q**t}(u), F_0 = 1 unread, each one
-    ``product_sums`` formed once for every w.  The weights C(d, a), (-1)**a
+    """The map from a weight row w(d, .) (a function of ``_digit_weights``)
+    to the codes of the sum over e of prod_t w(d_t, e_t) F_e(x) F'_{j-e}(u),
+    F being ``evaluate`` (eval_G or eval_D), primed on u as asked, each e_t
+    in the box of d_t.  As F_e and F'_{j-e} are digit products, it is the
+    code product over the digits d_t != 0 of j of the sums of w(d_t, a)
+    F_{a q**t}(x) F'_{(d_t - a) q**t}(u), F_0 = 1 unread, each one
+    ``product_sums`` formed once for every row.  The rows C(d, a), (-1)**a
     and 1 give C(j, e) (Lucas), (-1)**e (q**t odd, or p = 2) and 1."""
-    factors, unit = [], 1
-    while j:
-        j, d = divmod(j, cfg.q)
+    factors = []
+    for t, d in enumerate(DigitIndex.of(j, cfg.q).digits):  # j < 0 raises
         if d:
-            box = [a for a in range(d + 1) if lucas_binom(d, a, cfg.p)]
-            left = [evaluate(cfg, a * unit, x).coeffs if a else b"\1" for a in box]
+            w, unit = _digit_weights(d, cfg.p), cfg.q ** t
+            left = [evaluate(cfg, a * unit, x).coeffs if a else b"\1" for a in w.box]
             # d - a runs over the box backwards (Lucas: no borrow), so the
             # one-digit values at u are formed upwards, as at x.
             right = [evaluate(cfg, a * unit, u, primed=primed).coeffs
-                     if a else b"\1" for a in box][::-1]
-            factors.append((d, box, product_sums(cfg, left, right,
-                                                 len(box) * (cfg.p - 1))))
-        unit *= cfg.q
+                     if a else b"\1" for a in w.box][::-1]
+            factors.append((w, product_sums(cfg, left, right, len(left) * (cfg.p - 1))))
 
-    def convolution(weight):
-        return prod((Poly(cfg, sums([(i, weight(d, a)) for i, a in enumerate(box)]))
-                     for d, box, sums in factors), start=Poly.one(cfg))
+    def convolution(row):
+        codes = b"\1"
+        for weights, sums in factors:
+            term = sums(enumerate(row(weights)))  # a zero term makes it zero
+            codes = codes and term and _mul(cfg, codes, term, len(codes) + len(term) - 1)
+        return codes
 
     return convolution
 

@@ -421,6 +421,25 @@ def test_verify_budget_exhausted_exit_two(capsys):
     assert doc["summary"]["budget_exhausted"] > 0
 
 
+@pytest.mark.parametrize("suite", ["addition", "linearity", "power", "reduced"])
+def test_verify_rejects_n_for_a_suite_without_levels(capsys, suite):
+    # --n is read by the ortho and distance suites (and so by all) only:
+    # any other suite would silently ignore it.
+    code, out, err = run_cli(capsys, "--q", "2", "verify", "--suite", suite,
+                             "--n", "7")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "--n is not read" in err
+    assert "ortho, distance and all" in err
+
+
+@pytest.mark.parametrize("suite", ["ortho", "distance", "all"])
+def test_verify_n_defaults_to_two(capsys, suite):
+    argv = ("--q", "2", "verify", "--suite", suite)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--n", "2") == (0, out, "")
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "--q", "2", "verify", "--suite", "bogus")
     assert code == 2 and "unknown suite" in err

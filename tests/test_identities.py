@@ -3,6 +3,10 @@
 import importlib.util
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 from contextlib import ExitStack
 from pathlib import Path
 from unittest.mock import patch
@@ -606,11 +610,12 @@ def test_addition_law_reads_each_one_digit_value_once(monkeypatch, family):
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_factored_convolution_matches_per_product_sums(q, family, data):
-    # The product of one-digit sums against one product, scalar multiple
-    # and addition per e (``oracles.addition_convolution``), with the
-    # binomial, signed and unit weights read per e: C(j, e) mod p, and
-    # (-1)**e and 1 on the e with C(j, e) != 0 mod p; for j < q**3 and
-    # every j = q**m - 1, at points that may be 0.
+    # The code product of one-digit sums, with the tabulated binomial,
+    # signed and unit rows of each digit (``_digit_weights``), against one
+    # product, scalar multiple and addition per e
+    # (``oracles.addition_convolution``) with the weights read per e:
+    # C(j, e) mod p, and (-1)**e and 1 on the e with C(j, e) != 0 mod p;
+    # for j < q**3 and every j = q**m - 1, at points that may be 0.
     cfg = FieldConfig(*FIELDS[q])
     p = cfg.p
     j = data.draw(st.one_of(st.sampled_from((0, q - 1, q * q - 1, q ** 3 - 1)),
@@ -621,18 +626,110 @@ def test_factored_convolution_matches_per_product_sums(q, family, data):
     primed = family.endswith("p")
     convolution = identities._addition_convolution(cfg, evaluate, primed, j, x, u)
     support = lambda e: identities.lucas_binom(j, e, p)
-    for digit_weight, weight in (
-            (lambda d, a: identities.lucas_binom(d, a, p), support),
-            (lambda d, a: cfg.sign(a), lambda e: support(e) and cfg.sign(e)),
-            (lambda d, a: 1, lambda e: support(e) and 1)):
+    for row, weight in (
+            (lambda w: w.binomial, support),
+            (lambda w: w.signed, lambda e: support(e) and cfg.sign(e)),
+            (lambda w: w.unit, lambda e: support(e) and 1)):
         want = addition_convolution(cfg, evaluate, primed, j, x, u, weight)
-        assert convolution(digit_weight) == want
+        assert convolution(row) == want.coeffs
+
+
+def test_digit_weights_rows():
+    # Each digit's box and rows, tabulated once per (d, p), against Lucas
+    # and the field's signs, entry by entry: the box holds the a <= d with
+    # C(d, a) != 0 mod p, and the rows are C(d, a) mod p, (-1)**a and 1
+    # over it.  The signed row is not the binomial one (q = 5, d = 2:
+    # C(2, 1) = 2 against -1 = 4).
+    for q in sorted(FIELDS):
+        cfg = FieldConfig(*FIELDS[q])
+        p = cfg.p
+        for d in range(1, q):
+            w = identities._digit_weights(d, p)
+            assert list(w.box) == [a for a in range(d + 1) if math.comb(d, a) % p]
+            assert list(w.binomial) == [math.comb(d, a) % p for a in w.box]
+            assert list(w.signed) == [cfg.sign(a) for a in w.box]
+            assert list(w.unit) == [1] * len(w.box)
+    w = identities._digit_weights(2, 5)
+    assert w.signed != w.binomial
+
+
+def test_addition_suite_tabulates_weights_and_multiplies_codes(monkeypatch):
+    # One q = 4 addition suite, cold: the digit weights come from one table
+    # entry per digit d < q, so identities.lucas_binom is called at most
+    # once per (d, a), a <= d < q (9 calls; 9.8k when each check rebuilt
+    # its boxes and weights), and the right sides multiply code strings:
+    # no Poly product while a convolution is formed.
+    q = 4
+    cfg = FieldConfig(*FIELDS[q])
+    identities._digit_weights.cache_clear()
+    binom, build = identities.lucas_binom, identities._addition_convolution
+    mul = Poly.__mul__
+    binomials, inside, products = [], [], []
+
+    def counting_binom(*args):
+        binomials.append(args)
+        return binom(*args)
+
+    def counting_build(*args):
+        convolution = build(*args)
+
+        def counted(row):
+            inside.append(row)
+            try:
+                return convolution(row)
+            finally:
+                inside.pop()
+        return counted
+
+    def counting_mul(self, other):
+        if inside:
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(identities, "lucas_binom", counting_binom)
+    monkeypatch.setattr(identities, "_addition_convolution", counting_build)
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    reports = run_suite(cfg, "addition")
+    assert [r.status for r in reports] == [VERIFIED] * 4
+    assert len(binomials) <= q * (q + 1) // 2
+    assert len(set(binomials)) == len(binomials)
+    assert identities._digit_weights.cache_info().currsize == q - 1
+    assert products == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("family", ["G", "Gp"])
+def test_addition_law_negative_index_is_a_domain_error(q, family):
+    # As eval_G(cfg, -1, x) is: j = -1 has no base-q digits.
+    cfg = FieldConfig(*FIELDS[q])
+    with pytest.raises(DomainError, match="non-negative"):
+        check_addition_law(cfg, family, -1, Poly.T(cfg), Poly.one(cfg))
+
+
+def test_addition_law_negative_index_for_D_ends():
+    # For D, a digit loop that took j = -1 would never end: the check runs
+    # in one child process under a timeout, so such a loop fails the test
+    # instead of hanging the suite.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from carlitzbases import DomainError, FieldConfig, Poly\n"
+            "from carlitzbases import check_addition_law\n"
+            "for q in (2, 3):\n"
+            "    cfg, x = FieldConfig(q), Poly.T(FieldConfig(q))\n"
+            "    for family in ('D', 'Dp'):\n"
+            "        try:\n"
+            "            check_addition_law(cfg, family, -1, x, x)\n"
+            "        except DomainError as exc:\n"
+            "            print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "digit index must be non-negative\n" * 4
 
 
 @pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q % 2])
 def test_addition_convolution_at_slot_width_step(monkeypatch, q):
-    # A one-digit j = d, all-(q - 1) values of length L and all-(p - 1)
-    # weights: the one-digit sum over the box of d has |box| (p - 1) terms,
+    # A one-digit j = d, all-(q - 1) values of length L and an all-(p - 1)
+    # weight row: the one-digit sum over the box of d has |box| (p - 1) terms,
     # so its slot bound is |box| (p - 1) L e (p - 1)**2.  At the longest L
     # that 8 bits hold and at one longer the factors must be packed at 8
     # and then 16 bits, and the sum must equal the per-product one.  d is
@@ -656,11 +753,11 @@ def test_addition_convolution_at_slot_width_step(monkeypatch, q):
                                                        x, u)
         monkeypatch.undo()
         assert set(widths) == {width}
-        got = convolution(lambda d, a: p - 1)
+        got = convolution(lambda w: [p - 1] * len(w.box))
         want = addition_convolution(cfg, evaluate, False, d, x, u,
                                     lambda a: identities.lucas_binom(d, a, p)
                                     and p - 1)
-        assert got == want and not got.is_zero
+        assert got == want.coeffs and got
 
 
 @pytest.mark.parametrize("q,a,t", [(2, 1, 2), (3, 2, 1), (4, 3, 1), (5, 4, 0),
