@@ -421,6 +421,24 @@ def test_verify_budget_exhausted_exit_two(capsys):
     assert doc["summary"]["budget_exhausted"] > 0
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_verify_addition_at_budget_one_exit_two(capsys, q):
+    # A budget of 1 admits only j = 0, where both sides are the constant 1:
+    # no family is verified on that, each is budget_exhausted with a note
+    # naming the budget.  A budget of 2 checks j = 1 and verifies.
+    code, out, _ = run_cli(capsys, "--q", str(q), "--budget", "1",
+                           "verify", "--suite", "addition")
+    assert code == 2
+    reports = json.loads(out)["reports"]
+    assert [r["config"]["family"] for r in reports] == ["G", "Gp", "D", "Dp"]
+    assert {r["status"] for r in reports} == {"budget_exhausted"}
+    assert all(r["config"]["j_max"] == 1 and "budget 1 " in r["notes"][0]
+               for r in reports)
+    code, out, _ = run_cli(capsys, "--q", str(q), "--budget", "2",
+                           "verify", "--suite", "addition")
+    assert code == 0 and json.loads(out)["summary"]["verified"] == 4
+
+
 @pytest.mark.parametrize("suite", ["addition", "linearity", "power", "reduced"])
 def test_verify_rejects_n_for_a_suite_without_levels(capsys, suite):
     # --n is read by the ortho and distance suites (and so by all) only:

@@ -509,7 +509,7 @@ def test_addition_law_families(f2, family, rng):
 
 
 def test_addition_law_top_digit_index(f3, rng):
-    # j = q^m - 1 additionally triggers the signed forms, including x - u.
+    # j = q^m - 1 additionally triggers the x - u form.
     for j in (2, 8):  # 3 - 1 and 9 - 1
         x = random_poly(f3, rng, 2)
         u = random_poly(f3, rng, 2)
@@ -575,8 +575,8 @@ def test_addition_law_reads_each_one_digit_value_once(monkeypatch, family):
     # Within one check the right sides read x and u only at one-digit
     # indices a q**t, a in the box of the digit d_t of j (F_0 = 1 is not
     # read): F_{a q**t}(x) for a != 0 and F'_{(d_t - a) q**t}(u) for
-    # a != d_t, each once, also when the signed and x - u forms of
-    # j = q**m - 1 reuse the sums.  The primed families read F'_j(x) for
+    # a != d_t, each once, also when the x - u form of j = q**m - 1
+    # reuses the sums.  The primed families read F'_j(x) for
     # the scaling law, so the right side's reads at x are the unprimed ones.
     # q = 4 and 9 have digits whose box leaves out some a <= d_t.
     for q in (3, 4, 9):
@@ -610,12 +610,14 @@ def test_addition_law_reads_each_one_digit_value_once(monkeypatch, family):
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_factored_convolution_matches_per_product_sums(q, family, data):
-    # The code product of one-digit sums, with the tabulated binomial,
-    # signed and unit rows of each digit (``_digit_weights``), against one
-    # product, scalar multiple and addition per e
-    # (``oracles.addition_convolution``) with the weights read per e:
-    # C(j, e) mod p, and (-1)**e and 1 on the e with C(j, e) != 0 mod p;
-    # for j < q**3 and every j = q**m - 1, at points that may be 0.
+    # The code product of one-digit sums, with the tabulated binomial and
+    # unit rows of each digit (``_digit_weights``) and the signed row
+    # (-1)**a over its box, against one product, scalar multiple and
+    # addition per e (``oracles.addition_convolution``) with the weights
+    # read per e: C(j, e) mod p, and (-1)**e and 1 on the e with
+    # C(j, e) != 0 mod p; for j < q**3 and every j = q**m - 1, at points
+    # that may be 0.  No law uses the signed row, but it is not binomial
+    # (q = 5, d = 2), so it checks that the convolution sums the row given.
     cfg = FieldConfig(*FIELDS[q])
     p = cfg.p
     j = data.draw(st.one_of(st.sampled_from((0, q - 1, q * q - 1, q ** 3 - 1)),
@@ -628,18 +630,21 @@ def test_factored_convolution_matches_per_product_sums(q, family, data):
     support = lambda e: identities.lucas_binom(j, e, p)
     for row, weight in (
             (lambda w: w.binomial, support),
-            (lambda w: w.signed, lambda e: support(e) and cfg.sign(e)),
+            (lambda w: tuple(cfg.sign(a) for a in w.box),
+             lambda e: support(e) and cfg.sign(e)),
             (lambda w: w.unit, lambda e: support(e) and 1)):
         want = addition_convolution(cfg, evaluate, primed, j, x, u, weight)
         assert convolution(row) == want.coeffs
 
 
 def test_digit_weights_rows():
-    # Each digit's box and rows, tabulated once per (d, p), against Lucas
-    # and the field's signs, entry by entry: the box holds the a <= d with
-    # C(d, a) != 0 mod p, and the rows are C(d, a) mod p, (-1)**a and 1
-    # over it.  The signed row is not the binomial one (q = 5, d = 2:
-    # C(2, 1) = 2 against -1 = 4).
+    # Each digit's box and rows, tabulated once per (d, p), against Lucas,
+    # entry by entry: the box holds the a <= d with C(d, a) != 0 mod p, and
+    # the rows are C(d, a) mod p and 1 over it.  At d = q - 1 the binomial
+    # row is the signed one, C(q - 1, a) = (-1)**a mod p, so a signed form
+    # at j = q**m - 1 (all digits q - 1) would repeat the binomial law;
+    # below q - 1 it need not be (q = 5, d = 2: C(2, 1) = 2 against
+    # -1 = 4).
     for q in sorted(FIELDS):
         cfg = FieldConfig(*FIELDS[q])
         p = cfg.p
@@ -647,10 +652,11 @@ def test_digit_weights_rows():
             w = identities._digit_weights(d, p)
             assert list(w.box) == [a for a in range(d + 1) if math.comb(d, a) % p]
             assert list(w.binomial) == [math.comb(d, a) % p for a in w.box]
-            assert list(w.signed) == [cfg.sign(a) for a in w.box]
             assert list(w.unit) == [1] * len(w.box)
+        w = identities._digit_weights(q - 1, p)
+        assert list(w.binomial) == [cfg.sign(a) for a in w.box]
     w = identities._digit_weights(2, 5)
-    assert w.signed != w.binomial
+    assert list(w.binomial) != [FieldConfig(5).sign(a) for a in w.box]
 
 
 def test_addition_suite_tabulates_weights_and_multiplies_codes(monkeypatch):
@@ -795,10 +801,10 @@ def test_addition_law_fault_in_one_one_digit_value(monkeypatch, q, a, t, family)
 @settings(max_examples=40, deadline=None)
 def test_xor_convolution_matches_packed(q, family, data):
     # For p = 2 the convolution XORs the products of odd weight: against
-    # the packed sum (``packed_sums``) of those products, for the binomial,
-    # signed and unit weights of the addition law (equal mod 2 on the
-    # support) and for an arbitrary weight per e, for j up to q**2 - 1 and
-    # every j = q**m - 1 among them.
+    # the packed sum (``packed_sums``) of those products, for the binomial
+    # and unit weights of the addition law, the signed weights (all equal
+    # mod 2 on the support) and an arbitrary weight per e, for j up to
+    # q**2 - 1 and every j = q**m - 1 among them.
     cfg = FieldConfig(*FIELDS[q])
     j = data.draw(st.one_of(st.sampled_from((q - 1, q * q - 1)),
                             st.integers(0, q * q - 1)))
@@ -853,6 +859,90 @@ def test_addition_suite_catches_a_planted_value_in_the_xor_sum(monkeypatch, q):
             for r in reports] == [(family, 1, "addition_law", FALSIFIED)
                                   for family in ("G", "Gp", "D", "Dp")]
     assert all(r.witness["lhs"] != r.witness["rhs"] for r in reports)
+
+
+def _scaled_reads(monkeypatch, cfg):
+    # Runs cfg's addition suite and returns, per check in order, its family
+    # and the alpha of each F_j read at a point formed as x.scalar_mul(alpha)
+    # from that check's x.
+    checks, failure, scalar_mul = [], identities._addition_failure, Poly.scalar_mul
+
+    def checking(cfg, family, j, x, u, alphas):
+        checks.append((family, j, x, [], []))
+        return failure(cfg, family, j, x, u, alphas)
+
+    def scaling(self, c):
+        point = scalar_mul(self, c)
+        if checks and self is checks[-1][2]:
+            checks[-1][3].append((point, c))
+        return point
+
+    def reading(evaluate):
+        def wrapper(cfg, k, y, primed=False):
+            _, j, _, points, read = checks[-1]
+            read.extend(c for point, c in points if point is y and k == j)
+            return evaluate(cfg, k, y, primed=primed)
+        return wrapper
+
+    monkeypatch.setattr(identities, "_addition_failure", checking)
+    monkeypatch.setattr(Poly, "scalar_mul", scaling)
+    for name in ("eval_G", "eval_D"):
+        monkeypatch.setattr(identities, name, reading(getattr(identities, name)))
+    reports = run_suite(cfg, "addition")
+    monkeypatch.undo()
+    assert [r.status for r in reports] == [VERIFIED] * 4
+    return [(family, read) for family, _, _, _, read in checks]
+
+
+@pytest.mark.parametrize("q", [5, 8, 9])
+def test_addition_suite_reads_every_alpha(monkeypatch, q):
+    # The suite reads the scaling law at one alpha per check, in turn, so
+    # each family reads every alpha in 2..q-1 (3 j_max checks per family).
+    checks = _scaled_reads(monkeypatch, FieldConfig(*FIELDS[q]))
+    for family in ("G", "Gp", "D", "Dp"):
+        read = [alpha for f, alphas in checks if f == family for alpha in alphas]
+        assert set(read) == set(range(2, q))
+
+
+def test_addition_suite_reads_one_scaled_point_per_check(monkeypatch):
+    # At q = 9 each check reads F_j at one scaled point, not at all seven
+    # alpha x: 3 checks per j < 256 (the default budget) and family.
+    checks = _scaled_reads(monkeypatch, FieldConfig(*FIELDS[9]))
+    assert len(checks) == 4 * 3 * 256
+    assert all(len(alphas) == 1 for _, alphas in checks)
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 4])
+@pytest.mark.parametrize("family", ["G", "Gp", "D", "Dp"])
+def test_addition_suite_catches_a_fault_at_one_alpha(monkeypatch, family, alpha):
+    # F_j(y) + 1 only where y was formed as a scalar multiple by alpha: a
+    # check that reads another alpha passes, and the suite, which reads
+    # each alpha in turn, is falsified by the scaling law at alpha.
+    cfg = FieldConfig(*FIELDS[5])
+    scalar_mul, scaled = Poly.scalar_mul, []
+
+    def scaling(self, c):
+        point = scalar_mul(self, c)
+        if c == alpha:
+            scaled.append(point)
+        return point
+
+    name = "eval_" + family[0]
+    evaluate = getattr(identities, name)
+
+    def planted(cfg, k, y, primed=False):
+        value = evaluate(cfg, k, y, primed=primed)
+        return value + Poly.one(cfg) if any(y is s for s in scaled) else value
+
+    monkeypatch.setattr(Poly, "scalar_mul", scaling)
+    monkeypatch.setattr(identities, name, planted)
+    x, u = Poly(cfg, [1, 0, 1]), Poly(cfg, [0, 1, 1])
+    for other in (2, 3, 4):
+        failure = identities._addition_failure(cfg, family, 3, x, u, (other,))
+        assert (failure is None) == (other != alpha)
+    report = run_suite(cfg, "addition", budget=8)[("G", "Gp", "D", "Dp").index(family)]
+    assert (report.identity, report.status) == ("addition_scaling", FALSIFIED)
+    assert report.witness["alpha"] == alpha
 
 
 # ---------------------------------------------------------------------------
