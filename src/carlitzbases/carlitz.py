@@ -24,7 +24,6 @@ from .algebra import (
     PrecisionError,
     TruncSeries,
     Value,
-    _mul,
     _spread,
     difference_scan,
 )
@@ -210,28 +209,6 @@ def eval_G(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
     return _digit_product(cfg, tower, tower.G, eval_E, j, primed and _maximal(cfg.q, j))
 
 
-def eval_G_rows(cfg: FieldConfig, boxes, x: Poly, primed: bool = False) -> list:
-    """The codes of G_k(x), or G'_k(x), for every k whose base-q digit at
-    position t lies in boxes[t], in ascending k (``_digit_rows``)."""
-    tower = TOWERS.tower(cfg, x)
-    if tower.G is None:
-        tower.G = ({}, {})
-    return _digit_rows(cfg, tower, tower.G, eval_E, boxes, primed)
-
-
-def _digit_box(q: int, indices):
-    """The smallest digit box covering ``indices`` (per position, the
-    ascending digits they have there) and each index's place in its row."""
-    digits = [DigitIndex.of(k, q).digits for k in indices]
-    boxes = [sorted({d[t] if t < len(d) else 0 for d in digits})
-             for t in range(max(map(len, digits), default=0))]
-    row = [0]
-    for t, box in enumerate(boxes):
-        row = [low + a * q ** t for a in box for low in row]
-    place = {k: i for i, k in enumerate(row)}
-    return boxes, [place[k] for k in indices]
-
-
 def _maximal(q: int, j: int) -> bool:
     """Whether some base-q digit of j is q - 1; without one F'_j = F_j, so
     the evaluators look a primed j up as unprimed and cache it once."""
@@ -326,34 +303,3 @@ def _pow_p(cfg, y: Value) -> Value:
     prec = y.prec + (p - 1) * (y.v if y.coeffs else y.prec)
     return TruncSeries(cfg, p * y.v, coeffs, prec)
 
-
-def _digit_rows(cfg, tower, tables, base, boxes, primed):
-    """The codes of F_k(x), or F'_k(x), at the tower's point x, a Poly, for
-    every k whose base-q digit at position t lies in boxes[t] (ascending),
-    in ascending k; F is the digit product of ``base``, whose one-digit
-    values ``_digit_product`` forms and keeps.  From the lowest position
-    up, each nonzero digit a appends the block F_{low + a q**t} over every
-    low in the row so far as one ``_mul``: the lows end to end at a common
-    stride times F_{a q**t}.  No entry is kept in the tower."""
-    if not isinstance(tower.x, Poly):
-        raise DomainError("digit rows are evaluated at polynomial points")
-    q = cfg.q
-    row = [b"\1"]
-    for t, box in enumerate(boxes):
-        longest = max(map(len, row))
-        out = list(row) if 0 in box else []
-        for a in box:
-            if not a:
-                continue
-            digit = _digit_product(cfg, tower, tables, base, a * q ** t,
-                                   primed and a == q - 1).coeffs
-            if not (digit and longest):  # a zero block
-                out += [b""] * len(row)
-                continue
-            stride = longest + len(digit) - 1
-            line = b"".join(c.ljust(stride, b"\0") for c in row)
-            block = _mul(cfg, line, digit, len(line))
-            out += [block[i:i + stride].rstrip(b"\0")
-                    for i in range(0, len(line), stride)]
-        row = out
-    return row

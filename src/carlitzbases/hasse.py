@@ -15,7 +15,7 @@ from .algebra import (
     Value,
     lucas_binom,
 )
-from .carlitz import _digit_product, _digit_rows, _maximal
+from .carlitz import _digit_product, _maximal
 from .towers import TOWERS
 
 
@@ -84,15 +84,6 @@ def eval_D(cfg: FieldConfig, j: int, x: Value, primed: bool = False) -> Value:
         tower.Dj = ({}, {})
     return _digit_product(cfg, tower, tower.Dj, hasse_derivative, j,
                           primed and _maximal(cfg.q, j))
-
-
-def eval_D_rows(cfg: FieldConfig, boxes, x: Poly, primed: bool = False) -> list:
-    """The codes of D_k(x), or D'_k(x), for every k whose base-q digit at
-    position t lies in boxes[t], in ascending k (``carlitz._digit_rows``)."""
-    tower = TOWERS.tower(cfg, x)
-    if tower.Dj is None:
-        tower.Dj = ({}, {})
-    return _digit_rows(cfg, tower, tower.Dj, hasse_derivative, boxes, primed)
 
 
 def powered_D(cfg: FieldConfig, n: int, m: int, x: Value) -> Value:

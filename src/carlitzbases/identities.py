@@ -33,8 +33,8 @@ from .algebra import (
     random_poly,
     values_match,
 )
-from .carlitz import DEGREE_BUDGET, DigitIndex, _digit_box, eval_E, eval_G, eval_G_rows
-from .hasse import eval_D, eval_D_rows, hasse_derivative, powered_D
+from .carlitz import DEGREE_BUDGET, DigitIndex, eval_E, eval_G
+from .hasse import eval_D, hasse_derivative, powered_D
 from .transforms import (
     Basis,
     BasisExpansion,
@@ -99,8 +99,8 @@ def check_orthogonality(cfg: FieldConfig, family: str, variant: str,
 
     family CARLITZ uses G/G', DIGIT uses D/D'; variant deg_lt sums over
     deg(m) < n, monic over monic m of degree n (then k < q**n required).
-    Only k and l are tabulated, each over the box of its own digits
-    (``_tabulate``), so a deg_lt k >= q**n costs one prefix chain.
+    Only k and l are tabulated (``_tabulate``), so a deg_lt k >= q**n
+    costs one prefix chain per point.
     """
     q = cfg.q
     if l < 0 or l >= q ** n:
@@ -201,22 +201,18 @@ def _levels_certified(cfg, family, variant, n, budget):
 def _tabulate(cfg, family, variant, n, budget, ks, ls):
     """The codes of F_k(m) for k in ks and of F'_l(m) for l in ls, one row
     per index, one entry per m that ``variant`` sums over, F being G
-    (CARLITZ) or D (DIGIT): at each m in turn, one row over the digit box
-    of ks and one primed row over that of ls (``eval_G_rows`` or
-    ``eval_D_rows``, looked up per call, as the module globals may be
-    rebound)."""
-    rows_at = {"CARLITZ": eval_G_rows, "DIGIT": eval_D_rows}.get(family)
-    if rows_at is None:
+    (CARLITZ) or D (DIGIT): at each m, every k and then every l, primed
+    (``eval_G``/``eval_D``, looked up per call, as the module globals may
+    be rebound), each at most one product when the indices ascend."""
+    evaluate = {"CARLITZ": eval_G, "DIGIT": eval_D}.get(family)
+    if evaluate is None:
         raise DomainError(f"unknown family {family!r}")
     if variant not in _ENUMERATION:
         raise DomainError(f"unknown variant {variant!r}")
     polys = poly_enumerate(cfg, n, _ENUMERATION[variant], budget=budget)
-    kbox, kplaces = _digit_box(cfg.q, ks)
-    lbox, lplaces = _digit_box(cfg.q, ls)
-    columns = []
-    for m in polys:
-        plain, primed = rows_at(cfg, kbox, m), rows_at(cfg, lbox, m, primed=True)
-        columns.append([plain[i] for i in kplaces] + [primed[i] for i in lplaces])
+    columns = [[evaluate(cfg, k, m).coeffs for k in ks]
+               + [evaluate(cfg, l, m, primed=True).coeffs for l in ls]
+               for m in polys]
     rows = list(zip(*columns))
     return rows[:len(ks)], rows[len(ks):]
 

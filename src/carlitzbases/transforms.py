@@ -35,7 +35,7 @@ from .algebra import (
     _spread,
     valuation_norm,
 )
-from .carlitz import _digit_box, bracket, eval_E, eval_G
+from .carlitz import DigitIndex, bracket, eval_E, eval_G
 from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
 
 DEFAULT_BUDGET = 256
@@ -389,6 +389,19 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
         _sum_value(cfg, is_series, v, blocks[0][i + count * place],
                    precs[0][i + count * place] if track else EXACT).scalar_mul(sign)
         for place in places]) for i, (is_series, v) in enumerate(zip(series, lows))]
+
+
+def _digit_box(q: int, indices):
+    """The smallest digit box covering ``indices`` (per position, the
+    ascending digits they have there) and each index's place in its row."""
+    digits = [DigitIndex.of(k, q).digits for k in indices]
+    boxes = [sorted({d[t] if t < len(d) else 0 for d in digits})
+             for t in range(max(map(len, digits), default=0))]
+    row = [0]
+    for t, box in enumerate(boxes):
+        row = [low + a * q ** t for a in box for low in row]
+    place = {k: i for i, k in enumerate(row)}
+    return boxes, [place[k] for k in indices]
 
 
 def _fibre_sums(cfg: FieldConfig, weights, fibre) -> List[bytes]:

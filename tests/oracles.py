@@ -52,8 +52,7 @@ from carlitzbases.algebra import (
     product_sums,
     valuation_norm,
 )
-from carlitzbases.carlitz import _digit_box, eval_G_rows
-from carlitzbases.hasse import eval_D_rows, hasse_on_monomial
+from carlitzbases.hasse import hasse_on_monomial
 from carlitzbases import identities
 from carlitzbases.identities import (
     BUDGET_EXHAUSTED,
@@ -321,24 +320,6 @@ def orthogonality_sum_by_pairs(cfg, f, polys, k: int, l: int) -> Poly:
     return total
 
 
-def box_indices(q: int, boxes) -> List[int]:
-    """The indices whose base-q digit at position t lies in boxes[t], in
-    ascending order: the order of a row of eval_G_rows or eval_D_rows."""
-    indices = [0]
-    for t, box in enumerate(boxes):
-        indices = [low + a * q ** t for a in sorted(box) for low in indices]
-    return indices
-
-
-def rows_by_index(f):
-    """A row evaluator, as eval_G_rows or eval_D_rows, made of the
-    single-index evaluator f: one call of f per index of the box, in row
-    order."""
-    def rows(cfg, boxes, x, primed=False):
-        return [f(cfg, k, x, primed=primed).coeffs for k in box_indices(cfg.q, boxes)]
-    return rows
-
-
 def orthogonality_suite_by_pairs(cfg, n: int, budget: int = DEFAULT_BUDGET,
                                  evaluators=None) -> List[VerdictReport]:
     """orthogonality_suite as q**(2n) separate sums, one per (k, l) in
@@ -540,18 +521,16 @@ def enumeration_coeffs_by_rows(fs, J: int, cfg, basis: Basis, level=None,
                                budget: int = DEFAULT_BUDGET) -> List[BasisExpansion]:
     """The enumeration expansions of every f in ``fs`` (basis G or D) as
     one weighted sum per (index, function), over every point m at once:
-    the weights F'_{q**n - 1 - j}(m) read from one primed digit row per m
-    over the box of the J indices (``eval_G_rows``/``eval_D_rows``), and
-    the sums formed by ``transforms._weighted_sums``, whose precision rule
-    is the contract of every enumeration path.
+    the weights F'_{q**n - 1 - j}(m) read one index at a time (``eval_G``
+    or ``eval_D``), and the sums formed by ``transforms._weighted_sums``,
+    whose precision rule is the contract of every enumeration path.
     """
     n = default_level(cfg, J) if level is None else level
     polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
     values = [[f(m) for m in polys] for f in fs]
-    rows_at = eval_G_rows if basis is Basis.CARLITZ_G else eval_D_rows
-    boxes, places = _digit_box(cfg.q, range(cfg.q ** n - 1, cfg.q ** n - 1 - J, -1))
-    rows = [rows_at(cfg, boxes, m, primed=True) for m in polys]
-    weights = [[Poly(cfg, row[i]) for row in rows] for i in places]
+    evaluate = eval_G if basis is Basis.CARLITZ_G else eval_D
+    weights = [[evaluate(cfg, cfg.q ** n - 1 - j, m, primed=True) for m in polys]
+               for j in range(J)]
     return [BasisExpansion(cfg, basis, [c.scalar_mul(cfg.sign(n)) for c in sums])
             for sums in _weighted_sums(cfg, weights, values)]
 

@@ -23,11 +23,9 @@ from carlitzbases import (
     parse_poly,
 )
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
-from carlitzbases.carlitz import eval_G_rows
-from carlitzbases.hasse import eval_D, eval_D_rows, hasse_derivative
+from carlitzbases.hasse import eval_D, hasse_derivative
 from oracles import (
     FIELDS,
-    box_indices,
     bracket_step_by_digits,
     digit_product_by_digits,
     eval_E_by_steps,
@@ -644,72 +642,6 @@ def test_digit_product_poly_tabulation_products(monkeypatch, q, n, family, order
     for primed in order:
         assert values[primed] == [digit_product_by_digits(cfg, k, x, primed, base)
                                   for k in range(q ** n)]
-
-
-@given(st.sampled_from(sorted(FIELDS)), st.data())
-@settings(max_examples=120, deadline=None)
-def test_digit_rows_match_prefix_form(q, data):
-    # Every entry of a row (eval_G_rows, eval_D_rows), primed or not, is the
-    # prefix-form value of its index (eval_G, eval_D): full boxes of up to 3
-    # positions (2 for q >= 8) and random singleton boxes, at points of
-    # degree up to the box's width, zero included, so that the one-digit
-    # values of the positions past the degree vanish; from a cold or a warm
-    # cache.
-    cfg = FieldConfig(*FIELDS[q])
-    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
-    if data.draw(st.booleans()):
-        boxes = [range(q)] * data.draw(st.integers(0, 2 if q >= 8 else 3))
-    else:
-        boxes = [[rnd.randrange(q)]
-                 for _ in range(data.draw(st.integers(0, 3 if q >= 8 else 5)))]
-    degree = data.draw(st.integers(-1, len(boxes)))
-    x = Poly.zero(cfg) if degree < 0 else (
-        random_poly(cfg, rnd, degree - 1)
-        + Poly.monomial(cfg, degree, rnd.randrange(1, q)))
-    family = data.draw(st.sampled_from(((eval_G_rows, eval_G), (eval_D_rows, eval_D))))
-    rows_at, evaluate = family
-    primed = data.draw(st.booleans())
-    if data.draw(st.booleans()):
-        _clear_towers()
-    got = rows_at(cfg, boxes, x, primed)
-    assert got == [evaluate(cfg, k, x, primed=primed).coeffs
-                   for k in box_indices(q, boxes)]
-
-
-@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
-@pytest.mark.parametrize("family", ["G", "D"])
-def test_digit_rows_products(monkeypatch, q, n, family):
-    # A full row of level n costs one block product per position and
-    # nonzero digit, n(q - 1) in all, cold or warm, primed or not, plus,
-    # cold, the one-digit values base_t(x)**a, formed once for both: one
-    # product per position for each digit 2 <= a < q with p not dividing a
-    # (n times 1, 3 and 5 at q = 4, 5 and 9); the tower keeps those
-    # one-digit values and no row
-    # entry.  The point is that of test_digit_product_poly_tabulation_products,
-    # where no one-digit value vanishes.
-    from carlitzbases import algebra, carlitz, towers
-
-    cfg = FieldConfig(*FIELDS[q])
-    rnd = random.Random(q * n)
-    degree = n if family == "G" else q ** n - 1
-    x = random_poly(cfg, rnd, degree - 1) + Poly.monomial(cfg, degree)
-    rows_at = eval_G_rows if family == "G" else eval_D_rows
-    _clear_towers()
-    blocks, calls = [], []
-    kernel = algebra._mul
-    monkeypatch.setattr(carlitz, "_mul",
-                        lambda *args: blocks.append(1) or kernel(*args))
-    monkeypatch.setattr(algebra, "_mul",
-                        lambda *args: calls.append(1) or kernel(*args))
-    powers = n * sum(1 for a in range(2, q) if a % cfg.p)
-    for step, primed in enumerate((False, True, False), 1):
-        rows_at(cfg, [range(q)] * n, x, primed)
-        assert len(blocks) == step * n * (q - 1)
-        assert len(calls) == powers
-    tower = towers.TOWERS.tower(cfg, x)
-    unprimed, primed = tower.G if family == "G" else tower.Dj
-    assert sorted(unprimed) == sorted(a * q ** t for t in range(n) for a in range(1, q))
-    assert sorted(primed) == [(q - 1) * q ** t for t in range(n)]
 
 
 # ---------------------------------------------------------------------------

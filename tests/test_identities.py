@@ -70,7 +70,6 @@ from oracles import (
     orthogonality_sum_by_pairs,
     power_sums_match,
     primed_values_match,
-    rows_by_index,
 )
 
 
@@ -100,6 +99,11 @@ def test_orthogonality_precondition(f2):
         check_orthogonality(f2, "DIGIT", "deg_lt", 1, 0, 2)  # l >= q^n
     with pytest.raises(DomainError):
         check_orthogonality(f2, "DIGIT", "monic", 1, 5, 1)   # k >= q^n
+    # deg_lt admits any k >= 0, k >= q^n included; a negative k is refused
+    # by its evaluator.
+    for family in ("CARLITZ", "DIGIT"):
+        with pytest.raises(DomainError, match="digit index must be non-negative"):
+            check_orthogonality(f2, family, "deg_lt", 1, -1, 0)
 
 
 def test_orthogonality_suite_budget(f2):
@@ -123,11 +127,11 @@ def test_orthogonality_exhaustive_small(q, n):
 
 
 def test_verified_orthogonality_forms_no_gram_entry(monkeypatch):
-    # A verified suite rests on the level certificate alone: no row is
-    # evaluated, nothing is tabulated and no Gram product is formed.
+    # A verified suite rests on the level certificate alone: no G_j or D_j
+    # is evaluated, nothing is tabulated and no Gram product is formed.
     def unused(*args, **kwargs):
         raise AssertionError("the suite left its certificate")
-    for name in ("_gram_entries", "_tabulate", "eval_G_rows", "eval_D_rows"):
+    for name in ("_gram_entries", "_tabulate", "eval_G", "eval_D"):
         monkeypatch.setattr(identities, name, unused)
     for q, n in ((2, 5), (3, 2), (4, 1), (9, 1)):
         cfg = FieldConfig(*FIELDS[q])
@@ -195,7 +199,7 @@ def test_gram_entries_at_slot_bound(monkeypatch, q):
 
     def f(cfg, j, x, primed=False):
         return full
-    monkeypatch.setattr(identities, "eval_G_rows", rows_by_index(f))
+    monkeypatch.setattr(identities, "eval_G", f)
     polys = poly_enumerate(cfg, n, "deg_lt")
     values, primed = _tabulate(cfg, "CARLITZ", "deg_lt", n, 256, [0, 1], [0])
     got = list(_gram_entries(cfg, [0, 1], [0], values, primed))
@@ -236,15 +240,15 @@ def _level_fault(family, t, m, delta):
 
 def _plant_level(monkeypatch, family, name, level):
     """Make ``level`` the level of ``family`` wherever the suite reads it:
-    in its certificate, and in its tabulated rows (``name``_rows, name
-    being eval_G or eval_D), as digit products of ``level`` formed one
-    digit at a time (nothing kept in a tower).  Returns the evaluators of
-    the per-pair oracle."""
+    in its certificate, and in its tabulated values (``name``, eval_G or
+    eval_D), as digit products of ``level`` formed one digit at a time
+    (nothing kept in a tower).  Returns the evaluators of the per-pair
+    oracle."""
     monkeypatch.setattr(identities, LEVELS[family][0], level)
 
     def f(cfg, j, x, primed=False):
         return digit_product_by_digits(cfg, j, x, primed, level)
-    monkeypatch.setattr(identities, name + "_rows", rows_by_index(f))
+    monkeypatch.setattr(identities, name, f)
     evaluators = {"CARLITZ": eval_G, "DIGIT": eval_D}
     evaluators[family] = f
     return evaluators
@@ -275,29 +279,51 @@ def test_orthogonality_falsified_report_matches_oracle(monkeypatch, family,
                                          ("DIGIT", "eval_D")])
 def test_falsified_suite_evaluates_each_value_once(monkeypatch, family, name):
     # Only a (family, variant) whose certificate fails tabulates, and the
-    # witness is read from the values it tabulated: each point's two rows,
-    # unprimed and primed, over the full digit box, are evaluated once,
-    # 2 q**n calls.  A level moved at T + 1 fails the certificate of
-    # deg_lt only, so monic evaluates no row.
+    # witness is read from the values it tabulated: each (j, m, primed) is
+    # evaluated once, 2 q**(2n) calls, point by point, every unprimed j
+    # and then every primed one, both ascending.  A level moved at T + 1
+    # fails the certificate of deg_lt only, so monic evaluates nothing.
     cfg = FieldConfig(3)
     n = 2
     _plant_level(monkeypatch, family, name,
                  _level_fault(family, 1, Poly(cfg, (1, 1)), Poly.T(cfg)))
-    planted = getattr(identities, name + "_rows")
+    planted = getattr(identities, name)
     calls = []
 
-    def counted(cfg, boxes, x, primed=False):
-        calls.append((tuple(map(tuple, boxes)), x.coeffs, primed))
-        return planted(cfg, boxes, x, primed=primed)
-    monkeypatch.setattr(identities, name + "_rows", counted)
+    def counted(cfg, j, x, primed=False):
+        calls.append((x.coeffs, primed, j))
+        return planted(cfg, j, x, primed=primed)
+    monkeypatch.setattr(identities, name, counted)
     reports = orthogonality_suite(cfg, n)
     assert [r.status for r in reports if r.config["family"] == family] == \
         [FALSIFIED, VERIFIED]
-    full = ((0, 1, 2),) * n
-    want = {(full, m.coeffs, primed) for m in poly_enumerate(cfg, n, "deg_lt")
-            for primed in (False, True)}
-    assert len(calls) == len(want) == 2 * 3 ** n
-    assert set(calls) == want
+    want = [(m.coeffs, primed, j) for m in poly_enumerate(cfg, n, "deg_lt")
+            for primed in (False, True) for j in range(3 ** n)]
+    assert len(want) == 2 * 3 ** (2 * n)
+    assert calls == want
+
+
+@pytest.mark.parametrize("family,name", [("CARLITZ", "eval_G"),
+                                         ("DIGIT", "eval_D")])
+@pytest.mark.parametrize("variant,kind", [("deg_lt", "deg_lt"),
+                                          ("monic", "monic_deg_eq")])
+def test_check_orthogonality_evaluates_two_values_per_point(monkeypatch, family,
+                                                             name, variant, kind):
+    # One unprimed F_k(m) and one primed F'_l(m) per point, 2 q**n calls.
+    cfg = FieldConfig(3)
+    n, k, l = 2, 5, 3
+    evaluate = getattr(identities, name)
+    calls = []
+
+    def counted(cfg, j, x, primed=False):
+        calls.append((x.coeffs, primed, j))
+        return evaluate(cfg, j, x, primed=primed)
+    monkeypatch.setattr(identities, name, counted)
+    assert check_orthogonality(cfg, family, variant, n, k, l).ok
+    want = [(m.coeffs, primed, j) for m in poly_enumerate(cfg, n, kind)
+            for primed, j in ((False, k), (True, l))]
+    assert len(want) == 2 * 3 ** n
+    assert calls == want
 
 
 @pytest.mark.parametrize("q,n,t", [(3, 2, 0), (3, 2, 1), (4, 2, 1), (5, 1, 0),
@@ -414,7 +440,7 @@ def test_orthogonality_planted_faults_match_oracle(monkeypatch, q, n, family,
     for flag in ((False, True) if primed == "both" else (primed,)):
         f = _patched(f, j, m, Poly.one(cfg), primed=flag)
     evaluators[family] = f
-    monkeypatch.setattr(identities, name + "_rows", rows_by_index(f))
+    monkeypatch.setattr(identities, name, f)
     assert all(r.ok for r in orthogonality_suite(cfg, n))
     want = orthogonality_suite_by_pairs(cfg, n, evaluators=evaluators)
     variant = "monic" if where == "monic" else "deg_lt"

@@ -38,7 +38,6 @@ from carlitzbases import (
     wagner_coeffs,
 )
 from carlitzbases import algebra, transforms
-from carlitzbases.carlitz import _digit_box
 from carlitzbases.algebra import (
     EXACT,
     as_series,
@@ -52,6 +51,7 @@ from carlitzbases.transforms import (
     E_func,
     G_func,
     LinearFunc,
+    _digit_box,
     add_func,
     constant_func,
     default_level,
