@@ -426,10 +426,9 @@ def unpack(cfg: FieldConfig, value: int, width: int) -> bytes:
     return code.to_bytes(count, "little").rstrip(b"\0")
 
 
-def packed_sums(cfg: FieldConfig, rows, cols, pairs=None, length=None):
-    """For each (i, j) in ``pairs`` (default: every row and col,
-    row-major), the codes (``unpack``) of sum_m rows[i][m] * cols[j][m],
-    every entry a coefficient sequence.
+def packed_sums(cfg: FieldConfig, rows, cols, length=None):
+    """For each row i and col j, row-major, the codes (``unpack``) of
+    sum_m rows[i][m] * cols[j][m], every entry a coefficient sequence.
 
     Every sequence is packed once (once in all when ``cols`` is ``rows``),
     at the width ``slot_width`` gives for len(row) terms with at most
@@ -442,10 +441,9 @@ def packed_sums(cfg: FieldConfig, rows, cols, pairs=None, length=None):
     packed = [[pack(cfg, c, width) for c in row] for row in rows]
     cols = packed if cols is rows else [[pack(cfg, c, width) for c in col]
                                         for col in cols]
-    if pairs is None:
-        pairs = product(range(len(rows)), range(len(cols)))
-    for i, j in pairs:
-        yield unpack(cfg, sum(map(mul, packed[i], cols[j])), width)
+    for row in packed:
+        for col in cols:
+            yield unpack(cfg, sum(map(mul, row, col)), width)
 
 
 # A product leaves the loop kernel for pack/unpack when its loop work, the
@@ -811,21 +809,15 @@ def poly_enumerate(cfg: FieldConfig, n: int, variant: str = "deg_lt",
     """
     if n < 0:
         raise DomainError("n must be non-negative")
+    if variant not in ("deg_lt", "monic_deg_eq"):
+        raise DomainError(f"unknown enumeration variant {variant!r}")
     count = cfg.q ** n
     if budget is not None and count > budget:
         raise BudgetError(
             f"enumeration needs {count} polynomials, budget is {budget}")
-    q = cfg.q
-    out = []
-    for k in range(count):
-        coeffs = [(k // q ** i) % q for i in range(n)]
-        if variant == "deg_lt":
-            out.append(Poly(cfg, coeffs))
-        elif variant == "monic_deg_eq":
-            out.append(Poly(cfg, coeffs + [1]))
-        else:
-            raise DomainError(f"unknown enumeration variant {variant!r}")
-    return out
+    top = (1,) if variant == "monic_deg_eq" else ()
+    return [Poly(cfg, digits[::-1] + top)
+            for digits in product(range(cfg.q), repeat=n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1006,16 +998,7 @@ class TruncSeries:
 
     def matches(self, other) -> bool:
         """Digitwise agreement below the smaller of the two precisions."""
-        if isinstance(other, Poly):
-            other = other.to_series()
-        prec = min(self.prec, other.prec)
-        lo = min(self._eff_v(), other._eff_v())
-        if lo == EXACT or lo >= prec:
-            return True
-        hi = prec
-        if hi == EXACT:
-            hi = max(self.v + len(self.coeffs), other.v + len(other.coeffs))
-        return all(self.coeff(i) == other.coeff(i) for i in range(lo, int(hi)))
+        return not (self - other).coeffs
 
     def text(self) -> str:
         terms = []

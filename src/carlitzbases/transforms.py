@@ -11,7 +11,7 @@ one difference table with N evaluations of f (the tower of closures makes
 time; every other closed sum sum_m w(m) f(m) is one packed weighted sum
 (``_weighted_sums``): the D-basis coefficients b_n = sum_{i<=n} (-1)**(n-i)
 f(T**i) D_i(T**n), all columns of the inverse matrix B at once (f = E_n),
-and the powered-D coefficients from b (the ``convert_powered`` weights).
+and the powered-D coefficients (the weights D_i(T**n)**(q**m)).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from typing import Callable, List, Optional
 
 from .algebra import (
     EXACT,
+    BudgetError,
     DomainError,
     FieldConfig,
     Poly,
@@ -35,7 +36,7 @@ from .algebra import (
     _spread,
     valuation_norm,
 )
-from .carlitz import DigitIndex, bracket, eval_E, eval_G
+from .carlitz import DEGREE_BUDGET, DigitIndex, bracket, eval_E, eval_G
 from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
 
 DEFAULT_BUDGET = 256
@@ -291,35 +292,32 @@ def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
     return BasisExpansion(f.cfg, Basis.LINEAR_D, _digit_sums(f.cfg, [f], N)[0])
 
 
-def _digit_sums(cfg: FieldConfig, fs, N: int) -> List[List[Value]]:
-    """b_n, n < N, of each f in ``fs``: one weighted sum of the f(T**i),
-    i < N, with the weights (-1)**(n-i) D_i(T**n)."""
+def _digit_sums(cfg: FieldConfig, fs, N: int, m: int = 0) -> List[List[Value]]:
+    """The coefficients n < N of each f in ``fs`` in the basis {D_n**(q**m)}:
+    one weighted sum of the f(T**i), i < N, with the weights
+    (-1)**(n-i) D_i(T**n)**(q**m) = (-1)**(n-i) C(n, i) T**((n-i) q**m)."""
     points = [Poly.monomial(cfg, i) for i in range(N)]
-    weights = [[hasse_on_monomial(cfg, i, n).scalar_mul(cfg.sign(n - i))
+    weights = [[hasse_on_monomial(cfg, i, n).frobenius(m).scalar_mul(cfg.sign(n - i))
                 for i in range(N)] for n in range(N)]
     return _weighted_sums(cfg, weights, [[f(x) for x in points] for f in fs])
 
 
 def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
-    """Coefficients of f in the q**m-power digit basis {D_n**(q**m)}:
-
-    beta_n = sum_{j<=n} C(n,j) (-[m])**(n-j) b_j from the D-basis
-    coefficients b_j of ``digit_coeffs_linear``; the weights are the
-    ``convert_powered`` to_powered coefficients, and m = 0 gives b itself.
+    """Coefficients of f in the q**m-power digit basis {D_n**(q**m)}, one
+    ``_digit_sums``: beta_n = ((delta - [m] I)**n f)(1), and delta - [m] I
+    maps g to g(Tx) - T**(q**m) g(x).  A series beta_n knows the least
+    prec f(T**i) + (n-i) q**m over the i with C(n, i) != 0 mod p.  q**m
+    past DEGREE_BUDGET raises BudgetError first, without forming q**m when
+    m alone passes the budget's bit length.
     """
     if not f.linear:
         raise DomainError("powered-D expansion requires an F_q-linear function")
     if m < 0:
         raise DomainError("m must be non-negative")
-    cfg = f.cfg
-    b = digit_coeffs_linear(f, N).coeffs
-    if m == 0:
-        return BasisExpansion(cfg, Basis.POWERED_D, b, m=m)
-    # Column j holds the weights C(n, j) (-[m])**(n-j) of b_j in beta_n, n < N.
-    columns = [[Poly.zero(cfg)] * j + convert_powered(cfg, j, m, N - j, "to_powered")
-               for j in range(N)]
-    beta = _weighted_sums(cfg, list(zip(*columns)), [b])[0]
-    return BasisExpansion(cfg, Basis.POWERED_D, beta, m=m)
+    _check_terms(N)
+    if m >= DEGREE_BUDGET.bit_length() or f.cfg.q ** m > DEGREE_BUDGET:
+        raise BudgetError(f"deg T**(q**m) = q**{m} exceeds the degree budget")
+    return BasisExpansion(f.cfg, Basis.POWERED_D, _digit_sums(f.cfg, [f], N, m)[0], m=m)
 
 
 def default_level(cfg: FieldConfig, J: int) -> int:

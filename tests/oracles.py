@@ -2,10 +2,12 @@
 
 Each function computes a value the library computes faster another way:
 products by the full schoolbook double loop, sums, negation, scaling and
-Frobenius one digit at a time, the Voloch matrix by its
-defining subset sums, the E- and D-basis coefficients by triangular solve,
-by literal operator iteration and by their closed sums one term at a
-time (the inverse matrix column by column), delta^(n) f by its tower of closures,
+Frobenius one digit at a time, series agreement digit by digit, the
+Voloch matrix by its defining subset sums, the E- and D-basis
+coefficients by triangular solve, by literal operator iteration and by
+their closed sums one term at a time (the inverse matrix column by
+column; the powered-D ones also from the D-basis ones by the [m]-power
+conversion weights), delta^(n) f by its tower of closures,
 one step of the E_n recurrence by
 subtraction and a digit-by-digit prefix sum (and E_n by n such steps),
 D_n one Lucas binomial per digit, (delta - [m] I) f as a
@@ -104,6 +106,21 @@ def _from_digits(cfg, out: dict, prec, exact: bool) -> Value:
     if exact:
         return Poly(cfg, [0] * lo + digits)
     return TruncSeries(cfg, lo, digits, prec)
+
+
+def matches_by_digits(a: TruncSeries, b: Value) -> bool:
+    """``TruncSeries.matches`` digit by digit: a and b agree at every T**i
+    below the lesser precision, from the lower of their valuations (a value
+    zero to precision counts from its precision) on."""
+    b = as_series(b)
+    prec = min(a.prec, b.prec)
+    lo = min(x.v if x.coeffs else x.prec for x in (a, b))
+    if lo == EXACT or lo >= prec:
+        return True
+    hi = prec
+    if hi == EXACT:
+        hi = max(a.v + len(a.coeffs), b.v + len(b.coeffs))
+    return all(a.coeff(i) == b.coeff(i) for i in range(lo, int(hi)))
 
 
 def digitwise(op, *values: Value) -> Value:
@@ -216,16 +233,17 @@ def digit_coeffs_linear_by_iteration(f: LinearFunc, N: int) -> BasisExpansion:
     return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
 
 
-def digit_coeffs_linear_by_terms(f: LinearFunc, N: int) -> BasisExpansion:
+def digit_coeffs_linear_by_terms(f: LinearFunc, N: int, m: int = 0) -> BasisExpansion:
     """b_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n), one value product
-    and one addition per nonzero term."""
+    and one addition per nonzero term; with m > 0 the weights are
+    D_i(T**n)**(q**m), which gives the powered-D coefficients."""
     cfg = f.cfg
     fvals = [f(Poly.monomial(cfg, i)) for i in range(N)]
     coeffs = []
     for n in range(N):
         acc = None
         for i in range(n + 1):
-            w = hasse_on_monomial(cfg, i, n)
+            w = hasse_on_monomial(cfg, i, n).frobenius(m)
             if w.is_zero:
                 continue
             term = fvals[i] * w
@@ -237,9 +255,19 @@ def digit_coeffs_linear_by_terms(f: LinearFunc, N: int) -> BasisExpansion:
 
 
 def powered_digit_coeffs_by_terms(f: LinearFunc, m: int, N: int) -> BasisExpansion:
+    """beta_n = sum_{i<=n} (-1)**(n-i) f(T**i) D_i(T**n)**(q**m), one value
+    product and one addition per nonzero term."""
+    coeffs = digit_coeffs_linear_by_terms(f, N, m).coeffs
+    return BasisExpansion(f.cfg, Basis.POWERED_D, coeffs, m=m)
+
+
+def powered_digit_coeffs_by_conversion(f: LinearFunc, m: int,
+                                       N: int) -> BasisExpansion:
     """beta_n = sum_{j<=n} C(n,j) (-[m])**(n-j) b_j over the b_j of
     ``digit_coeffs_linear_by_terms``, one value product and one addition
-    per nonzero weight (the ``convert_powered`` to_powered ones)."""
+    per nonzero weight (the ``convert_powered`` to_powered ones).  A series
+    beta_n knows the least prec f(T**i) + (n-i), where the one-pass sum
+    knows prec f(T**i) + (n-i) q**m."""
     cfg = f.cfg
     b = digit_coeffs_linear_by_terms(f, N).coeffs
     if m == 0:
@@ -393,8 +421,9 @@ def power_sums_match(cfg, n, values):
     closed form which the suite's certificate (``identities._levels_certified``)
     proves from the levels alone; here each S is summed by brute force.
 
-    S(s) is the packed sum (``algebra.packed_sums``) of F_k(m) F_l(m),
-    both unprimed, with k_t = min(s_t, q - 1) and l_t = s_t - k_t.
+    S(s) is the entry (k, l) of the packed Gram (``algebra.packed_sums``)
+    of the F_k(m) F_l(m), both unprimed, with k_t = min(s_t, q - 1) and
+    l_t = s_t - k_t.
     Expanding F' by its definition, each Gram entry sum_m F_k(m) F'_l(m)
     is a signed sum of the S(k + l - (q - 1) 1_D), D a subset of max(l),
     as F_a F_b depends on the digitwise sum a + b only for digit products,
@@ -405,7 +434,7 @@ def power_sums_match(cfg, n, values):
     """
     q = cfg.q
     one = bytes([cfg.sign(n)])
-    pairs, forms = [], []
+    gram = list(packed_sums(cfg, values, values))
     for s in product(range(2 * q - 1), repeat=n):
         k = l = 0
         closed = True
@@ -414,10 +443,7 @@ def power_sums_match(cfg, n, values):
             k += kt * q ** t
             l += (st - kt) * q ** t
             closed = closed and st % (q - 1) == 0 and st > 0
-        pairs.append((k, l))
-        forms.append(one if closed else b"")
-    for total, form in zip(packed_sums(cfg, values, values, pairs), forms):
-        if total != form:
+        if gram[k * len(values) + l] != (one if closed else b""):
             return False
     return True
 

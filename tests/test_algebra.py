@@ -20,7 +20,14 @@ from carlitzbases import (
     valuation_norm,
 )
 from carlitzbases import algebra
-from carlitzbases.algebra import pack, random_poly, random_series, slot_width, unpack
+from carlitzbases.algebra import (
+    as_series,
+    pack,
+    random_poly,
+    random_series,
+    slot_width,
+    unpack,
+)
 from oracles import (
     FIELDS,
     digitwise,
@@ -28,6 +35,7 @@ from oracles import (
     field_tables_by_poly,
     first_irreducible_by_digits,
     frobenius_by_digits,
+    matches_by_digits,
     pack_by_slots,
     schoolbook_mul,
     unpack_by_slots,
@@ -349,14 +357,21 @@ def test_enumerate_counts(q, n):
     lt = poly_enumerate(cfg, n, "deg_lt")
     assert len(lt) == q ** n
     assert len(set(p.text() for p in lt)) == q ** n
+    # Polynomial k has the base-q digits of k, the constant term fastest.
+    digits = [[k // q ** i % q for i in range(n)] for k in range(q ** n)]
+    assert lt == [Poly(cfg, d) for d in digits]
     mo = poly_enumerate(cfg, n, "monic_deg_eq")
-    assert len(mo) == q ** n
-    assert all(p.is_monic and p.degree == n for p in mo)
+    assert mo == [Poly(cfg, d + [1]) for d in digits]
 
 
 def test_enumerate_budget(f2):
     with pytest.raises(BudgetError):
         poly_enumerate(f2, 9, "deg_lt", budget=256)
+    # The variant is checked first: an unknown one is a DomainError even
+    # where the budget would also fail, and at n = 0.
+    for n, budget in ((9, 256), (0, None)):
+        with pytest.raises(DomainError, match="unknown enumeration variant"):
+            poly_enumerate(f2, n, "monic", budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +500,32 @@ def _operand(cfg, data, v_min=-3, v_max=6, long=False):
     if kind == "exact":
         return TruncSeries(cfg, v, digits, EXACT)
     return TruncSeries(cfg, v, digits, v + data.draw(st.integers(0, len(digits) + 3)))
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_series_matches_digit_oracle(q, data):
+    # ``matches`` as one subtraction against a digit-by-digit comparison,
+    # both ways round.  b is drawn on its own, or taken from a: cut to a
+    # lower precision, changed in one digit (below, inside or past the
+    # precision), or read as a Poly, so both answers occur, with unequal
+    # precisions, negative valuations and values zero to precision.
+    cfg = _MUL_FIELDS[q]
+    a = as_series(_operand(cfg, data))
+    b = _operand(cfg, data)
+    if data.draw(st.booleans()):
+        b = a
+        top = b.prec if b.prec != EXACT else b.v + len(b.coeffs) + 3
+        if data.draw(st.booleans()):
+            b = b.truncate(data.draw(st.integers(min(b.v, top) - 2, top)))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(-5, 20))
+            b = b + TruncSeries.monomial(cfg, k, data.draw(st.integers(1, q - 1)))
+        if b.prec == EXACT and (not b.coeffs or b.v >= 0) and data.draw(st.booleans()):
+            b = Poly(cfg, bytes(b.v) + b.coeffs)
+    assert a.matches(b) == matches_by_digits(a, b)
+    if isinstance(b, TruncSeries):
+        assert b.matches(a) == matches_by_digits(b, a)
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())

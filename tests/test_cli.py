@@ -335,9 +335,11 @@ def test_csv_bytes_unchanged(capsys, argv, digest):
 # reach: fields with e > 1 (q = 8 and 16 take the XOR scan, q = 9 and 27
 # pack the widest blocks of odd p), and the p > 128 fields, whose slots are
 # two bytes wide.  Recorded before the bracket step moved onto pack/unpack.
-# The last five pin the closed sums of the powered-D and linear-D bases and
+# The next five pin the closed sums of the powered-D and linear-D bases and
 # of the inverse matrix (odd p with e = 1 and e > 1, q = 16, and q = 2 at
-# size 12), recorded while each still added its terms one at a time.
+# size 12), recorded while each still added its terms one at a time.  The
+# last four pin powered-D at m = 1, 2, 3 (q = 2, 4, 5, 9), recorded while
+# beta still came from b by the [m]-power conversion weights.
 E_PATH_RUNS = [
     (("--q", "8", "matrix", "--which", "inverse", "--size", "4"),
      "9379039eb6b1bf1f727e4c2b7a1f02bef1d93603164f7e440ffe41f7cedf3aa9"),
@@ -364,6 +366,18 @@ E_PATH_RUNS = [
      "88ecd4e2271eda1ee9a100a9525af2ba4cd69198fcaba36380658ba535baed38"),
     (("--q", "2", "matrix", "--which", "inverse", "--size", "12"),
      "bc84145ea2fcc1b592b886d726fffc591de86dd504347dbd5c73f6c6c14e70ab"),
+    (("--q", "2", "expand", "--f", "E:3+D:2", "--basis", "powered-D",
+      "--m", "3", "--terms", "32"),
+     "c74a3334b0238d071a83e13d5a0c7c9055d5f5e15565c8292b44592505cd007d"),
+    (("--q", "4", "expand", "--f", "E:2+D:1", "--basis", "powered-D",
+      "--m", "2", "--terms", "16"),
+     "cddbe58e33482a0e71c702fddd84dce718bfd886b1e3877fcdfb8845b4c7ca6b"),
+    (("--q", "9", "expand", "--f", "E:1+D:2", "--basis", "powered-D",
+      "--m", "1", "--terms", "12"),
+     "32351d77a8273df0f0da934fee89552967bc49b44d07a890b40ae0beec326567"),
+    (("--q", "5", "expand", "--f", "T*E:2+D:3", "--basis", "powered-D",
+      "--terms", "20"),
+     "aa9be4ae56c332dbe7e4cd72f3c503ea1c8dc7e6e7b92a0ca222b8a36a7e352f"),
 ]
 
 
@@ -456,6 +470,45 @@ def test_verify_n_defaults_to_two(capsys, suite):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert run_cli(capsys, *argv, "--n", "2") == (0, out, "")
+
+
+def test_verify_falsified_exit_one(monkeypatch, capsys):
+    # A planted wrong expectation in the linearity corpus: the classification
+    # itself verifies, and the suite reports the expected-versus-classified
+    # mismatch as FALSIFIED; exit 1, with one falsified: line per report on
+    # stderr.
+    from carlitzbases import identities
+    from carlitzbases.transforms import identity_func
+    monkeypatch.setattr(identities, "_linearity_corpus", lambda cfg: [
+        (identity_func(cfg), False), (identity_func(cfg), True)])
+    code, out, err = run_cli(capsys, "--q", "3", "verify", "--suite", "linearity")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["summary"] == {"verified": 1, "falsified": 1, "budget_exhausted": 0}
+    bad, good = doc["reports"]
+    assert (bad["identity"], bad["status"], good["status"]) == (
+        "linearity", "falsified", "verified")
+    assert bad["witness"] == {"function": "identity", "expected": False,
+                              "classified": True}
+    assert err.splitlines() == [
+        "falsified: linearity {'basis': 'D', 'q': 3, 'trunc': 27, "
+        "'function': 'identity'} witness={'function': 'identity', "
+        "'expected': False, 'classified': True}"]
+
+
+def test_verify_text_format_lists_reports(capsys):
+    # --format text writes a list value as its key line and one indented
+    # line per item.
+    code, out, _ = run_cli(capsys, "--q", "2", "--format", "text", "verify",
+                           "--suite", "power")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("reports:")
+    items = lines[at + 1:at + 4]
+    assert all(line.startswith("  {'schema': 'carlitzbases/v1'") for line in items)
+    assert all("'identity': 'power_criterion'" in line for line in items)
+    assert lines[at + 4].startswith("run_config: {")
+    assert lines[-1] == "summary: {'verified': 3, 'falsified': 0, 'budget_exhausted': 0}"
 
 
 def test_verify_unknown_suite(capsys):
@@ -557,6 +610,15 @@ def test_negative_index_exits_two(capsys, spec, basis, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_powered_D_past_the_degree_budget_exits_two(capsys):
+    # q**m = 2**17 passes the degree budget: exit 2 with one error line.
+    code, out, err = run_cli(capsys, "--q", "2", "expand", "--f", "D:1",
+                             "--basis", "powered-D", "--m", "17", "--terms", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "degree budget" in err
 
 
 def test_unknown_basis_exits_two(capsys):

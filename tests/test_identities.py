@@ -54,6 +54,7 @@ from carlitzbases.transforms import (
     D_func,
     Dj_func,
     G_func,
+    LinearFunc,
     add_func,
     carlitz_coeffs,
     constant_func,
@@ -989,6 +990,23 @@ def test_classify_linearity_examples(f2, rng):
     assert r.status == VERIFIED and r.witness["linear"]
 
 
+def test_classify_linearity_sampling_disagrees(f3, rng):
+    # An expansion read against the wrong evaluator is FALSIFIED with both
+    # answers: x -> x**2 keeps f(0) = 0, so the additivity samples answer;
+    # x -> x + T is refused at f(0), after that one evaluation.
+    linear = digit_coeffs(identity_func(f3), 9, f3)
+    nonlinear = digit_coeffs(monomial_func(f3, 2), 9, f3)
+    shifted, calls = add_func(identity_func(f3), constant_func(f3, Poly.T(f3))), []
+    counted = LinearFunc(f3, lambda x: calls.append(x) or shifted(x), linear=False)
+    for exp, evaluator, says in ((linear, monomial_func(f3, 2), True),
+                                 (linear, counted, True),
+                                 (nonlinear, identity_func(f3), False)):
+        r = classify_linearity(exp, evaluator=evaluator, rng=rng)
+        assert (r.identity, r.status) == ("linearity", FALSIFIED)
+        assert r.witness == {"expansion_says": says, "sampling_says": not says}
+    assert calls == [Poly.zero(f3)]
+
+
 def test_classify_linearity_needs_digit_basis(f2):
     from carlitzbases.transforms import Basis, BasisExpansion, wagner_coeffs
     exp = wagner_coeffs(identity_func(f2), 3)
@@ -1142,7 +1160,9 @@ def test_power_criterion_falsifies_escape(f2, rng):
     tinv = TruncSeries(f2, -1, (1,), 30)
     bad = lambda x: tinv + x
     r = check_power_criterion(f2, bad, 1, rng=rng)
-    assert r.status == FALSIFIED and r.witness is not None
+    assert (r.identity, r.status) == ("power_criterion", FALSIFIED)
+    assert set(r.witness) == {"x", "f(x)", "reason"}
+    assert r.witness["reason"] == "value escapes O"
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1150,6 +1170,30 @@ def test_reduced_basis(q):
     cfg = FieldConfig(q)
     assert check_reduced_basis(cfg, 6).status == VERIFIED
     assert check_reduced_basis(cfg, 1).status == VERIFIED
+
+
+@pytest.mark.parametrize("cell,planted,both,witness", [
+    ((1, 0), 1, False, None), ((2, 2), 2, True, {"diagonal": (2, 2)}),
+    ((3, 1), 1, True, {"entry": (3, 1, 1)})])
+def test_reduced_basis_falsified_witnesses(monkeypatch, cell, planted, both, witness):
+    # The reduced value at cell (i, j) planted in D_i(T^j) alone (the two
+    # matrices differ), or in E_i(T^j) and D_i(T^j) alike, on the diagonal
+    # or below it: each check reports its own witness.
+    cfg = FieldConfig(3)
+    E, D = identities.eval_E, identities.hasse_derivative
+    monkeypatch.setattr(identities, "eval_E", lambda cfg, i, x: Poly(cfg, [planted])
+                        if both and (i, x.v) == cell else E(cfg, i, x))
+    monkeypatch.setattr(identities, "hasse_derivative",
+                        lambda cfg, i, x: Poly(cfg, [planted])
+                        if (i, x.degree) == cell else D(cfg, i, x))
+    r = check_reduced_basis(cfg, 6)
+    assert (r.identity, r.status) == ("reduced_basis", FALSIFIED)
+    i, j = cell
+    if witness is None:
+        assert set(r.witness) == {"E", "D"}
+        assert r.witness["D"][i][j] == planted and r.witness["E"][i][j] == 0
+    else:
+        assert r.witness == witness
 
 
 @pytest.mark.parametrize("q", [11, 13, 17, 131, 251])

@@ -71,6 +71,7 @@ from oracles import (
     enumeration_coeffs_by_pairs,
     enumeration_coeffs_by_rows,
     inverse_matrix_by_columns,
+    powered_digit_coeffs_by_conversion,
     powered_digit_coeffs_by_iteration,
     powered_digit_coeffs_by_terms,
     voloch_matrix_by_subsets,
@@ -354,13 +355,19 @@ def _assert_closed_sums_match_terms(f, N, m):
 def test_closed_sums_match_term_by_term_oracles(q, data):
     # b_n and beta_n as packed weighted sums against one product and one
     # addition per term: equal in value, type and prec, for Poly-valued
-    # and series-valued functions (the iteration oracles can know fewer
-    # digits, so they only bound prec from below).
+    # and series-valued functions.  beta_n against the two-pass sum from
+    # b by the conversion weights: equal values on the common digits, and
+    # never fewer digits known, the same number at m = 0.
     cfg = FieldConfig(*FIELDS[q])
     rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
     f = _closed_sum_function(cfg, rnd, data.draw(st.sampled_from(("poly", "series"))))
-    _assert_closed_sums_match_terms(f, data.draw(st.integers(1, 8)),
-                                    data.draw(st.integers(0, 2)))
+    N, m = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 2))
+    _assert_closed_sums_match_terms(f, N, m)
+    got = powered_digit_coeffs(f, m, N).coeffs
+    for x, y in zip(got, powered_digit_coeffs_by_conversion(f, m, N).coeffs):
+        assert values_match(x, y) and type(x) is type(y)
+        if isinstance(x, TruncSeries):
+            assert x.prec >= y.prec if m else x.prec == y.prec
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
@@ -673,10 +680,78 @@ def test_enumeration_transform_cost(monkeypatch, J, level, basis):
 # ---------------------------------------------------------------------------
 
 def test_powered_coeffs_m0_reduces_to_plain(f2):
-    f = frobenius_func(f2, 1)
-    a = powered_digit_coeffs(f, 0, 6)
-    b = digit_coeffs_linear(f, 6)
-    for x, y in zip(a.coeffs, b.coeffs):
+    # Coefficient for coefficient, with type and prec, for Poly and series
+    # values.
+    s = TruncSeries(f2, -2, [1, 1, 0, 1], 9)
+    for f in (frobenius_func(f2, 1), scale_func(s, E_func(f2, 2))):
+        a = powered_digit_coeffs(f, 0, 6).coeffs
+        b = digit_coeffs_linear(f, 6).coeffs
+        assert a == b
+        assert [type(x) for x in a] == [type(y) for y in b]
+        assert [getattr(x, "prec", None) for x in a] == [getattr(y, "prec", None)
+                                                         for y in b]
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_powered_coeffs_form_no_bracket(monkeypatch, q):
+    # One pass over the f(T**i): neither the [m]-power conversion weights
+    # nor [m] itself is formed.
+    cfg = FieldConfig(*FIELDS[q])
+    s = TruncSeries(cfg, -1, [1, 2 % q, 1], 12)
+    funcs = (add_func(E_func(cfg, 2), D_func(cfg, 1)), scale_func(s, E_func(cfg, 1)))
+    want = [[powered_digit_coeffs_by_terms(f, m, 6) for m in (1, 2)] for f in funcs]
+
+    def refuse(*args):
+        raise AssertionError("[m] formed")
+    monkeypatch.setattr(transforms, "convert_powered", refuse)
+    monkeypatch.setattr(transforms, "bracket", refuse)
+    for f, expected in zip(funcs, want):
+        for m, w in zip((1, 2), expected):
+            _assert_same_expansion(powered_digit_coeffs(f, m, 6), w)
+
+
+class _Unpowered(int):
+    """An exponent that fails the test when q**m is formed from it."""
+
+    def __rpow__(self, base):
+        raise AssertionError(f"{base}**{int(self)} formed")
+
+
+@pytest.mark.parametrize("q,m", [(2, 17), (3, 11), (4, 9), (9, 6),
+                                 (3, _Unpowered(10 ** 9))])
+def test_powered_coeffs_budget_before_any_weight(monkeypatch, q, m):
+    # q**m past DEGREE_BUDGET raises BudgetError before a weight is built;
+    # at the largest admitted m the weights are built.  m = 10**9 is
+    # refused without forming q**m.
+    from carlitzbases import BudgetError
+    from carlitzbases.carlitz import DEGREE_BUDGET
+
+    def refuse(*args):
+        raise AssertionError("weight built")
+    monkeypatch.setattr(transforms, "hasse_on_monomial", refuse)
+    cfg = FieldConfig(*FIELDS[q])
+    with pytest.raises(BudgetError):
+        powered_digit_coeffs(D_func(cfg, 1), m, 4)
+    if not isinstance(m, _Unpowered):
+        assert q ** (m - 1) <= DEGREE_BUDGET
+        with pytest.raises(AssertionError, match="weight built"):
+            powered_digit_coeffs(D_func(cfg, 1), m - 1, 4)
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_powered_coeffs_of_truncated_values_match_exact(q, data):
+    # f with its Poly values cut to O(T**P): every digit that a series
+    # coefficient states is the exact coefficient's digit.
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    f = _closed_sum_function(cfg, rnd, "poly")
+    P = data.draw(st.integers(1, 12))
+    cut = LinearFunc(cfg, lambda x: f(x).to_series(P))
+    N, m = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 2))
+    exact = powered_digit_coeffs(f, m, N).coeffs
+    for x, y in zip(powered_digit_coeffs(cut, m, N).coeffs, exact):
+        assert isinstance(x, TruncSeries) and isinstance(y, Poly)
         assert values_match(x, y)
 
 
