@@ -6,8 +6,8 @@ element in the polynomial basis of the modulus, packed little-endian
 built once per FieldConfig, so q is capped at 256.
 
 For p = 2 the code of a sum is the XOR of the codes: sums, products
-(``_mul_rows``) and the E_n step (``difference_scan``) XOR ints, and the
-test ``cfg.p == 2`` is made in this module only.
+(``_mul_rows``) and the E_n step (``difference_scan``) XOR ints; besides
+this module only the code-string sums of ``transforms`` test ``cfg.p == 2``.
 """
 from __future__ import annotations
 
@@ -274,6 +274,14 @@ def _spread(coeffs, s: int) -> bytearray:
     out = bytearray(max((len(coeffs) - 1) * s + 1, 0))
     out[::s] = coeffs
     return out
+
+
+def _shift(y, k):
+    """T**k * y for k >= 0 (Poly or TruncSeries, as y is): y's codes moved
+    up k places, a series' precision with them, with no product."""
+    if isinstance(y, Poly):
+        return Poly(y.cfg, bytes(k) + y.coeffs)
+    return TruncSeries(y.cfg, y.v + k, y.coeffs, y.prec + k)
 
 
 def _frobenius_stride(cfg: FieldConfig, m: int) -> int:
@@ -974,14 +982,6 @@ class TruncSeries:
                     acc = cfg.add(acc, cfg.mul(u[j], r[k - j]))
             r.append(cfg.neg(cfg.mul(r0, acc)))
         return TruncSeries(cfg, -v, r, out_prec)
-
-    def to_poly(self) -> Poly:
-        """Exact Laurent polynomial with v >= 0 as a Poly; errors otherwise."""
-        if self.prec != EXACT:
-            raise PrecisionError("only exact series convert to Poly")
-        if self.coeffs and self.v < 0:
-            raise DomainError("negative-valuation value is not in F_q[T]")
-        return Poly(self.cfg, bytes(self.v) + self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Poly):

@@ -33,6 +33,11 @@ from .towers import TOWERS
 DEGREE_BUDGET = 1 << 16
 
 
+def _over_budget(q: int, n: int) -> bool:
+    """q**n > DEGREE_BUDGET (q >= 2), q**n unformed once n reaches its bit length."""
+    return n >= DEGREE_BUDGET.bit_length() or q ** n > DEGREE_BUDGET
+
+
 @dataclass(frozen=True)
 class DigitIndex:
     """Base-q digit decomposition of a non-negative index, little-endian."""
@@ -74,7 +79,7 @@ def bracket(cfg: FieldConfig, n: int) -> Poly:
     """[n] = T**(q**n) - T; defined for n >= 1 only."""
     if n < 1:
         raise DomainError("[n] is defined for n >= 1")
-    if cfg.q ** n > DEGREE_BUDGET:
+    if _over_budget(cfg.q, n):
         raise BudgetError(f"deg [n] = q**{n} exceeds the degree budget")
     coeffs = [0] * (cfg.q ** n + 1)
     coeffs[1] = cfg.neg_one
@@ -89,7 +94,7 @@ def carlitz_F(cfg: FieldConfig, n: int) -> Poly:
         raise DomainError("n must be non-negative")
     if n == 0:
         return Poly.one(cfg)
-    if cfg.q ** n > DEGREE_BUDGET:
+    if _over_budget(cfg.q, n):
         raise BudgetError("F_n degree budget exceeded")
     return bracket(cfg, n) * carlitz_F(cfg, n - 1).frobenius(1)
 
@@ -122,7 +127,7 @@ def e_poly(cfg: FieldConfig, n: int) -> LinearPolynomial:
         raise DomainError("n must be non-negative")
     if n == 0:
         return LinearPolynomial(cfg, ((0, Poly.one(cfg)),))
-    if cfg.q ** n > DEGREE_BUDGET:
+    if _over_budget(cfg.q, n):
         raise BudgetError("e_n degree budget exceeded")
     Fn = carlitz_F(cfg, n)
     terms = []
@@ -160,7 +165,7 @@ def eval_E(cfg: FieldConfig, n: int, x: Value) -> Value:
             raise DomainError("E_n is only evaluated on O (v >= 0)")
         if 0 < n and x.prec <= n:  # never for an exact series
             raise PrecisionError(f"E_{n} needs input precision > {n}, got {x.prec}")
-    if (isinstance(x, Poly) or x.prec == EXACT) and cfg.q ** n > DEGREE_BUDGET:
+    if (isinstance(x, Poly) or x.prec == EXACT) and _over_budget(cfg.q, n):
         raise BudgetError(f"E_{n} degree budget exceeded")
     if not levels:
         levels.append(x)  # counted with its tower

@@ -91,11 +91,3 @@ def powered_D(cfg: FieldConfig, n: int, m: int, x: Value) -> Value:
     if m < 0:
         raise DomainError("power exponent m must be non-negative")
     return hasse_derivative(cfg, n, x).frobenius(m)
-
-
-def hasse_on_monomial(cfg: FieldConfig, n: int, i: int) -> Poly:
-    """D_n(T**i) = C(i, n) T**(i-n) as an exact polynomial (zero for i < n)."""
-    b = lucas_binom(i, n, cfg.p)
-    if b == 0 or i < n:
-        return Poly.zero(cfg)
-    return Poly.monomial(cfg, i - n, b)

@@ -416,19 +416,19 @@ def basis_distance(cfg: FieldConfig, pair: str, n: int,
         for i in pending:
             digits, bound = max(P, i - n + 1), cfg.q ** s * (i - n)
             fv, gv = _pair_values(cfg, pair, n, m, i, digits)
-            diff = fv - gv
-            failure = _distance_failure(config, n, i, fv, gv, diff)
+            v = _difference_valuation(fv, gv)
+            failure = (_distance_failure(config, n, i, fv, gv)
+                       if i <= n or (v is not None and v < 1) else None)
             if failure is not None and bound <= DEGREE_BUDGET:
                 try:
                     fv, gv = _pair_values(cfg, pair, n, m, i)
-                    failure = _distance_failure(config, n, i, fv, gv,
-                                                fv - gv) or failure
+                    failure = _distance_failure(config, n, i, fv, gv) or failure
                 except BudgetError:
                     pass
             if failure is not None:
                 return failure
-            if diff.valuation is not None:
-                valuations.append(diff.valuation)
+            if v is not None:
+                valuations.append(v)
             elif digits <= bound:
                 unresolved.append((i, digits))
         least = min(valuations, default=None)
@@ -453,8 +453,20 @@ def _pair_values(cfg, pair, n, m, i, P=None):
     return (ev if P is None else ev.truncate(-(-P // cfg.q))).frobenius(1), ev
 
 
-def _distance_failure(config, n, i, fv, gv, diff):
+def _difference_valuation(a, b):
+    """v(a - b) for series a, b (None if zero to the lesser precision): the
+    lowest byte where their codes, aligned as ints, differ, as two codes
+    are equal exactly when their field elements are."""
+    low = min(a.v, b.v)
+    bits = ((int.from_bytes(a.coeffs, "little") << 8 * (a.v - low))
+            ^ (int.from_bytes(b.coeffs, "little") << 8 * (b.v - low)))
+    v = low + ((bits & -bits).bit_length() - 1) // 8
+    return v if bits and v < min(a.prec, b.prec) else None
+
+
+def _distance_failure(config, n, i, fv, gv):
     """The falsified ``basis_distance`` report at T^i, or None."""
+    diff = fv - gv
     v = diff.valuation
     if v is not None and v < 1:
         return _verdict("basis_distance", config, False,
@@ -498,11 +510,12 @@ def check_reduced_basis(cfg: FieldConfig, n_max: int) -> VerdictReport:
     """The matrices [reduced E_i(T^j)] and [reduced D_i(T^j)] for i, j < n_max
     coincide and are unitriangular, so the reductions are independent over F_q.
 
-    E_i(T^j) is read mod T, from T^j + O(T^(i+1)), so no value of degree
-    q**i j is formed (no degree budget at any q)."""
+    E_i(T^j) is read mod T at one point per j, T^j + O(T^n_max) (precision
+    n_max - i >= 1 left), so no value of degree q**i j is formed (no degree
+    budget at any q)."""
     config = {"q": cfg.q, "n_max": n_max}
-    mat_E = [[eval_E(cfg, i, TruncSeries.monomial(cfg, j, 1, i + 1)).coeff(0)
-              for j in range(n_max)] for i in range(n_max)]
+    points = [TruncSeries.monomial(cfg, j, 1, n_max) for j in range(n_max)]
+    mat_E = [[eval_E(cfg, i, x).coeff(0) for x in points] for i in range(n_max)]
     mat_D = [[hasse_derivative(cfg, i, Poly.monomial(cfg, j)).coeff(0)
               for j in range(n_max)] for i in range(n_max)]
     if mat_E != mat_D:

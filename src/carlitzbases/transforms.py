@@ -8,10 +8,10 @@ enumeration sums, the term-by-term closed sums) are the test suite's
 oracles, not second paths.  The values delta^(n) f(x), n < N, come from
 one difference table with N evaluations of f (the tower of closures makes
 2**N - 1).  The G and D enumerations sum out the digits of m one at a
-time; every other closed sum sum_m w(m) f(m) is one packed weighted sum
-(``_weighted_sums``): the D-basis coefficients b_n = sum_{i<=n} (-1)**(n-i)
-f(T**i) D_i(T**n), all columns of the inverse matrix B at once (f = E_n),
-and the powered-D coefficients (the weights D_i(T**n)**(q**m)).
+time.  The weights D_i(T**n)**(q**m) = C(n, i) T**((n-i) q**m) of the
+closed sums are scaled powers of T, so each D-basis, inverse-matrix (f =
+E_n) and powered-D coefficient is one shifted sum (``_digit_sums``), and
+every product by T**k a shift (``algebra._shift``).
 """
 from __future__ import annotations
 
@@ -31,13 +31,16 @@ from .algebra import (
     TruncSeries,
     Value,
     lucas_binom,
+    pack,
     packed_sums,
     poly_enumerate,
+    slot_width,
+    unpack,
+    _shift,
     _spread,
-    valuation_norm,
 )
-from .carlitz import DEGREE_BUDGET, DigitIndex, bracket, eval_E, eval_G
-from .hasse import eval_D, hasse_derivative, hasse_on_monomial, powered_D
+from .carlitz import DigitIndex, _over_budget, bracket, eval_E, eval_G
+from .hasse import _binomial_row, eval_D, hasse_derivative, powered_D
 
 DEFAULT_BUDGET = 256
 
@@ -163,10 +166,6 @@ class BasisExpansion:
             return self.coeffs[j]
         return Poly.zero(self.cfg)
 
-    def sup_norm(self) -> Fraction:
-        return max((valuation_norm(c).value for c in self.coeffs),
-                   default=Fraction(0))
-
     def to_json(self) -> dict:
         out = {
             "schema": SCHEMA,
@@ -243,18 +242,17 @@ def delta_upper(n: int, f: LinearFunc) -> LinearFunc:
 def _delta_values(f: LinearFunc, x: Value):
     """(delta^(0) f)(x), (delta^(1) f)(x), ... by the difference table: step n
     evaluates f once, at T**n x, and extends the diagonal
-    (delta^(k) f)(T**(n-k) x), k <= n, by the definition's product and
-    subtraction, so N values cost N evaluations of f and N(N-1)/2 steps."""
-    cfg, T = f.cfg, Poly.T(f.cfg)
-    diagonal, mults = [], []  # (delta^(k) f)(T**(n-1-k) x) and T**(q**k), k < n
+    (delta^(k) f)(T**(n-k) x), k <= n, by the definition's subtraction, each
+    product by T**(q**k) or T a shift (``_shift``), so N values cost N
+    evaluations of f and N(N-1)/2 steps."""
+    q, diagonal = f.cfg.q, []  # (delta^(k) f)(T**(n-1-k) x), k < n
     while True:
         row = [f(x)]
-        for mult, prev in zip(mults, diagonal):
-            row.append(row[-1] - mult * prev)
+        for k, prev in enumerate(diagonal):
+            row.append(row[-1] - _shift(prev, q ** k))
         yield row[-1]
         diagonal = row
-        mults.append(Poly.monomial(cfg, cfg.q ** len(mults)))
-        x = T * x
+        x = _shift(x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +291,43 @@ def digit_coeffs_linear(f: LinearFunc, N: int) -> BasisExpansion:
 
 
 def _digit_sums(cfg: FieldConfig, fs, N: int, m: int = 0) -> List[List[Value]]:
-    """The coefficients n < N of each f in ``fs`` in the basis {D_n**(q**m)}:
-    one weighted sum of the f(T**i), i < N, with the weights
-    (-1)**(n-i) D_i(T**n)**(q**m) = (-1)**(n-i) C(n, i) T**((n-i) q**m)."""
-    points = [Poly.monomial(cfg, i) for i in range(N)]
-    weights = [[hasse_on_monomial(cfg, i, n).frobenius(m).scalar_mul(cfg.sign(n - i))
-                for i in range(N)] for n in range(N)]
-    return _weighted_sums(cfg, weights, [[f(x) for x in points] for f in fs])
+    """The coefficients n < N of each f in ``fs`` in the basis {D_n**(q**m)},
+    b_n = sum_{i<=n} (-1)**(n-i) C(n, i) T**((n-i) s) f(T**i), s = q**m: one
+    ``_shifted_sums`` sum of the f(T**i), held from their common valuation
+    (``_held``), of precision the least prec f(T**i) + (n-i) s over its terms."""
+    s, p = cfg.q ** m, cfg.p
+    binomials = [_binomial_row(i, p, N - i) for i in range(N)]  # C(i + k, i) mod p
+    rows = [[(i, (n - i) * s, p - c if (n - i) % 2 else c) for i in range(n + 1)
+             if (c := binomials[i][n - i])] for n in range(N)]
+    terms, out = max(map(len, rows)), []
+    for f in fs:
+        fvals = [f(Poly.monomial(cfg, i)) for i in range(N)]
+        v, codes, series = _held(fvals)
+        precs = [getattr(x, "prec", EXACT) for x in fvals]
+        total = _shifted_sums(cfg, codes, terms)
+        out.append([_sum_value(cfg, series, v, total(row),
+                               min(precs[i] + k for i, k, _ in row)) for row in rows])
+    return out
+
+
+def _shifted_sums(cfg: FieldConfig, codes, terms: int):
+    """The map from weights [(i, k, w), ...], w in [1, p), to the codes of
+    sum w T**k codes[i], no product formed: for p = 2 an XOR of the codes'
+    ints shifted by k bytes; for odd p a sum of the codes, packed once at
+    the ``slot_width`` of ``terms`` weights, shifted by k slots, unpacked once."""
+    if cfg.p == 2:
+        ints = [int.from_bytes(c, "little") for c in codes]
+
+        def xor_sum(weights):
+            acc = 0
+            for i, k, _ in weights:
+                acc ^= ints[i] << 8 * k
+            return acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+        return xor_sum
+    width = slot_width(cfg, terms, 1)
+    step, packed = (2 * cfg.e - 1) * width, [pack(cfg, c, width) for c in codes]
+    return lambda weights: unpack(
+        cfg, sum(w * packed[i] << step * k for i, k, w in weights), width)
 
 
 def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
@@ -307,15 +335,14 @@ def powered_digit_coeffs(f: LinearFunc, m: int, N: int) -> BasisExpansion:
     ``_digit_sums``: beta_n = ((delta - [m] I)**n f)(1), and delta - [m] I
     maps g to g(Tx) - T**(q**m) g(x).  A series beta_n knows the least
     prec f(T**i) + (n-i) q**m over the i with C(n, i) != 0 mod p.  q**m
-    past DEGREE_BUDGET raises BudgetError first, without forming q**m when
-    m alone passes the budget's bit length.
+    past DEGREE_BUDGET raises BudgetError first (``carlitz._over_budget``).
     """
     if not f.linear:
         raise DomainError("powered-D expansion requires an F_q-linear function")
     if m < 0:
         raise DomainError("m must be non-negative")
     _check_terms(N)
-    if m >= DEGREE_BUDGET.bit_length() or f.cfg.q ** m > DEGREE_BUDGET:
+    if _over_budget(f.cfg.q, m):
         raise BudgetError(f"deg T**(q**m) = q**{m} exceeds the degree budget")
     return BasisExpansion(f.cfg, Basis.POWERED_D, _digit_sums(f.cfg, [f], N, m)[0], m=m)
 
@@ -355,7 +382,8 @@ def _enumeration_coeffs(fs, J, cfg, level, budget, basis) -> List[BasisExpansion
     needed K (``_digit_box``), one fibre sum per suffix (``_fibre_sums``),
     F'_0 = 1 unread: sum over t of |box_{<t}| |box_t| q**(n-t) <= n q**(n+1)
     products per function, not J q**n, the a_t = 0 row an XOR for p = 2.
-    The precision rule of ``_weighted_sums`` is summed out alike, by min and +.
+    A series sum's precision, the least prec f(m) + v(F'_K(m)) over its
+    nonzero terms, is summed out alike, by min and +.
     """
     _check_terms(J)
     q = cfg.q
@@ -432,31 +460,6 @@ def _held(fvals):
 def _sum_value(cfg: FieldConfig, series: bool, v: int, digits: bytes, prec) -> Value:
     """A sum of held values (``_held``), of precision ``prec`` if a series."""
     return TruncSeries(cfg, v, digits, prec) if series else Poly(cfg, digits)
-
-
-def _weighted_sums(cfg: FieldConfig, weights, values) -> List[List[Value]]:
-    """For each function's values f(m) in ``values`` (one list per
-    function, one value per point m), the sums sum_m w(m) f(m), one for
-    each row w of the exact ``weights`` (one Poly per point m).
-
-    Every f(m) and every w(m) is packed once (``algebra.packed_sums``, one
-    column per function) and each sum is one sum of integer products,
-    unpacked once.  Series values of a function are packed from their
-    common valuation v (``_held``), and its sums are series when any of its
-    f(m) is one, with the precision of the per-pair sum: the least
-    prec(f(m)) + v(w(m)) over the truncated f(m) and nonzero w(m).
-    """
-    lows, columns, series = zip(*map(_held, values))
-    sums = packed_sums(cfg, [[w.coeffs for w in row] for row in weights], columns)
-    out = [[] for _ in values]
-    for row in weights:
-        for coeffs, fvals, v, is_series, digits in zip(out, values, lows, series,
-                                                       sums):
-            prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
-                        if isinstance(x, TruncSeries) and not w.is_zero),
-                       default=EXACT) if is_series else EXACT
-            coeffs.append(_sum_value(cfg, is_series, v, digits, prec))
-    return out
 
 
 # ---------------------------------------------------------------------------

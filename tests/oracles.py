@@ -10,7 +10,8 @@ column; the powered-D ones also from the D-basis ones by the [m]-power
 conversion weights), delta^(n) f by its tower of closures,
 one step of the E_n recurrence by
 subtraction and a digit-by-digit prefix sum (and E_n by n such steps),
-D_n one Lucas binomial per digit, (delta - [m] I) f as a
+D_n one Lucas binomial per digit (D_n(T**i) as a scaled monomial,
+the closed sums' weight), (delta - [m] I) f as a
 closure and ((delta - [m] I)**n f)(x) by its closed double sum, the
 distance certificates on exact values, the orthogonality sums one (k, l) pair at a time
 (and, from tabulated values, the primed values by their subset sums and
@@ -54,7 +55,6 @@ from carlitzbases.algebra import (
     product_sums,
     valuation_norm,
 )
-from carlitzbases.hasse import hasse_on_monomial
 from carlitzbases import identities
 from carlitzbases.identities import (
     BUDGET_EXHAUSTED,
@@ -66,7 +66,8 @@ from carlitzbases.transforms import (
     DEFAULT_BUDGET,
     E_func,
     LinearFunc,
-    _weighted_sums,
+    _held,
+    _sum_value,
     convert_powered,
     default_level,
     delta,
@@ -231,6 +232,14 @@ def digit_coeffs_linear_by_iteration(f: LinearFunc, N: int) -> BasisExpansion:
         coeffs.append(g(one))
         g = delta(g)
     return BasisExpansion(cfg, Basis.LINEAR_D, coeffs)
+
+
+def hasse_on_monomial(cfg, n: int, i: int) -> Poly:
+    """D_n(T**i) = C(i, n) T**(i-n) as an exact polynomial (zero for i < n)."""
+    b = lucas_binom(i, n, cfg.p)
+    if b == 0 or i < n:
+        return Poly.zero(cfg)
+    return Poly.monomial(cfg, i - n, b)
 
 
 def digit_coeffs_linear_by_terms(f: LinearFunc, N: int, m: int = 0) -> BasisExpansion:
@@ -479,7 +488,7 @@ def eval_E_by_steps(cfg, n: int, x: Value) -> Value:
     """E_n(x) by n steps of ``bracket_step_by_digits`` from E_0(x) = x,
     nothing cached; an exact series is stepped as the Poly it equals."""
     if isinstance(x, TruncSeries) and x.prec == EXACT:
-        return eval_E_by_steps(cfg, n, x.to_poly()).to_series()
+        return eval_E_by_steps(cfg, n, Poly(cfg, bytes(x.v) + x.coeffs)).to_series()
     for k in range(1, n + 1):
         x = bracket_step_by_digits(cfg, k, x)
     return x
@@ -548,8 +557,8 @@ def enumeration_coeffs_by_rows(fs, J: int, cfg, basis: Basis, level=None,
     """The enumeration expansions of every f in ``fs`` (basis G or D) as
     one weighted sum per (index, function), over every point m at once:
     the weights F'_{q**n - 1 - j}(m) read one index at a time (``eval_G``
-    or ``eval_D``), and the sums formed by ``transforms._weighted_sums``,
-    whose precision rule is the contract of every enumeration path.
+    or ``eval_D``), and the sums formed by ``weighted_sums``, whose
+    precision rule is the contract of every enumeration path.
     """
     n = default_level(cfg, J) if level is None else level
     polys = poly_enumerate(cfg, n, "deg_lt", budget=budget)
@@ -558,7 +567,32 @@ def enumeration_coeffs_by_rows(fs, J: int, cfg, basis: Basis, level=None,
     weights = [[evaluate(cfg, cfg.q ** n - 1 - j, m, primed=True) for m in polys]
                for j in range(J)]
     return [BasisExpansion(cfg, basis, [c.scalar_mul(cfg.sign(n)) for c in sums])
-            for sums in _weighted_sums(cfg, weights, values)]
+            for sums in weighted_sums(cfg, weights, values)]
+
+
+def weighted_sums(cfg: FieldConfig, weights, values) -> List[List[Value]]:
+    """For each function's values f(m) in ``values`` (one list per
+    function, one value per point m), the sums sum_m w(m) f(m), one for
+    each row w of the exact ``weights`` (one Poly per point m).
+
+    Every f(m) and every w(m) is packed once (``algebra.packed_sums``, one
+    column per function) and each sum is one sum of integer products,
+    unpacked once.  Series values of a function are packed from their
+    common valuation v (``transforms._held``), and its sums are series when
+    any of its f(m) is one, with the precision of the per-pair sum: the
+    least prec(f(m)) + v(w(m)) over the truncated f(m) and nonzero w(m).
+    """
+    lows, columns, series = zip(*map(_held, values))
+    sums = packed_sums(cfg, [[w.coeffs for w in row] for row in weights], columns)
+    out = [[] for _ in values]
+    for row in weights:
+        for coeffs, fvals, v, is_series, digits in zip(out, values, lows, series,
+                                                       sums):
+            prec = min((x.prec + w.valuation for x, w in zip(fvals, row)
+                        if isinstance(x, TruncSeries) and not w.is_zero),
+                       default=EXACT) if is_series else EXACT
+            coeffs.append(_sum_value(cfg, is_series, v, digits, prec))
+    return out
 
 
 def _fp_poly_mul(a, b, p: int) -> list:

@@ -530,6 +530,21 @@ def test_series_matches_digit_oracle(q, data):
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 @settings(max_examples=300, deadline=None)
+def test_shift_matches_product_by_monomial(q, data):
+    # T**k * y as y's codes moved up k places, against the product by the
+    # exact monomial T**k: the same value, type and precision for Poly,
+    # exact and truncated series y, zero (to precision) or not, with
+    # negative valuations.
+    cfg = _MUL_FIELDS[q]
+    y, k = _operand(cfg, data, v_min=-6), data.draw(st.integers(0, 40))
+    for got, want in ((algebra._shift(y, k), y * Poly.monomial(cfg, k)),
+                      (algebra._shift(y, k), Poly.monomial(cfg, k) * y)):
+        assert type(got) is type(want) and got == want
+        assert getattr(got, "prec", None) == getattr(want, "prec", None)
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=300, deadline=None)
 def test_mul_matches_schoolbook(q, data):
     # Poly.__mul__ and TruncSeries.__mul__ share one truncating kernel; the
     # schoolbook oracle forms every coefficient pair and truncates last.

@@ -658,3 +658,18 @@ def test_derivative_past_the_degree_prints_zeros_at_once():
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["entries"] == ["0", "0"]
+
+
+def test_E_past_the_degree_budget_exits_two_at_once():
+    # E_30000000 passes the degree budget by its index alone: exit 2 with one
+    # error line well within the timeout, where forming q**n first took
+    # 18.5 s.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "carlitzbases.cli", "--q", "3", "expand",
+         "--f", "E:30000000", "--basis", "linear-D", "--terms", "2"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "degree budget" in proc.stderr

@@ -19,8 +19,7 @@ from carlitzbases import (
 )
 from carlitzbases.algebra import poly_enumerate, random_poly, random_series
 from carlitzbases.algebra import EXACT
-from carlitzbases.hasse import hasse_on_monomial
-from oracles import FIELDS
+from oracles import FIELDS, hasse_on_monomial
 
 
 def test_hasse_examples(f2):

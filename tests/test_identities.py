@@ -1106,6 +1106,30 @@ def test_basis_distance_matches_the_exact_oracle(data, q, n, i_max, pair):
     assert got == expected
 
 
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_difference_valuation_matches_subtraction(q, data):
+    # v(f - g) read from the codes aligned as ints, against the valuation of
+    # the subtraction: unequal valuations and precisions, values zero to
+    # precision, equal values, and differences that start at or past the
+    # lesser precision.
+    cfg = FieldConfig(*FIELDS[q])
+    digits = st.lists(st.integers(0, q - 1), max_size=8)
+    v, prec = data.draw(st.integers(-3, 5)), data.draw(st.integers(0, 12))
+    f = TruncSeries(cfg, v, data.draw(digits), v + prec)
+    kind = data.draw(st.sampled_from(("free", "equal", "moved")))
+    if kind == "free":
+        w = data.draw(st.integers(-3, 5))
+        g = TruncSeries(cfg, w, data.draw(digits), w + data.draw(st.integers(0, 12)))
+    else:
+        g = f.truncate(data.draw(st.integers(v - 2, v + prec)))
+        if kind == "moved":
+            g = g + TruncSeries.monomial(cfg, data.draw(st.integers(v - 3, v + prec + 3)),
+                                         data.draw(st.integers(1, q - 1)))
+    for a, b in ((f, g), (g, f)):
+        assert identities._difference_valuation(a, b) == (a - b).valuation
+
+
 def test_basis_distance_witness_past_the_degree_budget():
     # At q = 7 the exact E_4(T^40) has degree 7^4 * 36, past DEGREE_BUDGET:
     # a fault there is witnessed by the difference mod T^37, the digits the
@@ -1196,10 +1220,21 @@ def test_reduced_basis_falsified_witnesses(monkeypatch, cell, planted, both, wit
         assert r.witness == witness
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_reduced_basis_reads_one_point_per_j(monkeypatch, q):
+    # E_i(T^j) mod T for every i < n_max from the one point T^j + O(T^n_max):
+    # at most n_max distinct points reach eval_E.
+    points, E = set(), identities.eval_E
+    monkeypatch.setattr(identities, "eval_E",
+                        lambda cfg, i, x: points.add(x) or E(cfg, i, x))
+    assert check_reduced_basis(FieldConfig(*FIELDS[q]), 6).status == VERIFIED
+    assert len(points) <= 6
+
+
 @pytest.mark.parametrize("q", [11, 13, 17, 131, 251])
 def test_reduced_basis_past_the_degree_budget(q):
     # Exact E_5(T^5) has degree 5 q**5, past the degree budget for q >= 11;
-    # on T^j + O(T^(i+1)) the suite forms no such value.
+    # on T^j + O(T^6) the suite forms no such value.
     assert run_suite(FieldConfig(q), "reduced")[0].status == VERIFIED
 
 

@@ -384,15 +384,16 @@ def test_inverse_matrix_matches_per_column_sums(q):
 
 
 def test_closed_sums_catch_a_wrong_weight(monkeypatch):
-    # D_1(T**2) read as 2T + 1 in the production weights only: every
+    # C(2, 1) = 2 read as 1 where the shifted sums read their weights (the
+    # binomial row of i = 1 at k = 1), so D_1(T**2) weighs as T: every
     # comparison above must then fail.
     cfg = FieldConfig(3)
-    right = transforms.hasse_on_monomial
+    right = transforms._binomial_row
 
-    def wrong(cfg, n, i):
-        w = right(cfg, n, i)
-        return w + Poly.one(cfg) if (n, i) == (1, 2) else w
-    monkeypatch.setattr(transforms, "hasse_on_monomial", wrong)
+    def wrong(n, p, size):
+        row = right(n, p, size)
+        return row[:1] + b"\1" + row[2:] if (n, p) == (1, 3) else row
+    monkeypatch.setattr(transforms, "_binomial_row", wrong)
     rnd = random.Random(5)
     for kind in ("poly", "series"):
         with pytest.raises(AssertionError):
@@ -412,6 +413,113 @@ def test_mixed_values_give_series_coefficients(f3):
         assert all(isinstance(c, TruncSeries) for c in got.coeffs)
         assert isinstance(want.coeffs[0], Poly)
         assert got.coeffs == want.coeffs
+
+
+def _mixed_function(cfg, rnd):
+    """A Poly-valued ``_closed_sum_function`` whose values at the odd powers
+    of T are scaled by a series of valuation -1 known to T**7."""
+    f = _closed_sum_function(cfg, rnd, "poly")
+    s = TruncSeries(cfg, -1, [1] + [rnd.randrange(cfg.q) for _ in range(8)], 7)
+    return LinearFunc(cfg, lambda x: s * f(x) if x.degree % 2 else f(x))
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_shifted_sums_match_scaled_shifts(q, data):
+    # Each sum of w T**k codes[i], up to 300 terms (past the one-byte slot
+    # bound for odd p), against the same sum of Poly scalings and products
+    # by T**k.
+    cfg = FieldConfig(*FIELDS[q])
+    codes = [bytes(data.draw(st.lists(st.integers(0, q - 1), max_size=10)))
+             for _ in range(data.draw(st.integers(1, 6)))]
+    terms = data.draw(st.integers(1, 300))
+    total = transforms._shifted_sums(cfg, codes, terms)
+    for _ in range(3):
+        weights = [(data.draw(st.integers(0, len(codes) - 1)),
+                    data.draw(st.integers(0, 30)), data.draw(st.integers(1, cfg.p - 1)))
+                   for _ in range(data.draw(st.integers(0, min(terms, 12))))]
+        if data.draw(st.booleans()):
+            weights = (weights * terms)[:terms]
+        want = Poly.zero(cfg)
+        for i, k, w in weights:
+            want = want + Poly(cfg, codes[i]).scalar_mul(w) * Poly.monomial(cfg, k)
+        assert total(weights) == want.coeffs
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_digit_sums_match_term_by_term_oracle(q, data):
+    # The shifted sums of up to three functions at once (as the inverse
+    # matrix takes its columns), m = 0..3, against one product and one
+    # addition per term: Poly-, series- and mixed-valued f give equal
+    # values and precisions, and series coefficients throughout as soon as
+    # one value is a series.
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    kinds = data.draw(st.lists(st.sampled_from(("poly", "series", "mixed")),
+                               min_size=1, max_size=3))
+    fs = [_mixed_function(cfg, rnd) if kind == "mixed"
+          else _closed_sum_function(cfg, rnd, kind) for kind in kinds]
+    N, m = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 3))
+    for kind, f, got in zip(kinds, fs, transforms._digit_sums(cfg, fs, N, m)):
+        want = digit_coeffs_linear_by_terms(f, N, m).coeffs
+        series = kind == "series" or (kind == "mixed" and N > 1)
+        assert got == want
+        assert all(type(c) is (TruncSeries if series else Poly) for c in got)
+        assert ([getattr(c, "prec", EXACT) for c in got]
+                == [getattr(c, "prec", EXACT) for c in want])
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_difference_table_on_series_matches_closures(q, data):
+    # delta^(n) f at a series point x (zero to precision or not), f series-
+    # valued with negative valuations: the table's shifts against the
+    # closures' products by T and T**(q**k), value for value.
+    cfg = FieldConfig(*FIELDS[q])
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 30)))
+    f = _closed_sum_function(cfg, rnd, "series")
+    v = data.draw(st.integers(0, 3))
+    x = TruncSeries(cfg, v, data.draw(st.lists(st.integers(0, q - 1), max_size=4)),
+                    v + data.draw(st.integers(3, 12)))
+    n = data.draw(st.integers(0, 4))
+    got, want = (_value_or_error(g, x)
+                 for g in (delta_upper(n, f), delta_upper_by_closures(n, f)))
+    if want is PrecisionError:
+        assert got is PrecisionError
+    else:
+        assert _same(got, want) and got[0].prec == want[0].prec
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_closed_sums_and_wagner_form_no_weight_product(monkeypatch, q):
+    # With f's values computed beforehand, the closed sums, the inverse
+    # matrix and the Wagner table run with every product refused: their
+    # weights and every product by a power of T are shifts.  The weight
+    # polynomials D_i(T**n) (``oracles.hasse_on_monomial``) are gone from
+    # the library.
+    from carlitzbases import hasse
+    cfg = FieldConfig(*FIELDS[q])
+    g = add_func(E_func(cfg, 2), D_func(cfg, 1))
+    N = 6
+    values = {Poly.monomial(cfg, i): g(Poly.monomial(cfg, i)) for i in range(N)}
+    f = LinearFunc(cfg, values.__getitem__, name="tabulated")
+    want = ([digit_coeffs_linear(f, N)]
+            + [powered_digit_coeffs(f, m, N) for m in range(4)]
+            + [inverse_matrix(cfg, 3), wagner_coeffs(f, N)])
+
+    def refuse(*args):
+        raise AssertionError("product formed")
+    monkeypatch.setattr(algebra, "_mul", refuse)
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    assert not any(hasattr(module, "hasse_on_monomial") for module in (hasse, transforms))
+    from carlitzbases.towers import TOWERS
+    TOWERS.cache_clear()
+    got = ([digit_coeffs_linear(f, N)]
+           + [powered_digit_coeffs(f, m, N) for m in range(4)]
+           + [inverse_matrix(cfg, 3), wagner_coeffs(f, N)])
+    for x, y in zip(got, want):
+        assert x.to_json() == y.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -720,15 +828,15 @@ class _Unpowered(int):
 @pytest.mark.parametrize("q,m", [(2, 17), (3, 11), (4, 9), (9, 6),
                                  (3, _Unpowered(10 ** 9))])
 def test_powered_coeffs_budget_before_any_weight(monkeypatch, q, m):
-    # q**m past DEGREE_BUDGET raises BudgetError before a weight is built;
-    # at the largest admitted m the weights are built.  m = 10**9 is
-    # refused without forming q**m.
+    # q**m past DEGREE_BUDGET raises BudgetError before a weight is read
+    # (the binomial rows of the shifted sums); at the largest admitted m
+    # the weights are read.  m = 10**9 is refused without forming q**m.
     from carlitzbases import BudgetError
     from carlitzbases.carlitz import DEGREE_BUDGET
 
     def refuse(*args):
         raise AssertionError("weight built")
-    monkeypatch.setattr(transforms, "hasse_on_monomial", refuse)
+    monkeypatch.setattr(transforms, "_binomial_row", refuse)
     cfg = FieldConfig(*FIELDS[q])
     with pytest.raises(BudgetError):
         powered_digit_coeffs(D_func(cfg, 1), m, 4)
@@ -736,6 +844,31 @@ def test_powered_coeffs_budget_before_any_weight(monkeypatch, q, m):
         assert q ** (m - 1) <= DEGREE_BUDGET
         with pytest.raises(AssertionError, match="weight built"):
             powered_digit_coeffs(D_func(cfg, 1), m - 1, 4)
+
+
+@pytest.mark.parametrize("site", ["bracket", "carlitz_F", "e_poly", "eval_E"])
+@pytest.mark.parametrize("n", [17, _Unpowered(3 * 10 ** 7)])
+def test_degree_budget_sites_refuse_before_forming_the_power(site, n):
+    # Every degree-budget site shares the predicate of powered_digit_coeffs
+    # (carlitz._over_budget): an n at or past the budget's bit length is
+    # refused with BudgetError and q**n is never formed.
+    from carlitzbases import BudgetError, carlitz
+    cfg = FieldConfig(3)
+    call = {"bracket": lambda: carlitz.bracket(cfg, n),
+            "carlitz_F": lambda: carlitz.carlitz_F(cfg, n),
+            "e_poly": lambda: carlitz.e_poly(cfg, n),
+            "eval_E": lambda: carlitz.eval_E(cfg, n, Poly.T(cfg))}[site]
+    with pytest.raises(BudgetError):
+        call()
+
+
+def test_degree_budget_predicate_edges():
+    # q**n against DEGREE_BUDGET = 2**16 on either side of the edge.
+    from carlitzbases.carlitz import _over_budget
+    assert [_over_budget(2, n) for n in (15, 16, 17)] == [False, False, True]
+    assert [_over_budget(3, n) for n in (10, 11)] == [False, True]
+    assert [_over_budget(256, n) for n in (2, 3)] == [False, True]
+    assert _over_budget(3, _Unpowered(10 ** 9))
 
 
 @given(st.sampled_from(sorted(FIELDS)), st.data())
@@ -1006,7 +1139,7 @@ def test_sup_norm_law(f2, rng):
     from carlitzbases.transforms import BasisExpansion
     coeffs = [random_poly(f2, rng, 2) for _ in range(5)]
     exp = BasisExpansion(f2, Basis.DIGIT_D, coeffs, tail_bound=Fraction(0))
-    stated = exp.sup_norm()
+    stated = max(valuation_norm(c).value for c in coeffs)
     empirical = Fraction(0)
     for x in poly_enumerate(f2, 4, "deg_lt"):
         val, _ = synthesize(exp, x)
